@@ -9,8 +9,16 @@ On the merged support {z_i} this is the linear program
 
 The feasible set is symmetric under h -> -h, so the maximum already
 equals the supremum of the absolute value.  Sub-probability measures
-(total mass < 1) are allowed; the LP is linear in the weights, so
+(total mass < 1) are allowed; the problem is linear in the weights, so
 d_BL(c*mu, c*nu) = c*d_BL(mu, nu).
+
+In d = 1 the sorted support is a chain: |z_i - z_j| is the sum of the
+gaps between them, so the K - 1 adjacent constraints imply all the
+others, and a dynamic program over concave piecewise-linear value
+functions solves the chain exactly in one pass.  In d >= 2 the program
+is solved as an explicit LP with a constraint for every pair.  The
+optimal witness h is in general not unique; the two paths may return
+different witnesses of the same distance.
 """
 
 from __future__ import annotations
@@ -96,7 +104,7 @@ def _merge_support(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
 
 
 def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
-    """Bounded-Lipschitz distance via an explicit LP on the merged support."""
+    """Bounded-Lipschitz distance on the merged support: a chain DP in d = 1, else an LP."""
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"measures live in dimensions {mu.dim} and {nu.dim}")
     support, c = _merge_support(mu, nu)
@@ -107,7 +115,46 @@ def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
         h = np.ones(K) if c.sum() >= 0 else -np.ones(K)
         return BLResult(distance=abs(float(c.sum())), witness=h, support=support,
                         status="optimal")
+    if support.shape[1] > 1:
+        return _dbl_lp(support, c)
+    h = _chain_witness(support[:, 0], c)   # np.unique sorted the support
+    return BLResult(distance=float(c @ h), witness=h, support=support, status="optimal")
 
+
+def _chain_witness(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Maximizer of c.h over |h_i| <= 1, |h_{i+1} - h_i| <= z_{i+1} - z_i.
+
+    Forward pass: V_1(h) = c_1 h and
+    V_{i+1}(h) = c_{i+1} h + max_{|h' - h| <= g_i} V_i(h') on [-1, 1].
+    Each V_i is concave piecewise linear, held as breakpoints xs and
+    values vs.  The max over the window dilates V_i around a peak: the
+    part left of it moves by -g_i, the part right of it by +g_i, and the
+    peak value spans the gap.  Backward pass: given h_{i+1}, the best
+    h_i is the point of its window nearest to V_i's peak.
+    """
+    g = np.diff(z)
+    K = len(c)
+    xs, vs = np.array([-1.0, 1.0]), np.array([-c[0], c[0]])
+    peaks = np.empty(K - 1)
+    for i in range(K - 1):
+        k = int(np.argmax(vs))
+        peaks[i] = xs[k]
+        xs = np.concatenate([xs[:k + 1] - g[i], xs[k:] + g[i]])
+        vs = np.concatenate([vs[:k + 1], vs[k:]])
+        inside = (xs > -1.0) & (xs < 1.0)
+        lo, hi = np.interp([-1.0, 1.0], xs, vs)
+        xs = np.concatenate([[-1.0], xs[inside], [1.0]])
+        vs = np.concatenate([[lo], vs[inside], [hi]]) + c[i + 1] * xs
+    h = np.empty(K)
+    h[-1] = xs[np.argmax(vs)]
+    for i in range(K - 2, -1, -1):
+        h[i] = min(max(peaks[i], h[i + 1] - g[i]), h[i + 1] + g[i])
+    return h
+
+
+def _dbl_lp(support: np.ndarray, c: np.ndarray) -> BLResult:
+    """The LP with a pair constraint per pair of support points (any d)."""
+    K = len(support)
     diff = support[:, None, :] - support[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     iu, ju = np.triu_indices(K, k=1)
@@ -136,6 +183,15 @@ def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
                     status="optimal")
 
 
+def optimal_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, pair: str) -> float:
+    """d_BL(mu, nu); raises SolverFailure naming ``pair`` if the solve is not optimal."""
+    res = dbl(mu, nu)
+    if res.status != "optimal":
+        raise SolverFailure(f"d_BL of {pair} ended with status {res.status!r}, "
+                            "not at the optimum")
+    return res.distance
+
+
 @dataclass(frozen=True)
 class CesaroDefect:
     restricted: float      # sum_m p_m * d_BL(p_m law_{m+1}, p_m law_m)
@@ -161,7 +217,8 @@ def cesaro_defect(laws, weights=None) -> CesaroDefect:
         p = np.asarray(weights, dtype=float)
         if p.shape[0] != n:
             raise DimensionMismatch(f"need {n} weights, got {p.shape[0]}")
-    terms = np.array([dbl(laws[m + 1], laws[m]).distance for m in range(n)])
+    terms = np.array([optimal_distance(laws[m + 1], laws[m], f"law[{m + 1}] and law[{m}]")
+                      for m in range(n)])
     restricted = float(np.sum(p * p * terms))  # p_m * d_BL of the p_m-scaled pair
     unrestricted = float(np.sum(terms) / (n + 1))
     return CesaroDefect(restricted=restricted, unrestricted=unrestricted, terms=terms)

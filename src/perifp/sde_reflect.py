@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bl_metric import CesaroDefect, EmpiricalMeasure, cesaro_defect, coarsen, dbl
+from .bl_metric import (CesaroDefect, EmpiricalMeasure, cesaro_defect, coarsen,
+                        optimal_distance)
 from .errors import DimensionMismatch, NonFiniteState
-
-SNAP_DIVISIONS = 512
 
 
 @dataclass(frozen=True)
@@ -227,11 +226,13 @@ def periodicity_diagnostic(batch: TrajectoryBatch, burn_in: int,
     if snap_resolution is not None:
         laws = [coarsen(m, snap_resolution) for m in laws]
     defect: CesaroDefect = cesaro_defect(laws)
-    tail = laws[-5:]
-    max_pairwise = 0.0
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            max_pairwise = max(max_pairwise, dbl(tail[i], tail[j]).distance)
+    first = max(0, len(laws) - 5)   # the tail is laws[first:]
+    # its consecutive pairs were already solved, and checked, for the defect
+    max_pairwise = float(np.max(defect.terms[first:]))
+    for i in range(first, len(laws)):
+        for j in range(i + 2, len(laws)):
+            max_pairwise = max(max_pairwise, optimal_distance(
+                laws[i], laws[j], f"snapshots {burn_in + i} and {burn_in + j}"))
     second_moments = np.array([
         float(np.sum(m.weights * np.sum(m.points**2, axis=1)) / m.mass)
         for m in batch.snapshots])

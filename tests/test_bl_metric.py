@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifp.bl_metric import EmpiricalMeasure, cesaro_defect, coarsen, dbl
-from perifp.errors import DimensionMismatch
+import perifp.bl_metric as bl_metric
+from perifp.bl_metric import (EmpiricalMeasure, _dbl_lp, _merge_support, cesaro_defect,
+                              coarsen, dbl)
+from perifp.errors import DimensionMismatch, SolverFailure
 
 
 def grid_oracle(mu, nu, step=0.001):
@@ -148,6 +150,63 @@ def test_witness_is_feasible_and_attains():
     assert np.all(np.abs(h) <= 1 + 1e-9)
     D = np.sqrt(((S[:, None, :] - S[None, :, :]) ** 2).sum(axis=2))
     assert np.all(np.abs(h[:, None] - h[None, :]) <= D + 1e-9)
+    assert float(res.distance) == pytest.approx(float(_merge_support(mu, nu)[1] @ h),
+                                                abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the chain dynamic program on the line against the LP oracle
+
+def _line_pair(gen, trial):
+    """Seeded 1D pair: spreads 0.01..3, shared points, sub-probability masses."""
+    spread = (0.01, 0.1, 0.5, 1.0, 3.0)[trial % 5]
+    n, m = (int(k) for k in gen.integers(1, 7, 2))
+    a = gen.uniform(-spread, spread, (n, 1))
+    b = gen.uniform(-spread, spread, (m, 1))
+    if trial % 3 == 0:                       # shared support points
+        shared = int(gen.integers(1, min(n, m) + 1))
+        b[:shared] = a[:shared]
+    wa, wb = gen.uniform(0.05, 1.0, n), gen.uniform(0.05, 1.0, m)
+    wa, wb = wa / wa.sum(), wb / wb.sum()
+    if trial % 4 == 1:                       # sub-probability masses
+        wa, wb = wa * gen.uniform(0.2, 1.0), wb * gen.uniform(0.2, 1.0)
+    return EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb)
+
+
+def _assert_chain_matches_lp(mu, nu):
+    support, c = _merge_support(mu, nu)
+    res = dbl(mu, nu)
+    assert res.status == "optimal"
+    np.testing.assert_array_equal(res.support, support)
+    assert abs(res.distance - _dbl_lp(support, c).distance) <= 1e-9
+    h = res.witness
+    assert np.all(np.abs(h) <= 1.0)
+    gaps = np.abs(support[:, None, 0] - support[None, :, 0])
+    assert np.all(np.abs(h[:, None] - h[None, :]) <= gaps + 1e-12)
+    assert abs(float(c @ h) - res.distance) <= 1e-12
+    return len(support)
+
+
+def test_chain_matches_lp_random_line_pairs():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(1234)))
+    sizes = [_assert_chain_matches_lp(*_line_pair(gen, trial)) for trial in range(320)]
+    assert min(sizes) <= 2 and max(sizes) >= 10
+
+
+def test_chain_matches_lp_two_points():
+    for x, wa, wb in ((0.3, 1.0, 1.0), (2.5, 1.0, 1.0), (0.7, 0.4, 0.9), (5.0, 0.3, 0.2)):
+        mu = EmpiricalMeasure(np.array([[0.0]]), np.array([wa]))
+        nu = EmpiricalMeasure(np.array([[x]]), np.array([wb]))
+        assert _assert_chain_matches_lp(mu, nu) == 2
+
+
+def test_chain_matches_lp_sample_clouds():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(77)))
+    for shift, scale in ((0.05, 0.2), (0.3, 1.0), (1.5, 2.0)):
+        mu = EmpiricalMeasure.from_samples(gen.normal(0.0, scale, (60, 1)))
+        nu = EmpiricalMeasure.from_samples(gen.normal(shift, scale, (50, 1)))
+        _assert_chain_matches_lp(mu, nu)
+        _assert_chain_matches_lp(mu.scaled(0.6), nu.scaled(0.8))
 
 
 def test_coarsen_bounded_perturbation():
@@ -192,6 +251,35 @@ def test_cesaro_restricted_dominated_by_unrestricted():
     laws = [_random_measure(gen, 1, max_pts=4) for _ in range(6)]
     res = cesaro_defect(laws)
     assert res.restricted <= res.unrestricted + 1e-12
+
+
+def _failing_linprog(monkeypatch, after):
+    """Make the LP report an iteration limit on every call after the first ``after``."""
+    real, calls = bl_metric.linprog, [0]
+
+    def linprog(*args, **kwargs):
+        calls[0] += 1
+        res = real(*args, **kwargs)
+        if calls[0] > after:
+            res.status = 1
+        return res
+
+    monkeypatch.setattr(bl_metric, "linprog", linprog)
+
+
+def test_cesaro_raises_on_non_optimal_term(monkeypatch):
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(5)))
+    laws = [_random_measure(gen, 2, max_pts=3) for _ in range(4)]
+    _failing_linprog(monkeypatch, after=1)
+    with pytest.raises(SolverFailure, match=r"law\[2\] and law\[1\]"):
+        cesaro_defect(laws)
+
+
+def test_dbl_reports_non_optimal_status(monkeypatch):
+    _failing_linprog(monkeypatch, after=0)
+    mu = EmpiricalMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
+    nu = EmpiricalMeasure(np.array([[0.0, 0.5]]), np.array([1.0]))
+    assert dbl(mu, nu).status == "iteration_limit"
 
 
 def test_cesaro_needs_two_laws():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifp.bl_metric import EmpiricalMeasure
+import perifp.bl_metric as bl_metric
+from perifp.bl_metric import EmpiricalMeasure, dbl
 from perifp.coeff_dsl import CoefficientField
-from perifp.sde_reflect import (BoxDomain, SdeSystem, em_reflect_step,
-                                lipschitz_report, periodicity_diagnostic,
-                                sample_laws)
+from perifp.errors import SolverFailure
+from perifp.sde_reflect import (BoxDomain, SdeSystem, TrajectoryBatch,
+                                em_reflect_step, lipschitz_report,
+                                periodicity_diagnostic, sample_laws)
 
 T = 1.0
 
@@ -159,6 +161,58 @@ def test_periodicity_diagnostic_frozen_dynamics():
     assert diag["defect"] == pytest.approx(0.0, abs=1e-12)
     assert diag["max_pairwise_tail_dbl"] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(diag["second_moments"], 0.25, atol=1e-12)
+
+
+def test_periodicity_diagnostic_reuses_consecutive_pairs(monkeypatch):
+    batch = sample_laws(_scalar_system("0.3*sin(2*pi*t)", "0.4"), [0.5], M=40,
+                        n_periods=3, dt=T / 16, seed=11)
+    laws = batch.snapshots
+    terms = [dbl(laws[m + 1], laws[m]).distance for m in range(3)]
+    tail_max = max(dbl(laws[i], laws[j]).distance
+                   for i in range(4) for j in range(i + 1, 4))
+    calls = []
+
+    def counted(mu, nu):
+        calls.append(1)
+        return dbl(mu, nu)
+
+    monkeypatch.setattr(bl_metric, "dbl", counted)
+    diag = periodicity_diagnostic(batch, burn_in=0)
+    assert len(calls) == 6   # 3 consecutive pairs once each, 3 non-consecutive
+    np.testing.assert_allclose(diag["defect_terms"], terms, rtol=0, atol=1e-12)
+    assert diag["max_pairwise_tail_dbl"] == pytest.approx(tail_max, abs=1e-12)
+
+
+def test_periodicity_diagnostic_tail_max_at_last_consecutive_pair():
+    # diracs at 0.2, 0.1, 0.0, 0.5: only the last transition moves by 0.5
+    snaps = [EmpiricalMeasure.dirac([x]) for x in (0.2, 0.1, 0.0, 0.5)]
+    batch = TrajectoryBatch(seed=0, paths=1, dt=T, period_T=T, snapshots=snaps,
+                            snapshot_times=np.arange(4) * T,
+                            reflection_counts=np.zeros(1, dtype=np.int64))
+    diag = periodicity_diagnostic(batch, burn_in=0)
+    np.testing.assert_allclose(diag["defect_terms"], [0.1, 0.1, 0.5], atol=1e-12)
+    assert diag["max_pairwise_tail_dbl"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_periodicity_diagnostic_raises_on_non_optimal_tail_pair(monkeypatch):
+    one, zero = _field("1"), _field("0")
+    sys_ = SdeSystem(drift=(zero, zero), diffusion=((one, zero), (zero, one)),
+                     period_T=T, domain=BoxDomain([0.0, 0.0], [1.0, 1.0]),
+                     brownian_dim=2)
+    batch = sample_laws(sys_, [0.5, 0.5], M=8, n_periods=3, dt=T / 8, seed=3)
+    real, calls = bl_metric.linprog, [0]
+
+    def linprog(*args, **kwargs):
+        # the Cesaro defect's three solves succeed, the tail's first fails
+        calls[0] += 1
+        res = real(*args, **kwargs)
+        if calls[0] > 3:
+            res.status = 1
+        return res
+
+    monkeypatch.setattr(bl_metric, "linprog", linprog)
+    with pytest.raises(SolverFailure, match="snapshots 0 and 2"):
+        periodicity_diagnostic(batch, burn_in=0)
 
 
 def test_periodicity_diagnostic_needs_snapshots():
