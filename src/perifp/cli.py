@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -83,6 +82,14 @@ def _str(value, path):
     return value
 
 
+def _one_of(*choices):
+    def check(value, path):
+        if _str(value, path) not in choices:
+            raise ConfigError(path, f"expected one of {', '.join(choices)}")
+        return value
+    return check
+
+
 def _expr(value, path):
     source = _str(value, path)
     try:
@@ -104,12 +111,14 @@ def load_config(path):
     return doc, p.parent
 
 
-def _bc_from_name(name, robin=(0.0, 0.0)):
+def _bc_from_name(name, cfg):
     table = {"absorbing": fpe_grid.absorbing(), "dirichlet": fpe_grid.absorbing(),
              "reflecting": fpe_grid.reflecting(), "neumann": fpe_grid.neumann(),
-             "robin": fpe_grid.robin(*robin)}
+             "robin": fpe_grid.robin(*cfg["robin"])}
     if name not in table:
         raise ConfigError("/bc", f"unknown boundary condition {name!r}")
+    if name == "robin" and cfg["form"] == "divergence":
+        raise ConfigError("/bc", "robin boundaries need form 'nondivergence'")
     return table[name]
 
 
@@ -127,8 +136,8 @@ _FP_SCHEMA = {
     "a0": (None, _expr),
     "alpha": (None, _expr),
     "source_f": (None, _expr),
-    "form": ("divergence", _str),
-    "integrator": ("cn", _str),
+    "form": ("divergence", _one_of(*fpe_grid.FORMS)),
+    "integrator": ("cn", _one_of(*fpe_grid.INTEGRATORS)),
     "init": ({"kind": "uniform"}, None),
     "tol": (1e-9, _pos),
     "max_iter": (500, _int),
@@ -137,13 +146,18 @@ _FP_SCHEMA = {
 }
 
 
-def _parse_fp_config(doc):
+def _parse_fp_config(doc, span_key=None, default_form="divergence"):
+    """Resolve an fp config; dt must divide cfg[span_key], the span marched."""
     cfg, defaulted = _schema_check(doc, _FP_SCHEMA)
+    if "/form" in defaulted:
+        cfg["form"] = default_form
     dom, dom_def = _schema_check(cfg["domain"], {
         "lower": (_REQUIRED, _num), "upper": (_REQUIRED, _num)}, "/domain")
     defaulted += dom_def
     if dom["lower"] >= dom["upper"]:
         raise ConfigError("/domain", "need lower < upper")
+    if cfg["n_cells"] < 4:
+        raise ConfigError("/n_cells", "need at least 4 cells")
     cfg["domain"] = dom
     if cfg["dt"] is None:
         cfg["dt"] = cfg["period_T"] / 256
@@ -151,6 +165,11 @@ def _parse_fp_config(doc):
     if cfg["t1"] is None:
         cfg["t1"] = cfg["period_T"]
         defaulted.append("/t1")
+    if span_key is not None:
+        try:
+            fpe_grid.step_count(cfg[span_key], cfg["dt"])
+        except ValueError as exc:
+            raise ConfigError("/dt", f"{exc} ({span_key})") from exc
     if (cfg["sigma"] is None) == (cfg["a_eff"] is None):
         raise ConfigError("/sigma", "give exactly one of 'sigma' or 'a_eff'")
     T = cfg["period_T"]
@@ -169,7 +188,7 @@ def _parse_fp_config(doc):
         b=CoefficientField(b_expr, T),
         a0=None if cfg["a0"] is None else CoefficientField(parse_expr(cfg["a0"]), T))
     grid = fpe_grid.Grid1D(cfg["n_cells"], dom["lower"], dom["upper"])
-    bc = _bc_from_name(cfg["bc"], tuple(cfg["robin"]))
+    bc = _bc_from_name(cfg["bc"], cfg)
     return cfg, defaulted, grid, coeffs, bc
 
 
@@ -241,7 +260,6 @@ class _Run:
             "config": self.config,
             "defaults_applied": self.defaults,
             "duration_s": time.monotonic() - self.t0,
-            "threads_cap": os.environ.get("PERIODIC_FPE_THREADS"),
             "outputs": {p.name: _sha256(p) for p in self.files},
             "headline": self.headline,
         }
@@ -357,7 +375,7 @@ def _cmd_simulate_sde(args):
 
 def _cmd_fp_solve(args):
     doc, base = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc)
+    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, "t1")
     p0 = _initial_density(cfg, grid, base)
     snapshot_times = [0.0, cfg["t1"]]
     if args.snapshots:
@@ -381,9 +399,9 @@ def _cmd_fp_solve(args):
 
 def _cmd_eigen(args):
     doc, _ = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc)
+    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, "period_T")
     if args.bc:
-        bc = _bc_from_name(args.bc, tuple(cfg["robin"]))
+        bc = _bc_from_name(args.bc, cfg)
     pm = period_map.build_period_map(grid, coeffs, bc, cfg["period_T"], cfg["dt"],
                                      form=cfg["form"], integrator=cfg["integrator"])
     spec = period_map.power_iteration(pm, tol=cfg["tol"])
@@ -440,11 +458,10 @@ def _auto_pair(problem, dt):
 
 def _cmd_semilinear(args):
     doc, _ = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc)
+    # semilinear problems march u, not p
+    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, "period_T", "nondivergence")
     if cfg["source_f"] is None:
         raise ConfigError("/source_f", "required for the semilinear solver")
-    if "/form" in defaulted:
-        cfg["form"] = "nondivergence"  # semilinear problems march u, not p
     T = cfg["period_T"]
     problem = semilinear.SemilinearProblem(
         coeffs=coeffs, f=CoefficientField(parse_expr(cfg["source_f"]), T),
@@ -509,7 +526,7 @@ def _cmd_selftest(args):
     p1 = fpe_grid.step_cn(p0, coeffs, fpe_grid.reflecting(), 0.01)
     check("fpe_grid: reflecting CN conserves mass", abs(p1.mass - p0.mass) < 1e-13)
 
-    pm = period_map.PeriodMap(np.eye(8), fpe_grid.reflecting(), T, 0.1)
+    pm = period_map.PeriodMap(np.eye(8), fpe_grid.reflecting(), T)
     spec = period_map.power_iteration(pm)
     check("period_map: K = I gives r = 1", abs(spec.r - 1.0) < 1e-12)
 

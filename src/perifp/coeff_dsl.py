@@ -340,7 +340,3 @@ class CoefficientField:
         return eval_expr(self.expr, {"t": None if t is None else self._reduce_t(t),
                                      "x": x, "u": u})
 
-
-def eval_field(f: CoefficientField, t=None, x=None, u=None):
-    """Evaluate a CoefficientField at (t, x[, u])."""
-    return f(t=t, x=x, u=u)

@@ -12,17 +12,22 @@ which keeps the scheme second order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .coeff_dsl import CoefficientField
 from .errors import EllipticityViolation, QuadratureOverflow, SolverFailure
 
 ELLIPTICITY_FLOOR = 1e-12
 EXP_OVERFLOW = 700.0
+FORMS = ("divergence", "nondivergence")
+INTEGRATORS = ("cn", "ie")
+# entries of each stacked (steps, n) array of a marching block (64 KiB):
+# larger blocks save little time but raise peak memory
+BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,10 @@ class FpCoefficients:
 
 @dataclass
 class Tridiag:
-    """dp/dt = L p with L tridiagonal: lower[i] = L[i,i-1], upper[i] = L[i,i+1]."""
+    """dp/dt = L p with L tridiagonal: lower[i] = L[i,i-1], upper[i] = L[i,i+1].
+
+    Arrays of shape (..., n) stack generators; matvec takes p stacked alike.
+    """
 
     lower: np.ndarray  # (n,), lower[0] unused
     diag: np.ndarray   # (n,)
@@ -111,12 +119,12 @@ class Tridiag:
 
     @property
     def n(self) -> int:
-        return len(self.diag)
+        return self.diag.shape[-1]
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         out = self.diag * p
-        out[1:] += self.lower[1:] * p[:-1]
-        out[:-1] += self.upper[:-1] * p[1:]
+        out[..., 1:] += self.lower[..., 1:] * p[..., :-1]
+        out[..., :-1] += self.upper[..., :-1] * p[..., 1:]
         return out
 
     def column_sums(self) -> np.ndarray:
@@ -136,45 +144,49 @@ class Tridiag:
         return A
 
 
-def _check_ellipticity(a_vals: np.ndarray, t: float, xs: np.ndarray):
-    i = int(np.argmin(a_vals))
-    if a_vals[i] < ELLIPTICITY_FLOOR:
-        raise EllipticityViolation(t, float(np.asarray(xs)[i]), float(a_vals[i]))
+def _check_ellipticity(a_vals: np.ndarray, t, xs: np.ndarray):
+    """Raise at the first time t (then the smallest value) with a_eff < floor."""
+    rows = a_vals.reshape(-1, a_vals.shape[-1])
+    k = int(np.argmax(rows.min(axis=1) < ELLIPTICITY_FLOOR))
+    i = int(np.argmin(rows[k]))
+    if rows[k, i] < ELLIPTICITY_FLOOR:
+        raise EllipticityViolation(float(np.ravel(t)[k]), float(xs[i]), float(rows[k, i]))
 
 
-def assemble_generator(grid: Grid1D, coeffs: FpCoefficients, t: float,
-                       bc: BoundaryCondition, form: str = "divergence",
-                       paper_313_convention: bool = False,
-                       a0_offset: float = 0.0) -> Tridiag:
+def _eval(field: CoefficientField, t, x, shape) -> np.ndarray:
+    return np.broadcast_to(np.asarray(field(t=t, x=x), dtype=float), shape)
+
+
+def assemble_generator(grid: Grid1D, coeffs: FpCoefficients, t, bc: BoundaryCondition,
+                       form: str = "divergence", a0_offset=0.0) -> Tridiag:
     """Spatial generator L(t) with dp/dt = L(t) p.
 
-    form='divergence' discretizes the Fokker-Planck flux form; the flag
-    paper_313_convention doubles the diffusion coefficient to reproduce
-    the (a p)_xx writing with a = sigma^2 instead of sigma^2/2.
-    form='nondivergence' discretizes u_t = a u_xx - b u_x - a0 u.
+    For an array of times t each coefficient is evaluated in one broadcast
+    call over the (t, x) block, giving one stacked generator per time.
+    form='divergence' discretizes the Fokker-Planck flux form;
+    form='nondivergence' discretizes u_t = a u_xx - b u_x - a0 u, with
+    a0_offset (a scalar, or one value per time) subtracted from a0.
     """
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}")
+    if form == "divergence" and bc.kind == "robin":
+        raise ValueError("robin boundaries are only supported in non-divergence form")
     n, dx = grid.n_cells, grid.dx
     xc = grid.centers
-    if form == "divergence":
-        return _assemble_divergence(grid, coeffs, t, bc, 2.0 if paper_313_convention else 1.0)
-    if form != "nondivergence":
-        raise ValueError(f"unknown form {form!r}")
-
-    a = np.broadcast_to(np.asarray(coeffs.a_eff(t=t, x=xc), dtype=float), (n,)).copy()
+    t = np.asarray(t, dtype=float)
+    tt = t[..., None]
+    a = _eval(coeffs.a_eff, tt, xc, t.shape + (n,))
     _check_ellipticity(a, t, xc)
-    b = np.broadcast_to(np.asarray(coeffs.b(t=t, x=xc), dtype=float), (n,))
-    a0 = np.zeros(n) if coeffs.a0 is None else \
-        np.broadcast_to(np.asarray(coeffs.a0(t=t, x=xc), dtype=float), (n,))
-    if a0_offset != 0.0:
-        a0 = a0 - a0_offset
+    if form == "divergence":
+        return _assemble_divergence(grid, coeffs, tt, a, bc)
+
+    b = _eval(coeffs.b, tt, xc, a.shape)
+    a0 = 0.0 if coeffs.a0 is None else _eval(coeffs.a0, tt, xc, a.shape)
+    a0 = a0 - np.asarray(a0_offset, dtype=float)[..., None]
 
     lower = a / dx**2 + b / (2 * dx)
     upper = a / dx**2 - b / (2 * dx)
     diag = -2 * a / dx**2 - a0
-
-    lo = np.concatenate([[0.0], lower[1:]])
-    up = np.concatenate([upper[:-1], [0.0]])
-    diag = diag.copy()
 
     # ghost value u_g = gamma * u_adjacent folds into the diagonal
     if bc.kind == "absorbing":
@@ -185,71 +197,55 @@ def assemble_generator(grid: Grid1D, coeffs: FpCoefficients, t: float,
     else:
         gamma_left = (1.0 / dx - bc.b0_left / 2) / (1.0 / dx + bc.b0_left / 2)
         gamma_right = (1.0 / dx - bc.b0_right / 2) / (1.0 / dx + bc.b0_right / 2)
-    diag[0] += gamma_left * lower[0]
-    diag[-1] += gamma_right * upper[-1]
-    return Tridiag(lo, diag, up)
+    diag[..., 0] += gamma_left * lower[..., 0]
+    diag[..., -1] += gamma_right * upper[..., -1]
+    lower[..., 0] = 0.0
+    upper[..., -1] = 0.0
+    return Tridiag(lower, diag, upper)
 
 
-def _assemble_divergence(grid: Grid1D, coeffs: FpCoefficients, t: float,
-                         bc: BoundaryCondition, a_scale: float) -> Tridiag:
+def _assemble_divergence(grid: Grid1D, coeffs: FpCoefficients, tt: np.ndarray,
+                         a: np.ndarray, bc: BoundaryCondition) -> Tridiag:
     n, dx = grid.n_cells, grid.dx
-    xc = grid.centers
-    xf = grid.faces
-    a = a_scale * np.broadcast_to(np.asarray(coeffs.a_eff(t=t, x=xc), dtype=float), (n,))
-    _check_ellipticity(a, t, xc)
-    b_face = np.broadcast_to(np.asarray(coeffs.b(t=t, x=xf), dtype=float), (n + 1,))
+    steps = a.shape[:-1]
+    b_face = _eval(coeffs.b, tt, grid.faces, steps + (n + 1,))
 
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
+    lower = np.zeros(a.shape)
+    diag = np.zeros(a.shape)
+    upper = np.zeros(a.shape)
 
     # interior face k (1..n-1) separates cells k-1 | k, flux
     # F_k = (a_k p_k - a_{k-1} p_{k-1})/dx - b_k (p_{k-1}+p_k)/2;
     # dp_i/dt = (F_{i+1} - F_i)/dx.  Assembled as per-column transfer
     # rates so the same float appears as a gain off the diagonal and a
     # loss on it, keeping column sums of the closed system exactly zero.
-    bf = b_face[1:n]
-    up_gain = (a[1:] / dx - bf / 2) / dx    # entry (k-1, k): left cell gains from p_k
-    dn_gain = (a[:-1] / dx + bf / 2) / dx   # entry (k, k-1): right cell gains from p_{k-1}
-    upper[:-1] = up_gain
-    lower[1:] = dn_gain
-    diag[1:] -= up_gain                     # loss of p_k through its left face
-    diag[:-1] -= dn_gain                    # loss of p_{k-1} through its right face
+    bf = b_face[..., 1:n]
+    up_gain = (a[..., 1:] / dx - bf / 2) / dx    # entry (k-1, k): left cell gains from p_k
+    dn_gain = (a[..., :-1] / dx + bf / 2) / dx   # entry (k, k-1): right cell gains from p_{k-1}
+    upper[..., :-1] = up_gain
+    lower[..., 1:] = dn_gain
+    diag[..., 1:] -= up_gain                     # loss of p_k through its left face
+    diag[..., :-1] -= dn_gain                    # loss of p_{k-1} through its right face
 
-    if bc.kind == "reflecting":
-        pass  # boundary fluxes exactly zero
-    elif bc.kind == "absorbing":
+    # reflecting: boundary fluxes exactly zero
+    if bc.kind == "absorbing":
         # antisymmetric ghost: p_g = -p_adjacent, density zero at the wall;
         # the drift term vanishes there since (p_g + p)/2 = 0
-        a_gl = a_scale * float(np.asarray(coeffs.a_eff(t=t, x=xc[0] - dx)))
-        a_gr = a_scale * float(np.asarray(coeffs.a_eff(t=t, x=xc[-1] + dx)))
-        diag[0] -= (a[0] + a_gl) / dx**2   # -F_0/dx with F_0 = (a_0+a_g) p_0/dx
-        diag[-1] -= (a[-1] + a_gr) / dx**2
-    else:
-        raise ValueError("robin boundaries are only supported in non-divergence form")
+        xc = grid.centers
+        a_gl = _eval(coeffs.a_eff, tt, xc[0] - dx, steps + (1,))[..., 0]
+        a_gr = _eval(coeffs.a_eff, tt, xc[-1] + dx, steps + (1,))[..., 0]
+        diag[..., 0] -= (a[..., 0] + a_gl) / dx**2   # -F_0/dx with F_0 = (a_0+a_g) p_0/dx
+        diag[..., -1] -= (a[..., -1] + a_gr) / dx**2
     return Tridiag(lower, diag, upper)
 
 
-def _banded(factor: float, L: Tridiag) -> np.ndarray:
-    """(I + factor*L) in solve_banded layout."""
-    n = L.n
-    ab = np.zeros((3, n))
-    ab[0, 1:] = factor * L.upper[:-1]
-    ab[1, :] = 1.0 + factor * L.diag
-    ab[2, :-1] = factor * L.lower[1:]
-    return ab
-
-
-def apply_banded(factor: float, L: Tridiag, p: np.ndarray) -> np.ndarray:
-    return p + factor * L.matvec(p)
-
-
 def solve_shifted(factor: float, L: Tridiag, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - factor*L) out = rhs."""
-    try:
-        return solve_banded((1, 1), _banded(-factor, L), rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SolverFailure(f"singular tridiagonal system: {exc}") from exc
+    """Solve (I - factor*L) out = rhs for one generator L (LAPACK dgtsv)."""
+    _, _, _, out, info = dgtsv(-factor * L.lower[1:], 1.0 - factor * L.diag,
+                               -factor * L.upper[:-1], rhs)
+    if info:
+        raise SolverFailure(f"singular tridiagonal system (LAPACK info {info})")
+    return out
 
 
 def step_cn(p: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
@@ -257,13 +253,11 @@ def step_cn(p: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
     """One Crank-Nicolson step; coefficients evaluated at the half step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    t_half = p.time_stamp + dt / 2
-    L = assemble_generator(p.grid, coeffs, t_half, bc, form)
-    rhs = apply_banded(dt / 2, L, p.values)
+    L = assemble_generator(p.grid, coeffs, p.time_stamp + dt / 2, bc, form)
+    rhs = p.values + (dt / 2) * L.matvec(p.values)
     if source is not None:
         rhs = rhs + dt * source
-    new = solve_shifted(dt / 2, L, rhs)
-    return DensityField(p.grid, new, p.time_stamp + dt)
+    return DensityField(p.grid, solve_shifted(dt / 2, L, rhs), p.time_stamp + dt)
 
 
 def step_ie(p: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
@@ -273,8 +267,102 @@ def step_ie(p: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
         raise ValueError("dt must be positive")
     L = assemble_generator(p.grid, coeffs, p.time_stamp + dt, bc, form)
     rhs = p.values if source is None else p.values + dt * source
-    new = solve_shifted(dt, L, rhs)
-    return DensityField(p.grid, new, p.time_stamp + dt)
+    return DensityField(p.grid, solve_shifted(dt, L, rhs), p.time_stamp + dt)
+
+
+def step_count(span: float, dt: float) -> int:
+    """Number of steps of size dt in span > 0; ValueError unless dt divides span."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    n_steps = int(round(span / dt))
+    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise ValueError(f"dt = {dt!r} must divide the time span {span!r}")
+    return n_steps
+
+
+class Propagator:
+    """Marches dV/dt = (L(t) - c) V + g(t) in steps dt, V of shape (n,) or (n, m).
+
+    Crank-Nicolson ('cn') evaluates L at each half step, implicit Euler
+    ('ie') at each step's end.  Operators are assembled for a block of
+    steps from one broadcast coefficient evaluation; each step solves by
+    LAPACK dgtsv.  blocks() drops each block once marched, while a caller
+    that marches one period many times keeps its operators() to reuse.
+    With a0_mean_out, the spatial mean m(t) of a0 is pulled out of each
+    step and m dt added to phase: the evolution is exp(-phase) times V.
+    """
+
+    def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
+                 dt: float, form: str = "divergence", integrator: str = "cn",
+                 c: float = 0.0, a0_mean_out: bool = False):
+        if integrator not in INTEGRATORS:
+            raise ValueError(f"unknown integrator {integrator!r}")
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        self.grid, self.coeffs, self.bc, self.dt = grid, coeffs, bc, dt
+        self.form, self.c = form, c
+        self.cn = integrator == "cn"
+        self.a0_mean_out = a0_mean_out and coeffs.a0 is not None
+        self.phase = 0.0
+
+    def operators(self, t0: float, k0: int, k1: int):
+        """Operators of steps k0..k1-1 of a march that starts at t0.
+
+        Returns (explicit, implicit, phase): the stacked tridiagonals
+        I + theta (L - c) (None for implicit Euler) and I - theta (L - c),
+        and the steps' a0 means times dt.
+        """
+        times = t0 + (np.arange(k0, k1) + (0.5 if self.cn else 1.0)) * self.dt
+        offset = 0.0
+        if self.a0_mean_out:
+            xc = self.grid.centers
+            offset = _eval(self.coeffs.a0, times[:, None], xc,
+                           times.shape + xc.shape).mean(axis=1)
+        L = assemble_generator(self.grid, self.coeffs, times, self.bc, self.form,
+                               a0_offset=offset)
+        theta = self.dt / 2 if self.cn else self.dt
+        lower, diag, upper = theta * L.lower, theta * (L.diag - self.c), theta * L.upper
+        explicit = Tridiag(lower, 1.0 + diag, upper) if self.cn else None
+        implicit = Tridiag(-lower, 1.0 - diag, -upper)
+        return explicit, implicit, float(np.sum(offset)) * self.dt
+
+    def blocks(self, n_steps: int, t0: float = 0.0):
+        """Operators of n_steps steps from t0, a block of about BLOCK_ENTRIES at a time."""
+        size = max(1, BLOCK_ENTRIES // self.grid.n_cells)
+        for k0 in range(0, n_steps, size):
+            yield self.operators(t0, k0, min(k0 + size, n_steps))
+
+    def march(self, V, blocks, sources=None, record=()):
+        """Advance V through every step of blocks (operators(), in order).
+
+        sources(k), if given, is the source g of step k, shaped like V.
+        Returns (V, states), states mapping each k in record to the state
+        after k steps (0 is the initial state).
+        """
+        V = np.asarray(V, dtype=float)
+        shape = V.shape
+        V = np.asfortranarray(V.reshape(shape[0], -1))
+        states = {0: V.reshape(shape)} if 0 in record else {}
+        k = 0
+        for explicit, implicit, phase in blocks:
+            self.phase += phase
+            for j in range(implicit.diag.shape[0]):
+                if explicit is None:
+                    rhs = V.copy(order="F")
+                else:
+                    rhs = np.multiply(explicit.diag[j, :, None], V, order="F")
+                    rhs[1:] += explicit.lower[j, 1:, None] * V[:-1]
+                    rhs[:-1] += explicit.upper[j, :-1, None] * V[1:]
+                if sources is not None:
+                    rhs += self.dt * np.reshape(sources(k), rhs.shape)
+                *_, V, info = dgtsv(implicit.lower[j, 1:], implicit.diag[j],
+                                    implicit.upper[j, :-1], rhs, overwrite_b=True)
+                if info:
+                    raise SolverFailure(f"singular tridiagonal system (LAPACK info {info})")
+                k += 1
+                if k in record:
+                    states[k] = V.reshape(shape)
+        return V.reshape(shape), states
 
 
 def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
@@ -285,27 +373,19 @@ def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
     Snapshots are emitted at the requested times (matched to the nearest
     step boundary).
     """
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    n_steps = int(round((t1 - t0) / dt))
-    if n_steps < 1 or abs(n_steps * dt - (t1 - t0)) > 1e-9 * max(1.0, abs(t1 - t0)):
-        raise ValueError("dt must divide t1 - t0")
-    stepper = step_cn if integrator == "cn" else step_ie
+    n_steps = step_count(t1 - t0, dt)
     snap_steps = set()
     if snapshot_times is not None:
         snap_steps = {int(round((s - t0) / dt)) for s in snapshot_times}
-    p = replace(p0, time_stamp=t0)
-    snapshots = [p] if 0 in snap_steps else []
-    for k in range(n_steps):
-        p = stepper(p, coeffs, bc, dt, form=form)
-        if (k + 1) in snap_steps:
-            snapshots.append(p)
-    return p, snapshots
+    prop = Propagator(p0.grid, coeffs, bc, dt, form, integrator)
+    p, states = prop.march(p0.values, prop.blocks(n_steps, t0), record=snap_steps)
+    snapshots = [DensityField(p0.grid, v, t0 + k * dt) for k, v in states.items()]
+    return DensityField(p0.grid, p, t0 + n_steps * dt), snapshots
 
 
 def _a_eff_dx(coeffs: FpCoefficients, t: float, xs: np.ndarray, dx: float) -> np.ndarray:
     """d(a_eff)/dx by central differences, one-sided at the ends."""
-    a = np.broadcast_to(np.asarray(coeffs.a_eff(t=t, x=xs), dtype=float), xs.shape).copy()
+    a = _eval(coeffs.a_eff, t, xs, xs.shape)
     da = np.empty_like(a)
     da[1:-1] = (a[2:] - a[:-2]) / (2 * dx)
     da[0] = (a[1] - a[0]) / dx
@@ -321,9 +401,9 @@ def stationary_closed_form(coeffs: FpCoefficients, grid: Grid1D,
     condition holds (see check_stationarity_condition).
     """
     xs = grid.centers
-    a = np.broadcast_to(np.asarray(coeffs.a_eff(t=t, x=xs), dtype=float), xs.shape)
+    a = _eval(coeffs.a_eff, t, xs, xs.shape)
     _check_ellipticity(a, t, xs)
-    b = np.broadcast_to(np.asarray(coeffs.b(t=t, x=xs), dtype=float), xs.shape)
+    b = _eval(coeffs.b, t, xs, xs.shape)
     integrand = (b - _a_eff_dx(coeffs, t, xs, grid.dx)) / a
     # cumulative trapezoid from the first cell center; the constant offset
     # drops out in the normalization
@@ -351,8 +431,8 @@ def check_stationarity_condition(coeffs: FpCoefficients, grid: Grid1D,
     dx = grid.dx
 
     def fields(t):
-        a = np.broadcast_to(np.asarray(coeffs.a_eff(t=t, x=xs), dtype=float), xs.shape)
-        b = np.broadcast_to(np.asarray(coeffs.b(t=t, x=xs), dtype=float), xs.shape)
+        a = _eval(coeffs.a_eff, t, xs, xs.shape)
+        b = _eval(coeffs.b, t, xs, xs.shape)
         return a, b, _a_eff_dx(coeffs, t, xs, dx)
 
     times = [float(t) for t in times]

@@ -13,12 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .coeff_dsl import free_vars
 from .errors import NonPositiveRadius, NotConverged
-from .fpe_grid import (BoundaryCondition, FpCoefficients, Grid1D, Tridiag,
-                       _banded, assemble_generator)
+from .fpe_grid import BoundaryCondition, FpCoefficients, Grid1D, Propagator, step_count
 
 DECAY_FLOOR = 1e-280
 
@@ -28,7 +25,6 @@ class PeriodMap:
     K: np.ndarray
     bc: BoundaryCondition
     T: float
-    dt_build: float
     form: str = "divergence"
 
     @property
@@ -45,11 +41,6 @@ class SpectralResult:
     residual: float
 
 
-def _is_static(coeffs: FpCoefficients) -> bool:
-    fields = [coeffs.a_eff, coeffs.b] + ([coeffs.a0] if coeffs.a0 is not None else [])
-    return all("t" not in free_vars(f.expr) for f in fields)
-
-
 def evolve_matrix(V: np.ndarray, grid: Grid1D, coeffs: FpCoefficients,
                   bc: BoundaryCondition, t0: float, t1: float, dt: float,
                   form: str = "divergence", integrator: str = "cn",
@@ -64,47 +55,13 @@ def evolve_matrix(V: np.ndarray, grid: Grid1D, coeffs: FpCoefficients,
     exponential factor at the end, so a constant added to a0 scales the
     result by exactly e^{-c (t1-t0)} (up to a single exp rounding).
     """
-    n_steps = int(round((t1 - t0) / dt))
-    if n_steps < 1 or abs(n_steps * dt - (t1 - t0)) > 1e-9 * max(1.0, abs(t1 - t0)):
-        raise ValueError("dt must divide t1 - t0")
-    static = _is_static(coeffs) and sources is None
-    extract = (form == "nondivergence" and sources is None
-               and coeffs.a0 is not None)
-    V = np.array(V, dtype=float)
-    L = ab_impl = None
-    offset = 0.0
-    phase = 0.0
-    for k in range(n_steps):
-        t_eval = t0 + (k + 0.5) * dt if integrator == "cn" else t0 + (k + 1) * dt
-        if L is None or not static:
-            if extract:
-                offset = float(np.mean(np.broadcast_to(
-                    np.asarray(coeffs.a0(t=t_eval, x=grid.centers), dtype=float),
-                    (grid.n_cells,))))
-            L = assemble_generator(grid, coeffs, t_eval, bc, form,
-                                   a0_offset=offset)
-            ab_impl = _banded(-dt / 2 if integrator == "cn" else -dt, L)
-        phase += offset * dt
-        if integrator == "cn":
-            rhs = V + (dt / 2) * _tridiag_matmat(L, V)
-        else:
-            rhs = V
-        if sources is not None:
-            g = sources(k)
-            rhs = rhs + dt * (g if V.ndim == 1 else g.reshape(V.shape))
-        V = solve_banded((1, 1), ab_impl, rhs)
-    if phase != 0.0:
-        V *= math.exp(-phase)
+    n_steps = step_count(t1 - t0, dt)
+    extract = form == "nondivergence" and sources is None
+    prop = Propagator(grid, coeffs, bc, dt, form, integrator, a0_mean_out=extract)
+    V, _ = prop.march(V, prop.blocks(n_steps, t0), sources)
+    if prop.phase != 0.0:
+        V *= math.exp(-prop.phase)
     return V
-
-
-def _tridiag_matmat(L: Tridiag, V: np.ndarray) -> np.ndarray:
-    if V.ndim == 1:
-        return L.matvec(V)
-    out = L.diag[:, None] * V
-    out[1:] += L.lower[1:, None] * V[:-1]
-    out[:-1] += L.upper[:-1, None] * V[1:]
-    return out
 
 
 def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
@@ -113,7 +70,7 @@ def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition
     """K = U(T,0) by evolving the n unit cell densities over one period."""
     K = evolve_matrix(np.eye(grid.n_cells), grid, coeffs, bc, 0.0, T, dt,
                       form=form, integrator=integrator)
-    return PeriodMap(K=K, bc=bc, T=T, dt_build=dt, form=form)
+    return PeriodMap(K=K, bc=bc, T=T, form=form)
 
 
 def power_iteration(pm: PeriodMap | np.ndarray, tol: float = 1e-10,

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.linalg import lu_factor, lu_solve
 
 from .coeff_dsl import CoefficientField
 from .errors import (MonotonicityViolation, NotConverged, SingularSystem)
 from .fpe_grid import (BoundaryCondition, DensityField, FpCoefficients, Grid1D,
-                       assemble_generator)
-from .period_map import _is_static, power_iteration
+                       Propagator, assemble_generator, step_count)
+from .period_map import power_iteration
 
 SPR_SINGULAR_MARGIN = 1e-8
 MONOTONE_SLACK = 1e-10
@@ -71,31 +71,12 @@ class PeriodicLinearSolver:
     form: str = "nondivergence"
 
     def __post_init__(self):
-        self.n_steps = int(round(self.T / self.dt))
-        if abs(self.n_steps * self.dt - self.T) > 1e-9 * self.T:
-            raise ValueError("dt must divide T")
+        self.n_steps = step_count(self.T, self.dt)
+        self._prop = Propagator(self.grid, self.coeffs, self.bc, self.dt, self.form,
+                                c=self.c)
+        self._period = [self._prop.operators(0.0, 0, self.n_steps)]
         n = self.grid.n_cells
-        static = _is_static(self.coeffs)
-        self._explicit = []   # (I + dt/2 (L - c)) per step
-        self._implicit = []   # banded (I - dt/2 (L - c)) per step
-        L = None
-        for k in range(self.n_steps):
-            if L is None or not static:
-                t_half = (k + 0.5) * self.dt
-                L = assemble_generator(self.grid, self.coeffs, t_half, self.bc,
-                                       self.form)
-                Lc_diag = L.diag - self.c
-                expl = np.zeros((3, n))
-                expl[0, 1:] = (self.dt / 2) * L.upper[:-1]
-                expl[1, :] = 1.0 + (self.dt / 2) * Lc_diag
-                expl[2, :-1] = (self.dt / 2) * L.lower[1:]
-                impl = np.zeros((3, n))
-                impl[0, 1:] = -(self.dt / 2) * L.upper[:-1]
-                impl[1, :] = 1.0 - (self.dt / 2) * Lc_diag
-                impl[2, :-1] = -(self.dt / 2) * L.lower[1:]
-            self._explicit.append(expl)
-            self._implicit.append(impl)
-        self.K = self._evolve(np.eye(n), None)
+        self.K = self._prop.march(np.eye(n), self._period)[0]
         spec = power_iteration(self.K, tol=1e-12, T=self.T)
         self.spr = spec.r
         if self.spr >= 1.0 - SPR_SINGULAR_MARGIN:
@@ -104,44 +85,20 @@ class PeriodicLinearSolver:
                 "periodic problem not uniquely solvable")
         self._lu = lu_factor(np.eye(n) - self.K)
 
-    @staticmethod
-    def _apply_banded(ab: np.ndarray, V: np.ndarray) -> np.ndarray:
-        out = ab[1][:, None] * V if V.ndim == 2 else ab[1] * V
-        if V.ndim == 2:
-            out[:-1] += ab[0, 1:, None] * V[1:]
-            out[1:] += ab[2, :-1, None] * V[:-1]
-        else:
-            out[:-1] += ab[0, 1:] * V[1:]
-            out[1:] += ab[2, :-1] * V[:-1]
-        return out
-
-    def _evolve(self, V, source):
-        """One period forward; source[k] is the half-step source of step k."""
-        V = np.array(V, dtype=float)
-        for k in range(self.n_steps):
-            rhs = self._apply_banded(self._explicit[k], V)
-            if source is not None:
-                rhs = rhs + self.dt * source[k]
-            V = solve_banded((1, 1), self._implicit[k], rhs)
-        return V
-
     def solve(self, source: np.ndarray):
-        """source: (n_steps, n) half-step values of g.  Returns (u0, trajectory).
+        """source: (n_steps, n) half-step values of g, or (n_steps, n, m) for m
+        problems at once.  Returns (u0, trajectory).
 
-        trajectory has shape (n_steps + 1, n) with trajectory[0] = u0 and
-        trajectory[-1] the recomputed end state (periodicity residual is
-        ||trajectory[-1] - u0||_inf, bounded by the linear-solve accuracy).
+        trajectory[0] = u0 and trajectory[-1] is the recomputed end state
+        (periodicity residual is ||trajectory[-1] - u0||_inf, bounded by
+        the linear-solve accuracy).
         """
-        w = self._evolve(np.zeros(self.grid.n_cells), source)
+        g = source.__getitem__
+        w, _ = self._prop.march(np.zeros(source.shape[1:]), self._period, g)
         u0 = lu_solve(self._lu, w)
-        traj = np.empty((self.n_steps + 1, self.grid.n_cells))
-        traj[0] = u0
-        v = u0.copy()
-        for k in range(self.n_steps):
-            rhs = self._apply_banded(self._explicit[k], v) + self.dt * source[k]
-            v = solve_banded((1, 1), self._implicit[k], rhs)
-            traj[k + 1] = v
-        return u0, traj
+        _, states = self._prop.march(u0, self._period, g,
+                                     record=range(self.n_steps + 1))
+        return u0, np.stack(list(states.values()))
 
 
 def poincare_solve(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
@@ -172,32 +129,29 @@ def poincare_solve(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
 def estimate_c(problem: SemilinearProblem, u_min: float, u_max: float,
                margin: float = 1.5, n_t: int = 32, n_u: int = 32) -> float:
     """sup |df/du| by central differences on a (t, x, u) sample lattice."""
-    ts = np.linspace(0.0, problem.T, n_t, endpoint=False)
-    us = np.linspace(u_min, u_max, n_u)
+    ts = np.linspace(0.0, problem.T, n_t, endpoint=False)[:, None, None]
+    us = np.linspace(u_min, u_max, n_u)[:, None]
     xs = problem.grid.centers
     h = max(1e-6, 1e-6 * (abs(u_max) + abs(u_min)))
-    worst = 0.0
-    for t in ts:
-        for u in us:
-            fp = np.asarray(problem.f(t=t, x=xs, u=u + h), dtype=float)
-            fm = np.asarray(problem.f(t=t, x=xs, u=u - h), dtype=float)
-            worst = max(worst, float(np.max(np.abs(fp - fm))) / (2 * h))
-    return margin * worst
+    fp = np.asarray(problem.f(t=ts, x=xs, u=us + h), dtype=float)
+    fm = np.asarray(problem.f(t=ts, x=xs, u=us - h), dtype=float)
+    return margin * (float(np.max(np.abs(fp - fm))) / (2 * h))
 
 
 def _source_from_trajectory(problem: SemilinearProblem, traj: np.ndarray,
                             c: float, dt: float) -> np.ndarray:
-    """g[k] = f(t_half, x, u_half) + c u_half with u_half = (u_k + u_{k+1})/2."""
-    n_steps = traj.shape[0] - 1
-    xs = problem.grid.centers
-    out = np.empty((n_steps, problem.grid.n_cells))
-    for k in range(n_steps):
-        u_half = (traj[k] + traj[k + 1]) / 2
-        t_half = (k + 0.5) * dt
-        fval = np.broadcast_to(
-            np.asarray(problem.f(t=t_half, x=xs, u=u_half), dtype=float), xs.shape)
-        out[k] = fval + c * u_half
-    return out
+    """g[k] = f(t_half, x, u_half) + c u_half with u_half = (u_k + u_{k+1})/2.
+
+    traj is (n_steps + 1, n), or (n_steps + 1, n, m) for m trajectories;
+    f is evaluated in one broadcast call over the whole (t, x, column) block.
+    """
+    u_half = (traj[:-1] + traj[1:]) / 2
+    columns = (1,) * (traj.ndim - 2)
+    t_half = ((np.arange(len(u_half)) + 0.5) * dt).reshape((-1, 1) + columns)
+    xs = problem.grid.centers.reshape((-1,) + columns)
+    fval = np.broadcast_to(np.asarray(problem.f(t=t_half, x=xs, u=u_half), dtype=float),
+                           u_half.shape)
+    return fval + c * u_half
 
 
 @dataclass
@@ -227,37 +181,35 @@ def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
                                   problem.T, dt, c=c, form=problem.form)
     n_steps = solver.n_steps
 
-    traj_up = np.tile(up0, (n_steps + 1, 1))
-    traj_lo = np.tile(lo0, (n_steps + 1, 1))
+    # column 0 marches the upper iterates, column 1 the lower ones
+    traj = np.tile(np.stack([up0, lo0], axis=1), (n_steps + 1, 1, 1))
     deltas_up, deltas_lo = [], []
-    residual = np.inf
     for it in range(1, max_iter + 1):
-        new_up = solver.solve(_source_from_trajectory(problem, traj_up, c, dt))[1]
-        new_lo = solver.solve(_source_from_trajectory(problem, traj_lo, c, dt))[1]
+        new = solver.solve(_source_from_trajectory(problem, traj, c, dt))[1]
+        new_up, new_lo = new[..., 0], new[..., 1]
         if it > 1:
             # after the first correction the sequences must be monotone
-            if np.any(new_up > traj_up + MONOTONE_SLACK):
+            if np.any(new_up > traj[..., 0] + MONOTONE_SLACK):
                 raise MonotonicityViolation(
                     "upper iterates increased; c is too small")
-            if np.any(new_lo < traj_lo - MONOTONE_SLACK):
+            if np.any(new_lo < traj[..., 1] - MONOTONE_SLACK):
                 raise MonotonicityViolation(
                     "lower iterates decreased; c is too small")
         if np.any(new_lo > new_up + MONOTONE_SLACK):
             raise MonotonicityViolation("iterates crossed; c is too small")
-        d_up = float(np.max(np.abs(new_up - traj_up)))
-        d_lo = float(np.max(np.abs(new_lo - traj_lo)))
+        d_up, d_lo = np.max(np.abs(new - traj), axis=(0, 1)).tolist()
         deltas_up.append(d_up)
         deltas_lo.append(d_lo)
-        traj_up, traj_lo = new_up, new_lo
+        traj = new
+        gap = float(np.max(np.abs(new_up - new_lo)))
         # the limits coincide for a unique solution, so both the step
         # sizes and the two-sided gap must fall below tol
-        if max(d_up, d_lo) <= tol and \
-                float(np.max(np.abs(traj_up - traj_lo))) <= tol:
+        if max(d_up, d_lo) <= tol and gap <= tol:
             break
     else:
         raise NotConverged(max_iter, max(deltas_up[-1], deltas_lo[-1]))
 
-    gap = float(np.max(np.abs(traj_up - traj_lo)))
+    traj_up = np.ascontiguousarray(traj[..., 0])
     residual = float(np.max(np.abs(traj_up[-1] - traj_up[0])))
     return MonotoneResult(
         solution0=DensityField(problem.grid, traj_up[0]),
@@ -299,19 +251,13 @@ def verify_upper_lower(candidate, problem: SemilinearProblem, kind: str,
         traj = np.asarray(candidate, dtype=float)
         n_steps = traj.shape[0] - 1
         dt = problem.T / n_steps
-    xs = problem.grid.centers
 
-    interior = np.inf
-    for k in range(n_steps):
-        t_half = (k + 0.5) * dt
-        u_half = (traj[k] + traj[k + 1]) / 2
-        L = assemble_generator(problem.grid, problem.coeffs, t_half, problem.bc,
-                               problem.form)
-        fval = np.broadcast_to(
-            np.asarray(problem.f(t=t_half, x=xs, u=u_half), dtype=float), xs.shape)
-        # residual of d_t u + A u - f, with A u = -L u
-        resid = (traj[k + 1] - traj[k]) / dt - L.matvec(u_half) - fval
-        interior = min(interior, float(np.min(sign * resid)))
+    L = assemble_generator(problem.grid, problem.coeffs, (np.arange(n_steps) + 0.5) * dt,
+                           problem.bc, problem.form)
+    # residual of d_t u + A u - f, with A u = -L u
+    resid = (np.diff(traj, axis=0) / dt - L.matvec((traj[:-1] + traj[1:]) / 2)
+             - _source_from_trajectory(problem, traj, 0.0, dt))
+    interior = float(np.min(sign * resid))
 
     boundary = np.inf
     dx = problem.grid.dx

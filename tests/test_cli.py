@@ -175,6 +175,39 @@ def test_semilinear_subcommand(tmp_path, capsys):
     assert "iteration_trace.json" in manifest["outputs"]
 
 
+@pytest.mark.parametrize("command, change, path", [
+    ("fp-solve", {"integrator": "CN"}, "/integrator"),
+    ("eigen", {"integrator": "euler"}, "/integrator"),
+    ("fp-solve", {"form": "div"}, "/form"),
+    ("fp-solve", {"dt": 0.03}, "/dt"),                 # t1 = period_T = 0.1
+    ("fp-solve", {"t1": 0.15, "dt": 0.1}, "/dt"),      # divides T, not t1
+    ("eigen", {"dt": 0.03}, "/dt"),
+    ("semilinear", {"dt": 0.03}, "/dt"),
+    ("fp-solve", {"n_cells": 3}, "/n_cells"),
+    ("eigen", {"n_cells": 2}, "/n_cells"),
+    ("fp-solve", {"bc": "robin"}, "/bc"),               # divergence form
+    ("eigen", {"bc": "robin", "form": "divergence"}, "/bc"),
+])
+def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
+    doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
+        else dict(HEAT_CONFIG)
+    doc.update(change)
+    cfg = _write(tmp_path / "fp.json", doc)
+    code = run(["--json-errors", command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["path"] == path
+
+
+def test_eigen_bc_override_robin_needs_nondivergence(tmp_path, capsys):
+    cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG))
+    code = run(["--json-errors", "eigen", "--config", cfg, "--bc", "robin",
+                "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["path"] == "/bc"
+
+
 def test_both_sigma_and_a_eff_rejected(tmp_path):
     doc = dict(HEAT_CONFIG)
     doc["a_eff"] = "1"

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import EllipticityViolation, QuadratureOverflow
-from perifp.fpe_grid import (DensityField, FpCoefficients, Grid1D, absorbing,
-                             assemble_generator, check_stationarity_condition,
-                             neumann, reflecting, robin, solve_ivp,
-                             stationary_closed_form, step_cn, step_ie)
+from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
+                             absorbing, assemble_generator,
+                             check_stationarity_condition, neumann, reflecting,
+                             robin, solve_ivp, stationary_closed_form, step_cn,
+                             step_ie)
 
 T = 1.0
 ONE = CoefficientField.from_string("1", T)
@@ -131,6 +132,68 @@ def test_snapshots_at_requested_times():
                          snapshot_times=[0.0, 0.5, 1.0])
     assert [s.time_stamp for s in snaps] == pytest.approx([0.0, 0.5, 1.0])
     np.testing.assert_array_equal(snaps[-1].values, p.values)
+
+
+def _step_loop(p, co, bc, dt, n_steps, form, stepper):
+    for _ in range(n_steps):
+        p = stepper(p, co, bc, dt, form=form)
+    return p
+
+
+@pytest.mark.parametrize("integrator, stepper", [("cn", step_cn), ("ie", step_ie)])
+@pytest.mark.parametrize("form, bc, co", [
+    ("divergence", reflecting(),
+     FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
+                    b=CoefficientField.from_string("3*sin(2*pi*t)*(1-2*x)", T))),
+    ("divergence", absorbing(),
+     FpCoefficients(a_eff=CoefficientField.from_string("0.5 + 0.25*cos(2*pi*t)", T),
+                    b=CoefficientField.from_string("x - 0.5", T))),
+    ("nondivergence", robin(0.7, 1.3),
+     FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*x", T),
+                    b=CoefficientField.from_string("0.5*cos(2*pi*t)", T),
+                    a0=CoefficientField.from_string("1 + 0.6*sin(2*pi*t)", T))),
+])
+def test_propagator_matches_step_loop_over_periods(integrator, stepper, form, bc, co):
+    # three periods of 100 steps: 300 steps, not a multiple of the block length
+    grid = Grid1D(64, 0.0, 1.0)
+    block = BLOCK_ENTRIES // grid.n_cells
+    n_steps = 300
+    assert n_steps > block and n_steps % block != 0
+    dt = T / 100
+    p0 = DensityField(grid, 1.0 + np.sin(3 * grid.centers), time_stamp=0.0)
+    p, snaps = solve_ivp(p0, co, bc, 0.0, 3 * T, dt, form=form, integrator=integrator,
+                         snapshot_times=[0.0, T, 2 * T, 3 * T])
+    ref = p0
+    for k, snap in enumerate(snaps):
+        if k:
+            ref = _step_loop(ref, co, bc, dt, 100, form, stepper)
+        assert snap.time_stamp == pytest.approx(k * T)
+        assert np.max(np.abs(snap.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+    np.testing.assert_array_equal(p.values, snaps[-1].values)
+
+
+def test_ellipticity_violation_mid_block_reports_its_time():
+    # a_eff < 0 only at the half step of step 37 (t = 37.5/64), x < 0.3
+    grid = Grid1D(32, 0.0, 1.0)
+    t_bad = 37.5 / 64
+    co = FpCoefficients(a_eff=CoefficientField.from_string(
+        f"abs(t - {t_bad!r})*100 + x - 0.3", T), b=ZERO)
+    assert BLOCK_ENTRIES // grid.n_cells > 64
+    with pytest.raises(EllipticityViolation) as marched:
+        solve_ivp(_uniform(grid), co, reflecting(), 0.0, T, T / 64)
+    with pytest.raises(EllipticityViolation) as stepped:
+        _step_loop(_uniform(grid), co, reflecting(), T / 64, 64, "divergence", step_cn)
+    for exc in (marched.value, stepped.value):
+        assert exc.t == pytest.approx(t_bad, abs=1e-15)
+        assert exc.x == grid.centers[0]
+    assert marched.value.value == pytest.approx(stepped.value.value, abs=1e-13)
+
+
+def test_unknown_integrator_rejected():
+    grid = Grid1D(16, 0.0, 1.0)
+    with pytest.raises(ValueError, match="integrator"):
+        solve_ivp(_uniform(grid), FpCoefficients(a_eff=ONE, b=ZERO), reflecting(),
+                  0.0, T, T / 8, integrator="CN")
 
 
 @settings(max_examples=20, deadline=None)

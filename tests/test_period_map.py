@@ -7,8 +7,9 @@ import pytest
 
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import NonPositiveRadius
-from perifp.fpe_grid import (FpCoefficients, Grid1D, absorbing, neumann,
-                             reflecting, stationary_closed_form)
+from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
+                             absorbing, neumann, reflecting,
+                             stationary_closed_form, step_cn)
 from perifp.period_map import (PeriodMap, build_period_map, decay_check,
                                dense_spectrum_cross_check, evolve_matrix,
                                lambda1, power_iteration)
@@ -20,7 +21,7 @@ HEAT = FpCoefficients(a_eff=ONE, b=ZERO)
 
 
 def test_identity_map_spectrum():
-    pm = PeriodMap(np.eye(10), reflecting(), T, T / 8)
+    pm = PeriodMap(np.eye(10), reflecting(), T)
     spec = power_iteration(pm)
     assert spec.r == pytest.approx(1.0, abs=1e-12)
     assert spec.mu == pytest.approx(0.0, abs=1e-10)
@@ -100,6 +101,59 @@ def test_period_map_semigroup_property():
     K1 = build_period_map(grid, co, reflecting(), T, T / 64).K
     K2 = evolve_matrix(np.eye(60), grid, co, reflecting(), 0.0, 2 * T, T / 64)
     assert np.max(np.abs(K1 @ K1 - K2)) < 1e-12
+
+
+def _cn_loop(values, grid, co, bc, dt, n_steps, form="divergence", source=None):
+    p = DensityField(grid, values, time_stamp=0.0)
+    for k in range(n_steps):
+        p = step_cn(p, co, bc, dt, form=form, source=None if source is None else source(k))
+    return p.values
+
+
+def test_evolve_matrix_with_sources_matches_step_loop():
+    # five periods of 64 steps: 320 steps, not a multiple of the block length
+    grid = Grid1D(40, 0.0, 1.0)
+    n_steps, dt = 320, T / 64
+    block = BLOCK_ENTRIES // grid.n_cells
+    assert n_steps > block and n_steps % block != 0
+    drift = CoefficientField.from_string("sin(2*pi*t/0.1)*(1-2*x)", T)
+    co = FpCoefficients(a_eff=ONE, b=drift)
+    xs = grid.centers
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(7)))
+    V0 = gen.uniform(0.0, 1.0, (40, 2))
+
+    def sources(k):
+        t = (k + 0.5) * dt
+        return np.column_stack([np.sin(np.pi * xs) * np.cos(20 * np.pi * t),
+                                np.full(40, 1.0 + t)])
+
+    V = evolve_matrix(V0, grid, co, absorbing(), 0.0, 5 * T, dt, sources=sources)
+    for j in range(2):
+        ref = _cn_loop(V0[:, j], grid, co, absorbing(), dt, n_steps,
+                       source=lambda k: sources(k)[:, j])
+        assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_evolve_matrix_a0_extraction_matches_step_loop():
+    # the extracted mean of a0 = (1+x) s(t) over the cell centres is 1.5 s(t)
+    # (up to rounding); marching a0 - 1.5 s(t) and applying exp(-sum 1.5 s dt)
+    # is the same evolution written as a plain CN loop
+    grid = Grid1D(64, 0.0, 1.0)
+    s_t = "(1 + 0.5*sin(2*pi*t/0.1))"
+    co = FpCoefficients(a_eff=ONE, b=ZERO,
+                        a0=CoefficientField.from_string(f"(1+x)*{s_t}", T))
+    mean_free = FpCoefficients(a_eff=ONE, b=ZERO, a0=CoefficientField.from_string(
+        f"(1+x)*{s_t} - 1.5*{s_t}", T))
+    n_steps, dt = 200, 2 * T / 200
+    assert n_steps > BLOCK_ENTRIES // grid.n_cells
+    phase = sum(1.5 * (1 + 0.5 * math.sin(2 * math.pi * (k + 0.5) * dt / T)) * dt
+                for k in range(n_steps))
+    V0 = np.eye(64)[:, [0, 21, 40]]
+    V = evolve_matrix(V0, grid, co, absorbing(), 0.0, 2 * T, dt, form="nondivergence")
+    for j in range(3):
+        ref = math.exp(-phase) * _cn_loop(V0[:, j], grid, mean_free, absorbing(), dt,
+                                          n_steps, form="nondivergence")
+        assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_absorbing_positive_zero_order_contracts():

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import MonotonicityViolation, SingularSystem
 from perifp.fpe_grid import (DensityField, FpCoefficients, Grid1D, absorbing,
-                             assemble_generator, neumann)
+                             assemble_generator, neumann, step_cn)
 from perifp.semilinear import (OrderedPair, PeriodicLinearSolver,
                                SemilinearProblem, estimate_c, monotone_iterate,
                                poincare_solve, verify_upper_lower)
@@ -59,6 +59,35 @@ def test_poincare_positive_source_positive_solution():
     u0, _, _ = poincare_solve(grid, HEAT, absorbing(), T, T / 32,
                               source=lambda t, x: 1.0 + 0.5 * np.sin(2 * np.pi * t))
     assert np.all(u0 > 0)
+
+
+def test_two_column_solve_matches_one_column_solves_and_step_loop():
+    # the monotone iteration solves its upper and lower problems as two
+    # columns of one march; each column must equal its own solve, and a
+    # solve's trajectory must be a plain CN loop of d_t v = L v - c v + g
+    grid = Grid1D(24, 0.0, 1.0)
+    c, n_steps = 3.0, 64
+    dt = T / n_steps
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
+                        b=CoefficientField.from_string("cos(2*pi*t)", T),
+                        a0=CoefficientField.from_string("0.5 + x", T))
+    solver = PeriodicLinearSolver(grid, co, neumann(), T, dt, c=c)
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    source = gen.uniform(0.0, 2.0, (n_steps, grid.n_cells, 2))
+    u0, traj = solver.solve(source)
+    assert u0.shape == (24, 2) and traj.shape == (n_steps + 1, 24, 2)
+    shifted = FpCoefficients(a_eff=co.a_eff, b=co.b,
+                             a0=CoefficientField.from_string(f"0.5 + x + {c!r}", T))
+    for j in range(2):
+        u0_j, traj_j = solver.solve(source[..., j])
+        scale = np.max(np.abs(traj_j))
+        assert np.max(np.abs(u0[:, j] - u0_j)) <= 1e-12 * scale
+        assert np.max(np.abs(traj[..., j] - traj_j)) <= 1e-12 * scale
+        p = DensityField(grid, u0_j, time_stamp=0.0)
+        for k in range(n_steps):
+            p = step_cn(p, shifted, neumann(), dt, form="nondivergence",
+                        source=source[k, :, j])
+            assert np.max(np.abs(p.values - traj_j[k + 1])) <= 1e-12 * scale
 
 
 def _dense_spr(grid, lam, dt, n_steps):
