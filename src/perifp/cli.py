@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, bl_metric, fpe_grid, markov, period_map, sde_reflect, semilinear
 from .coeff_dsl import Bin, CoefficientField, Num, parse_expr
-from .errors import ConfigError, PerifpError
+from .errors import ConfigError, DimensionMismatch, PerifpError
 
 _REQUIRED = object()
 
@@ -44,11 +44,10 @@ def _schema_check(doc, schema, path=""):
     defaulted = []
     for key, (default, check) in schema.items():
         here = f"{path}/{key}"
-        if key in doc:
-            value = doc[key]
-        elif default is _REQUIRED:
-            raise ConfigError(here, "required key is missing")
-        else:
+        value = doc.get(key)    # JSON null counts as missing
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(here, "required key is missing")
             value = default
             defaulted.append(here)
         if value is not None and check is not None:
@@ -74,6 +73,25 @@ def _int(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, "expected an integer")
     return value
+
+
+def _bounded(check, lo, hi=float("inf")):
+    """check, then require lo <= value < hi."""
+    def checked(value, path):
+        v = check(value, path)
+        if not lo <= v < hi:
+            raise ConfigError(path, f"must lie in [{lo}, {hi})")
+        return v
+    return checked
+
+
+def _list_of(check, size=None):
+    """A non-empty JSON list (of exactly size items when size is given)."""
+    def checked(value, path):
+        if not isinstance(value, list) or not value or size not in (None, len(value)):
+            raise ConfigError(path, f"expected a list of {size or 'one or more'} items")
+        return [check(v, f"{path}/{i}") for i, v in enumerate(value)]
+    return checked
 
 
 def _str(value, path):
@@ -111,25 +129,33 @@ def load_config(path):
     return doc, p.parent
 
 
+_BOUNDARIES = {"absorbing": fpe_grid.absorbing, "dirichlet": fpe_grid.absorbing,
+               "reflecting": fpe_grid.reflecting, "neumann": fpe_grid.neumann}
+
+
 def _bc_from_name(name, cfg):
-    table = {"absorbing": fpe_grid.absorbing(), "dirichlet": fpe_grid.absorbing(),
-             "reflecting": fpe_grid.reflecting(), "neumann": fpe_grid.neumann(),
-             "robin": fpe_grid.robin(*cfg["robin"])}
-    if name not in table:
-        raise ConfigError("/bc", f"unknown boundary condition {name!r}")
-    if name == "robin" and cfg["form"] == "divergence":
+    if name != "robin":
+        return _BOUNDARIES[name]()
+    if cfg["form"] == "divergence":
         raise ConfigError("/bc", "robin boundaries need form 'nondivergence'")
-    return table[name]
+    return fpe_grid.robin(*cfg["robin"])
+
+
+def _check_divides(span, dt, span_key):
+    try:
+        fpe_grid.step_count(span, dt)
+    except ValueError as exc:
+        raise ConfigError("/dt", f"{exc} ({span_key})") from exc
 
 
 _FP_SCHEMA = {
     "domain": (_REQUIRED, None),
-    "n_cells": (200, _int),
+    "n_cells": (200, _bounded(_int, 4)),
     "period_T": (_REQUIRED, _pos),
     "dt": (None, _pos),                 # default period_T / 256
     "t1": (None, _pos),                 # fp-solve horizon, default period_T
-    "bc": ("reflecting", _str),
-    "robin": ([0.0, 0.0], None),
+    "bc": ("reflecting", _one_of(*_BOUNDARIES, "robin")),
+    "robin": ([0.0, 0.0], _list_of(_num, 2)),
     "drift": (_REQUIRED, _expr),
     "sigma": (None, _expr),
     "a_eff": (None, _expr),
@@ -140,8 +166,8 @@ _FP_SCHEMA = {
     "integrator": ("cn", _one_of(*fpe_grid.INTEGRATORS)),
     "init": ({"kind": "uniform"}, None),
     "tol": (1e-9, _pos),
-    "max_iter": (500, _int),
-    "c_shift": (None, _num),
+    "max_iter": (500, _bounded(_int, 1)),
+    "c_shift": (None, _bounded(_num, 0.0)),
     "seed": (0, _int),
 }
 
@@ -156,22 +182,18 @@ def _parse_fp_config(doc, span_key=None, default_form="divergence"):
     defaulted += dom_def
     if dom["lower"] >= dom["upper"]:
         raise ConfigError("/domain", "need lower < upper")
-    if cfg["n_cells"] < 4:
-        raise ConfigError("/n_cells", "need at least 4 cells")
     cfg["domain"] = dom
     if cfg["dt"] is None:
         cfg["dt"] = cfg["period_T"] / 256
-        defaulted.append("/dt")
     if cfg["t1"] is None:
         cfg["t1"] = cfg["period_T"]
-        defaulted.append("/t1")
     if span_key is not None:
-        try:
-            fpe_grid.step_count(cfg[span_key], cfg["dt"])
-        except ValueError as exc:
-            raise ConfigError("/dt", f"{exc} ({span_key})") from exc
+        _check_divides(cfg[span_key], cfg["dt"], span_key)
     if (cfg["sigma"] is None) == (cfg["a_eff"] is None):
         raise ConfigError("/sigma", "give exactly one of 'sigma' or 'a_eff'")
+    if cfg["a0"] is not None and cfg["form"] == "divergence":
+        # the flux-form operator has no zero-order term
+        raise ConfigError("/a0", "a0 needs form 'nondivergence'")
     T = cfg["period_T"]
     if cfg["a_eff"] is not None:
         a_expr = parse_expr(cfg["a_eff"])
@@ -198,8 +220,7 @@ def _initial_density(cfg, grid, base_dir):
                                    "csv": (None, _str)}, "/init")
     if spec["expr"] is not None:
         f = CoefficientField(parse_expr(spec["expr"]))
-        vals = np.broadcast_to(np.asarray(f(x=grid.centers), dtype=float),
-                               grid.centers.shape).copy()
+        vals = f(x=grid.centers)
         if np.any(vals < 0):
             raise ConfigError("/init/expr", "initial density must be nonnegative")
     elif spec["csv"] is not None:
@@ -314,41 +335,42 @@ _SDE_SCHEMA = {
     "domain": (_REQUIRED, None),
     "period_T": (_REQUIRED, _pos),
     "dt": (None, _pos),
-    "paths": (_REQUIRED, _int),
-    "periods": (_REQUIRED, _int),
-    "seed": (0, _int),
-    "drift": (_REQUIRED, None),
-    "sigma": (_REQUIRED, None),
+    "paths": (_REQUIRED, _bounded(_int, 1)),
+    "periods": (_REQUIRED, _bounded(_int, 0)),
+    "seed": (0, _bounded(_int, 0, 2**64)),     # a Philox key word
+    "drift": (_REQUIRED, _list_of(_expr)),
+    "sigma": (_REQUIRED, _list_of(_list_of(_expr))),
     "init": (_REQUIRED, None),
     "snap_resolution": (None, _pos),
-    "burn_in": (0, _int),
+    "burn_in": (0, _bounded(_int, 0)),
 }
 
 
 def _cmd_simulate_sde(args):
     doc, base = load_config(args.config)
     cfg, defaulted = _schema_check(doc, _SDE_SCHEMA)
-    dom, dom_def = _schema_check(cfg["domain"], {
-        "lower": (_REQUIRED, None), "upper": (_REQUIRED, None)}, "/domain")
-    defaulted += dom_def
-    domain = sde_reflect.BoxDomain(np.asarray(dom["lower"], dtype=float),
-                                   np.asarray(dom["upper"], dtype=float))
+    dom, _ = _schema_check(cfg["domain"], {
+        "lower": (_REQUIRED, _list_of(_num)), "upper": (_REQUIRED, _list_of(_num))},
+        "/domain")
+    try:
+        domain = sde_reflect.BoxDomain(dom["lower"], dom["upper"])
+    except (ValueError, DimensionMismatch) as exc:
+        raise ConfigError("/domain", str(exc)) from exc
     T = cfg["period_T"]
     if cfg["dt"] is None:
         cfg["dt"] = T / 256
-        defaulted.append("/dt")
-    drift = tuple(CoefficientField(parse_expr(_expr(e, f"/drift/{i}")), T)
-                  for i, e in enumerate(cfg["drift"]))
-    sigma = tuple(tuple(CoefficientField(parse_expr(_expr(e, f"/sigma/{i}/{j}")), T)
-                        for j, e in enumerate(row))
-                  for i, row in enumerate(cfg["sigma"]))
-    m = len(sigma[0]) if sigma else 1
+    _check_divides(T, cfg["dt"], "period_T")
+    drift = tuple(CoefficientField(parse_expr(e), T) for e in cfg["drift"])
+    sigma = tuple(tuple(CoefficientField(parse_expr(e), T) for e in row)
+                  for row in cfg["sigma"])
     sys_ = sde_reflect.SdeSystem(drift=drift, diffusion=sigma, period_T=T,
-                                 domain=domain, brownian_dim=m)
-    init_spec, _ = _schema_check(cfg["init"], {"point": (None, None),
+                                 domain=domain, brownian_dim=len(sigma[0]))
+    init_spec, _ = _schema_check(cfg["init"], {"point": (None, _list_of(_num)),
                                                "csv": (None, _str)}, "/init")
     if init_spec["point"] is not None:
-        init = np.asarray(init_spec["point"], dtype=float)
+        init = np.array(init_spec["point"])
+        if len(init) != domain.dim:
+            raise ConfigError("/init", f"point needs {domain.dim} coordinates")
     elif init_spec["csv"] is not None:
         init = np.loadtxt(base / init_spec["csv"], delimiter=",", ndmin=2)
     else:
@@ -421,6 +443,11 @@ def _cmd_eigen(args):
 def _cmd_stationary(args):
     doc, _ = load_config(args.config)
     cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc)
+    # the closed form is the zero-flux density of the flux-form equation
+    if bc.kind != "reflecting":
+        raise ConfigError("/bc", "the stationary closed form needs reflecting walls")
+    if cfg["form"] != "divergence":
+        raise ConfigError("/form", "the stationary closed form needs form 'divergence'")
     density = fpe_grid.stationary_closed_form(coeffs, grid, t=0.0)
     times = np.linspace(0.0, cfg["period_T"], 9)
     cond = fpe_grid.check_stationarity_condition(coeffs, grid, times)
@@ -437,14 +464,10 @@ def _cmd_stationary(args):
 
 def _auto_pair(problem, dt):
     """Default ordered pair: eps * principal eigenfunction below, 2*M0 above."""
-    xs = problem.grid.centers
-    M0 = None
-    for cand in np.geomspace(1e-3, 1e6, 64):
-        vals = [np.max(np.asarray(problem.f(t=t, x=xs, u=cand)))
-                for t in np.linspace(0, problem.T, 8, endpoint=False)]
-        if max(vals) <= 0:
-            M0 = cand
-            break
+    ts = np.linspace(0, problem.T, 8, endpoint=False)[:, None]
+    # stop at the first candidate: f need not be defined for larger u
+    M0 = next((cand for cand in np.geomspace(1e-3, 1e6, 64)
+               if np.max(problem.f(t=ts, x=problem.grid.centers, u=cand)) <= 0), None)
     if M0 is None:
         raise ConfigError("/source_f", "could not find M0 with f(t,x,M0) <= 0")
     pm = period_map.build_period_map(problem.grid, problem.coeffs, problem.bc,
@@ -462,6 +485,8 @@ def _cmd_semilinear(args):
     cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, "period_T", "nondivergence")
     if cfg["source_f"] is None:
         raise ConfigError("/source_f", "required for the semilinear solver")
+    if cfg["integrator"] != "cn":
+        raise ConfigError("/integrator", "the semilinear solver marches Crank-Nicolson only")
     T = cfg["period_T"]
     problem = semilinear.SemilinearProblem(
         coeffs=coeffs, f=CoefficientField(parse_expr(cfg["source_f"]), T),

@@ -15,14 +15,15 @@ tanh}.  There is no implicit multiplication: "2x" is a syntax error.
 
 Evaluation accepts scalars or numpy arrays for the variables and is
 total on the declared domain: division by zero and out-of-domain
-function arguments raise EvalError rather than returning NaN.
+function arguments raise EvalError rather than returning NaN.  A
+CoefficientField returns a float array of its arguments' broadcast shape.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -286,8 +287,7 @@ def eval_expr(node: Expr, env: dict):
                 raise EvalError("domain", "negative base with non-integer exponent")
             if np.any((la == 0) & (ra < 0)):
                 raise EvalError("div_zero", "zero base with negative exponent")
-            out = la ** ra
-            return float(out) if out.ndim == 0 else out
+            return la ** ra
     raise TypeError(f"not an Expr node: {node!r}")
 
 
@@ -314,13 +314,10 @@ class CoefficientField:
 
     expr: Expr
     period_T: float | None = None
-    declared_vars: frozenset = field(default=frozenset())
 
     def __post_init__(self):
         if self.period_T is not None and not self.period_T > 0:
             raise ValueError("period_T must be positive")
-        if not self.declared_vars:
-            object.__setattr__(self, "declared_vars", free_vars(self.expr))
 
     @classmethod
     def from_string(cls, source: str, period_T: float | None = None) -> "CoefficientField":
@@ -329,14 +326,14 @@ class CoefficientField:
     def _reduce_t(self, t):
         if self.period_T is None:
             return t
-        T = self.period_T
-        if np.isscalar(t):
-            r = math.fmod(t, T)
-            return r + T if r < 0 else r
-        r = np.fmod(np.asarray(t, dtype=float), T)
-        return np.where(r < 0, r + T, r)
+        r = np.fmod(t, self.period_T)
+        return np.where(r < 0, r + self.period_T, r)
 
     def __call__(self, t=None, x=None, u=None):
-        return eval_expr(self.expr, {"t": None if t is None else self._reduce_t(t),
-                                     "x": x, "u": u})
+        """A float ndarray of the broadcast shape of the arguments given (0-d
+        if all are scalars); a read-only view where the expression ignores one."""
+        out = np.asarray(eval_expr(self.expr, {"t": None if t is None else self._reduce_t(t),
+                                               "x": x, "u": u}), dtype=float)
+        shape = np.broadcast(*(v for v in (t, x, u) if v is not None)).shape
+        return out if out.shape == shape else np.broadcast_to(out, shape)
 

@@ -153,10 +153,6 @@ def _check_ellipticity(a_vals: np.ndarray, t, xs: np.ndarray):
         raise EllipticityViolation(float(np.ravel(t)[k]), float(xs[i]), float(rows[k, i]))
 
 
-def _eval(field: CoefficientField, t, x, shape) -> np.ndarray:
-    return np.broadcast_to(np.asarray(field(t=t, x=x), dtype=float), shape)
-
-
 def assemble_generator(grid: Grid1D, coeffs: FpCoefficients, t, bc: BoundaryCondition,
                        form: str = "divergence", a0_offset=0.0) -> Tridiag:
     """Spatial generator L(t) with dp/dt = L(t) p.
@@ -171,17 +167,16 @@ def assemble_generator(grid: Grid1D, coeffs: FpCoefficients, t, bc: BoundaryCond
         raise ValueError(f"unknown form {form!r}")
     if form == "divergence" and bc.kind == "robin":
         raise ValueError("robin boundaries are only supported in non-divergence form")
-    n, dx = grid.n_cells, grid.dx
-    xc = grid.centers
+    dx, xc = grid.dx, grid.centers
     t = np.asarray(t, dtype=float)
     tt = t[..., None]
-    a = _eval(coeffs.a_eff, tt, xc, t.shape + (n,))
+    a = coeffs.a_eff(t=tt, x=xc)
     _check_ellipticity(a, t, xc)
     if form == "divergence":
         return _assemble_divergence(grid, coeffs, tt, a, bc)
 
-    b = _eval(coeffs.b, tt, xc, a.shape)
-    a0 = 0.0 if coeffs.a0 is None else _eval(coeffs.a0, tt, xc, a.shape)
+    b = coeffs.b(t=tt, x=xc)
+    a0 = 0.0 if coeffs.a0 is None else coeffs.a0(t=tt, x=xc)
     a0 = a0 - np.asarray(a0_offset, dtype=float)[..., None]
 
     lower = a / dx**2 + b / (2 * dx)
@@ -207,8 +202,7 @@ def assemble_generator(grid: Grid1D, coeffs: FpCoefficients, t, bc: BoundaryCond
 def _assemble_divergence(grid: Grid1D, coeffs: FpCoefficients, tt: np.ndarray,
                          a: np.ndarray, bc: BoundaryCondition) -> Tridiag:
     n, dx = grid.n_cells, grid.dx
-    steps = a.shape[:-1]
-    b_face = _eval(coeffs.b, tt, grid.faces, steps + (n + 1,))
+    b_face = coeffs.b(t=tt, x=grid.faces)
 
     lower = np.zeros(a.shape)
     diag = np.zeros(a.shape)
@@ -232,8 +226,8 @@ def _assemble_divergence(grid: Grid1D, coeffs: FpCoefficients, tt: np.ndarray,
         # antisymmetric ghost: p_g = -p_adjacent, density zero at the wall;
         # the drift term vanishes there since (p_g + p)/2 = 0
         xc = grid.centers
-        a_gl = _eval(coeffs.a_eff, tt, xc[0] - dx, steps + (1,))[..., 0]
-        a_gr = _eval(coeffs.a_eff, tt, xc[-1] + dx, steps + (1,))[..., 0]
+        a_gl = coeffs.a_eff(t=tt, x=xc[0] - dx)[..., 0]
+        a_gr = coeffs.a_eff(t=tt, x=xc[-1] + dx)[..., 0]
         diag[..., 0] -= (a[..., 0] + a_gl) / dx**2   # -F_0/dx with F_0 = (a_0+a_g) p_0/dx
         diag[..., -1] -= (a[..., -1] + a_gr) / dx**2
     return Tridiag(lower, diag, upper)
@@ -315,9 +309,7 @@ class Propagator:
         times = t0 + (np.arange(k0, k1) + (0.5 if self.cn else 1.0)) * self.dt
         offset = 0.0
         if self.a0_mean_out:
-            xc = self.grid.centers
-            offset = _eval(self.coeffs.a0, times[:, None], xc,
-                           times.shape + xc.shape).mean(axis=1)
+            offset = self.coeffs.a0(t=times[:, None], x=self.grid.centers).mean(axis=1)
         L = assemble_generator(self.grid, self.coeffs, times, self.bc, self.form,
                                a0_offset=offset)
         theta = self.dt / 2 if self.cn else self.dt
@@ -383,13 +375,13 @@ def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
     return DensityField(p0.grid, p, t0 + n_steps * dt), snapshots
 
 
-def _a_eff_dx(coeffs: FpCoefficients, t: float, xs: np.ndarray, dx: float) -> np.ndarray:
-    """d(a_eff)/dx by central differences, one-sided at the ends."""
-    a = _eval(coeffs.a_eff, t, xs, xs.shape)
+def _a_eff_dx(coeffs: FpCoefficients, t, xs: np.ndarray, dx: float) -> np.ndarray:
+    """d(a_eff)/dx along xs by central differences, one-sided at the ends."""
+    a = coeffs.a_eff(t=t, x=xs)
     da = np.empty_like(a)
-    da[1:-1] = (a[2:] - a[:-2]) / (2 * dx)
-    da[0] = (a[1] - a[0]) / dx
-    da[-1] = (a[-1] - a[-2]) / dx
+    da[..., 1:-1] = (a[..., 2:] - a[..., :-2]) / (2 * dx)
+    da[..., 0] = (a[..., 1] - a[..., 0]) / dx
+    da[..., -1] = (a[..., -1] - a[..., -2]) / dx
     return da
 
 
@@ -401,9 +393,9 @@ def stationary_closed_form(coeffs: FpCoefficients, grid: Grid1D,
     condition holds (see check_stationarity_condition).
     """
     xs = grid.centers
-    a = _eval(coeffs.a_eff, t, xs, xs.shape)
+    a = coeffs.a_eff(t=t, x=xs)
     _check_ellipticity(a, t, xs)
-    b = _eval(coeffs.b, t, xs, xs.shape)
+    b = coeffs.b(t=t, x=xs)
     integrand = (b - _a_eff_dx(coeffs, t, xs, grid.dx)) / a
     # cumulative trapezoid from the first cell center; the constant offset
     # drops out in the normalization
@@ -427,27 +419,21 @@ def check_stationarity_condition(coeffs: FpCoefficients, grid: Grid1D,
     dx * (f_0/2 + f_1 + ... + f_{n-2} + f_{n-1}/2), the two end values
     weighted 1/2.
     """
-    xs = grid.centers
-    dx = grid.dx
+    xs, dx = grid.centers, grid.dx
+    times = np.asarray(times, dtype=float)
 
-    def fields(t):
-        a = _eval(coeffs.a_eff, t, xs, xs.shape)
-        b = _eval(coeffs.b, t, xs, xs.shape)
-        return a, b, _a_eff_dx(coeffs, t, xs, dx)
+    def fields(t):   # one row per time
+        return (coeffs.a_eff(t=t[:, None], x=xs), coeffs.b(t=t[:, None], x=xs),
+                _a_eff_dx(coeffs, t[:, None], xs, dx))
 
-    times = [float(t) for t in times]
-    residuals = []
-    for t in times:
-        a, b, ax = fields(t)
-        _check_ellipticity(a, t, xs)
-        ap, bp, axp = fields(t + dt_fd)
-        am, bm, axm = fields(t - dt_fd)
-        b_t = (bp - bm) / (2 * dt_fd)
-        a_t = (ap - am) / (2 * dt_fd)
-        a_xt = (axp - axm) / (2 * dt_fd)
-        integrand = (a * (b_t - a_xt) - a_t * (b - ax)) / a**2
-        residuals.append(float(dx * (integrand.sum() - (integrand[0] + integrand[-1]) / 2)))
-    residuals = np.array(residuals)
-    return {"times": np.asarray(times, dtype=float),
-            "residuals": residuals,
+    a, b, ax = fields(times)
+    _check_ellipticity(a, times, xs)
+    ap, bp, axp = fields(times + dt_fd)
+    am, bm, axm = fields(times - dt_fd)
+    b_t = (bp - bm) / (2 * dt_fd)
+    a_t = (ap - am) / (2 * dt_fd)
+    a_xt = (axp - axm) / (2 * dt_fd)
+    integrand = (a * (b_t - a_xt) - a_t * (b - ax)) / a**2
+    residuals = dx * (integrand.sum(axis=1) - (integrand[:, 0] + integrand[:, -1]) / 2)
+    return {"times": times, "residuals": residuals,
             "max_abs_residual": float(np.max(np.abs(residuals)))}

@@ -20,6 +20,7 @@ import numpy as np
 from .bl_metric import (CesaroDefect, EmpiricalMeasure, cesaro_defect, coarsen,
                         optimal_distance)
 from .errors import DimensionMismatch, NonFiniteState
+from .fpe_grid import step_count
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,9 @@ class TrajectoryBatch:
     reflection_counts: np.ndarray  # per-path projection tallies
 
 
-def _eval_componentwise(fields, t: float, X: np.ndarray) -> np.ndarray:
-    """Evaluate field i at (t, X[:, i]) for every path; (M, len(fields))."""
-    cols = [np.broadcast_to(np.asarray(f(t=t, x=X[:, i]), dtype=float), (X.shape[0],))
-            for i, f in enumerate(fields)]
-    return np.stack(cols, axis=1)
+def _eval_componentwise(fields, t, X: np.ndarray) -> np.ndarray:
+    """Field i at (t, X[:, i]), t one time or one per path; (M, len(fields))."""
+    return np.stack([f(t=t, x=X[:, i]) for i, f in enumerate(fields)], axis=1)
 
 
 def em_reflect_step(x: np.ndarray, t: float, dt: float, dW: np.ndarray,
@@ -105,9 +104,7 @@ def em_reflect_step(x: np.ndarray, t: float, dt: float, dW: np.ndarray,
     noise = np.zeros((M, d))
     for i in range(d):
         for j in range(sys.brownian_dim):
-            sig = np.broadcast_to(
-                np.asarray(sys.diffusion[i][j](t=t, x=x[:, i]), dtype=float), (M,))
-            noise[:, i] += sig * dW[:, j]
+            noise[:, i] += sys.diffusion[i][j](t=t, x=x[:, i]) * dW[:, j]
     free = x + b * dt + noise
     if not np.all(np.isfinite(free)):
         raise NonFiniteState("drift/diffusion produced non-finite state")
@@ -133,9 +130,7 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
     if M < 1:
         raise ValueError("need at least one path")
     T = sys.period_T
-    steps_per_period = int(round(T / dt))
-    if steps_per_period < 1 or abs(steps_per_period * dt - T) > 1e-12 * T:
-        raise ValueError("dt must divide the period T")
+    steps_per_period = step_count(T, dt)
     d = sys.domain.dim
 
     if isinstance(init, EmpiricalMeasure):
@@ -189,25 +184,20 @@ def lipschitz_report(sys: SdeSystem, samples: int = 1000, seed: int = 0) -> dict
     xs = gen.uniform(lo, hi, (samples, sys.domain.dim))
     ys = gen.uniform(lo, hi, (samples, sys.domain.dim))
 
-    drift_lip = sigma_lip = drift_growth = sigma_growth = 0.0
-    for t, x, y in zip(ts, xs, ys):
-        bx = _eval_componentwise(sys.drift, t, x[None, :])[0]
-        by = _eval_componentwise(sys.drift, t, y[None, :])[0]
-        sx = np.array([[float(np.asarray(sys.diffusion[i][j](t=t, x=x[i])))
-                        for j in range(sys.brownian_dim)]
-                       for i in range(sys.domain.dim)])
-        sy = np.array([[float(np.asarray(sys.diffusion[i][j](t=t, x=y[i])))
-                        for j in range(sys.brownian_dim)]
-                       for i in range(sys.domain.dim)])
-        gap = float(np.linalg.norm(x - y))
-        if gap > 1e-12:
-            drift_lip = max(drift_lip, float(np.linalg.norm(bx - by)) / gap)
-            sigma_lip = max(sigma_lip, float(np.linalg.norm(sx - sy)) / gap)
-        growth_cap = float(np.sqrt(1.0 + np.dot(x, x)))
-        drift_growth = max(drift_growth, float(np.linalg.norm(bx)) / growth_cap)
-        sigma_growth = max(sigma_growth, float(np.linalg.norm(sx)) / growth_cap)
-    return {"drift_lipschitz": drift_lip, "sigma_lipschitz": sigma_lip,
-            "drift_growth": drift_growth, "sigma_growth": sigma_growth,
+    def fields(X):   # drift (samples, d) and diffusion (samples, d, m) at (ts, X)
+        return (_eval_componentwise(sys.drift, ts, X),
+                np.stack([_eval_componentwise(col, ts, X) for col in zip(*sys.diffusion)],
+                         axis=2))
+
+    (bx, sx), (by, sy) = fields(xs), fields(ys)
+    gap = np.linalg.norm(xs - ys, axis=1)
+    far = gap > 1e-12
+    cap = np.sqrt(1.0 + np.sum(xs * xs, axis=1))
+    quotients = {"drift_lipschitz": np.linalg.norm(bx - by, axis=1)[far] / gap[far],
+                 "sigma_lipschitz": np.linalg.norm(sx - sy, axis=(1, 2))[far] / gap[far],
+                 "drift_growth": np.linalg.norm(bx, axis=1) / cap,
+                 "sigma_growth": np.linalg.norm(sx, axis=(1, 2)) / cap}
+    return {**{k: float(np.max(q, initial=0.0)) for k, q in quotients.items()},
             "samples": samples}
 
 

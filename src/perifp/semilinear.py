@@ -133,8 +133,8 @@ def estimate_c(problem: SemilinearProblem, u_min: float, u_max: float,
     us = np.linspace(u_min, u_max, n_u)[:, None]
     xs = problem.grid.centers
     h = max(1e-6, 1e-6 * (abs(u_max) + abs(u_min)))
-    fp = np.asarray(problem.f(t=ts, x=xs, u=us + h), dtype=float)
-    fm = np.asarray(problem.f(t=ts, x=xs, u=us - h), dtype=float)
+    fp = problem.f(t=ts, x=xs, u=us + h)
+    fm = problem.f(t=ts, x=xs, u=us - h)
     return margin * (float(np.max(np.abs(fp - fm))) / (2 * h))
 
 
@@ -149,9 +149,7 @@ def _source_from_trajectory(problem: SemilinearProblem, traj: np.ndarray,
     columns = (1,) * (traj.ndim - 2)
     t_half = ((np.arange(len(u_half)) + 0.5) * dt).reshape((-1, 1) + columns)
     xs = problem.grid.centers.reshape((-1,) + columns)
-    fval = np.broadcast_to(np.asarray(problem.f(t=t_half, x=xs, u=u_half), dtype=float),
-                           u_half.shape)
-    return fval + c * u_half
+    return problem.f(t=t_half, x=xs, u=u_half) + c * u_half
 
 
 @dataclass
@@ -221,12 +219,12 @@ def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
 def _warn_boundary_compatibility(problem: SemilinearProblem):
     # Dirichlet case needs f(t, x, 0) = 0 on the boundary; only warn,
     # since no remedy is prescribed when it fails.
+    ts = np.linspace(0.0, problem.T, 8, endpoint=False)
     for xb in (problem.grid.x_left, problem.grid.x_right):
-        vals = [float(np.asarray(problem.f(t=t, x=xb, u=0.0)))
-                for t in np.linspace(0.0, problem.T, 8, endpoint=False)]
-        if max(abs(v) for v in vals) > 1e-9:
+        worst = float(np.max(np.abs(problem.f(t=ts, x=xb, u=0.0))))
+        if worst > 1e-9:
             warnings.warn(
-                f"f(t, {xb}, 0) != 0 on the boundary (max {max(map(abs, vals)):.2e}); "
+                f"f(t, {xb}, 0) != 0 on the boundary (max {worst:.2e}); "
                 "Dirichlet compatibility is violated", stacklevel=3)
             break
 
@@ -244,8 +242,8 @@ def verify_upper_lower(candidate, problem: SemilinearProblem, kind: str,
     if kind not in ("upper", "lower"):
         raise ValueError("kind must be 'upper' or 'lower'")
     sign = 1.0 if kind == "upper" else -1.0
-    n_steps = int(round(problem.T / dt))
     if isinstance(candidate, DensityField):
+        n_steps = step_count(problem.T, dt)
         traj = np.tile(candidate.values, (n_steps + 1, 1))
     else:
         traj = np.asarray(candidate, dtype=float)

@@ -1,13 +1,20 @@
 """Command-line interface: strict configs, outputs, manifests, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perifp.cli import run
+from perifp import fpe_grid, semilinear
+from perifp.cli import _FP_SCHEMA, _SDE_SCHEMA, _auto_pair, run
+from perifp.coeff_dsl import CoefficientField
 
 HEAT_CONFIG = {
     "domain": {"lower": 0.0, "upper": 1.0},
@@ -132,11 +139,12 @@ def test_dbl_subcommand(tmp_path, capsys):
     assert doc["distance"] == pytest.approx(1.0, abs=1e-9)
 
 
-def _sde_config(tmp_path, seed=7):
+def _sde_config(tmp_path, seed=7, **change):
     doc = {"domain": {"lower": [0.0], "upper": [1.0]}, "period_T": 1.0,
            "dt": 1.0 / 64, "paths": 200, "periods": 2, "seed": seed,
            "drift": ["sin(2*pi*t)*(1-2*x)"], "sigma": [["0.5"]],
            "init": {"point": [0.5]}}
+    doc.update(change)
     return _write(tmp_path / "sde.json", doc)
 
 
@@ -187,6 +195,15 @@ def test_semilinear_subcommand(tmp_path, capsys):
     ("eigen", {"n_cells": 2}, "/n_cells"),
     ("fp-solve", {"bc": "robin"}, "/bc"),               # divergence form
     ("eigen", {"bc": "robin", "form": "divergence"}, "/bc"),
+    ("eigen", {"robin": "x"}, "/robin"),                # bc is not robin
+    ("eigen", {"robin": [1.0]}, "/robin"),
+    ("fp-solve", {"a0": "1"}, "/a0"),                   # divergence form
+    ("stationary", {"a0": "5"}, "/a0"),
+    ("stationary", {}, "/bc"),                          # absorbing
+    ("stationary", {"bc": "reflecting", "form": "nondivergence"}, "/form"),
+    ("semilinear", {"integrator": "ie"}, "/integrator"),
+    ("semilinear", {"c_shift": -1}, "/c_shift"),
+    ("semilinear", {"max_iter": 0}, "/max_iter"),
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -198,6 +215,73 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["path"] == path
+
+
+@pytest.mark.parametrize("change, path", [
+    ({"dt": 0.3}, "/dt"),                               # period_T = 1
+    ({"paths": 0}, "/paths"),
+    ({"domain": {"lower": [1.0], "upper": [0.0]}}, "/domain"),
+    ({"domain": {"lower": [0.0, 0.0], "upper": [1.0]}}, "/domain"),
+    ({"init": {"point": [0.5, 0.5]}}, "/init"),
+    ({"periods": -1}, "/periods"),
+    ({"burn_in": -1}, "/burn_in"),
+    ({"seed": -1}, "/seed"),
+    ({"drift": "0"}, "/drift"),
+    ({"sigma": [["0.5", 1]]}, "/sigma/0/1"),
+])
+def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
+    cfg = _sde_config(tmp_path, **change)
+    code = run(["--json-errors", "simulate-sde", "--config", cfg,
+                "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["path"] == path
+
+
+# small valid configs; each example changes one key to a bad value or drops it
+_SMALL = {
+    "fp-solve": {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 0.1, "dt": 0.025,
+                 "n_cells": 8, "drift": "0", "sigma": "1", "bc": "reflecting"},
+    "simulate-sde": {"domain": {"lower": [0.0], "upper": [1.0]}, "period_T": 1.0,
+                     "dt": 0.25, "paths": 4, "periods": 1, "drift": ["0"],
+                     "sigma": [["1"]], "init": {"point": [0.5]}},
+}
+_MUTABLE = [(command, key) for command, schema in (("fp-solve", _FP_SCHEMA),
+                                                   ("simulate-sde", _SDE_SCHEMA))
+            for key in sorted(schema)]
+_REMOVED = object()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_MUTABLE), st.sampled_from([True, None, {}, -1, 0, [], "x", _REMOVED]))
+def test_single_key_mutation_never_raises(mutation, value):
+    command, key = mutation
+    doc = {k: v for k, v in _SMALL[command].items() if k != key}
+    if value is not _REMOVED:
+        doc[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = run(["--json-errors", command, "--config", _write(Path(tmp) / "c.json", doc),
+                    "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        report = json.loads(err.getvalue())   # one JSON object and nothing else
+        assert (report["error"] == "ConfigError") == (code == 2) == ("path" in report)
+
+
+def test_auto_pair_stops_at_first_upper_candidate():
+    # f(t, x, u) = u(1 - u) + sqrt(2 - u) is undefined for u > 2; the upper
+    # solution search must stop at its first candidate M0 with f <= 0,
+    # 10^(2/7) ~ 1.93, before reaching one it cannot evaluate
+    T = 1.0
+    one, zero = (CoefficientField.from_string(s, T) for s in ("1", "0"))
+    problem = semilinear.SemilinearProblem(
+        fpe_grid.FpCoefficients(a_eff=one, b=zero),
+        CoefficientField.from_string("u*(1 - u) + sqrt(2 - u)", T),
+        fpe_grid.neumann(), T, fpe_grid.Grid1D(8, 0.0, 1.0))
+    pair = _auto_pair(problem, T / 8)
+    np.testing.assert_array_equal(pair.upper.values, 2 * np.geomspace(1e-3, 1e6, 64)[23])
 
 
 def test_eigen_bc_override_robin_needs_nondivergence(tmp_path, capsys):

@@ -189,3 +189,22 @@ def test_field_rejects_undeclared_vars():
     f = CoefficientField.from_string("x + 1")
     with pytest.raises(EvalError):
         f(t=0.0)  # x missing
+
+
+@pytest.mark.parametrize("source", ["1", "t", "x", "u", "t*x"])
+def test_field_returns_float_array_of_broadcast_shape(source):
+    # every call returns a float ndarray shaped like the broadcast of the
+    # arguments given, whichever of them the expression uses
+    f = CoefficientField.from_string(source, period_T=1.0)
+    ts = np.array([[0.0], [0.25], [0.5]])
+    xs = np.linspace(0.0, 1.0, 4)
+    us = np.arange(4)                    # integer input still gives floats
+    for t, x, u, shape in [(0.25, 0.5, 2, ()), (ts, 0.5, 2, (3, 1)),
+                           (0.25, xs, 2, (4,)), (0.25, 0.5, us, (4,)),
+                           (ts, xs, 2, (3, 4)), (ts, xs, us, (3, 4))]:
+        out = f(t=t, x=x, u=u)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64
+        assert out.shape == shape
+        expected = {"1": 1.0, "t": t, "x": x, "u": u, "t*x": np.multiply(t, x)}[source]
+        np.testing.assert_array_equal(out, np.broadcast_to(expected, shape))

@@ -151,6 +151,39 @@ def test_lipschitz_linear_sigma():
     assert rep["sigma_growth"] <= 1.0 + 1e-9  # |x| <= sqrt(1 + x^2)
 
 
+def test_lipschitz_report_matches_per_sample_loop():
+    # the report evaluates every sample in one broadcast call per field;
+    # a loop over the same draws, one sample at a time, is the reference
+    dom = BoxDomain([0.0, -1.0], [1.0, 1.0])
+    sys_ = SdeSystem(drift=(_field("sin(2*pi*t)*(1-2*x)"), _field("0.5")),
+                     diffusion=((_field("x"), _field("x^2")),
+                                (_field("0"), _field("cos(x) + t"))),
+                     period_T=T, domain=dom, brownian_dim=2)
+    rep = lipschitz_report(sys_, samples=300, seed=8)
+
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(8)))
+    ts = gen.uniform(0.0, T, 300)
+    xs = gen.uniform(dom.lower, dom.upper, (300, 2))
+    ys = gen.uniform(dom.lower, dom.upper, (300, 2))
+    ref = dict.fromkeys(["drift_lipschitz", "sigma_lipschitz",
+                         "drift_growth", "sigma_growth"], 0.0)
+    for t, x, y in zip(ts, xs, ys):
+        bx, by = (np.array([float(f(t=t, x=z[i])) for i, f in enumerate(sys_.drift)])
+                  for z in (x, y))
+        sx, sy = (np.array([[float(f(t=t, x=z[i])) for f in row]
+                            for i, row in enumerate(sys_.diffusion)]) for z in (x, y))
+        gap = float(np.linalg.norm(x - y))
+        cap = float(np.sqrt(1.0 + np.dot(x, x)))
+        for key, q in [("drift_lipschitz", np.linalg.norm(bx - by) / gap),
+                       ("sigma_lipschitz", np.linalg.norm(sx - sy) / gap),
+                       ("drift_growth", np.linalg.norm(bx) / cap),
+                       ("sigma_growth", np.linalg.norm(sx) / cap)]:
+            ref[key] = max(ref[key], float(q))
+    for key, value in ref.items():
+        assert rep[key] == pytest.approx(value, rel=1e-12), key
+    assert rep["samples"] == 300
+
+
 # ---------------------------------------------------------------------------
 # periodicity diagnostics
 
