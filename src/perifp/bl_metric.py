@@ -44,7 +44,7 @@ class EmpiricalMeasure:
         w = np.asarray(self.weights, dtype=float)
         if pts.shape[0] != w.shape[0]:
             raise DimensionMismatch(f"{pts.shape[0]} points but {w.shape[0]} weights")
-        if np.any(w < 0):
+        if not np.all(w >= 0):
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
@@ -56,9 +56,6 @@ class EmpiricalMeasure:
     @property
     def mass(self) -> float:
         return float(self.weights.sum())
-
-    def scaled(self, c: float) -> "EmpiricalMeasure":
-        return EmpiricalMeasure(self.points, c * self.weights)
 
     @classmethod
     def dirac(cls, point) -> "EmpiricalMeasure":
@@ -199,7 +196,7 @@ class CesaroDefect:
     terms: np.ndarray      # per-index unscaled distances d_BL(law_{m+1}, law_m)
 
 
-def cesaro_defect(laws, weights=None) -> CesaroDefect:
+def cesaro_defect(laws) -> CesaroDefect:
     """Averaged one-period-apart d_BL over a sequence of law snapshots.
 
     laws[m] is the law at time m*T.  With uniform weights
@@ -211,12 +208,7 @@ def cesaro_defect(laws, weights=None) -> CesaroDefect:
     n = len(laws) - 1
     if n < 1:
         raise ValueError("need at least 2 laws")
-    if weights is None:
-        p = np.full(n, 1.0 / (n + 1))
-    else:
-        p = np.asarray(weights, dtype=float)
-        if p.shape[0] != n:
-            raise DimensionMismatch(f"need {n} weights, got {p.shape[0]}")
+    p = 1.0 / (n + 1)
     terms = np.array([optimal_distance(laws[m + 1], laws[m], f"law[{m + 1}] and law[{m}]")
                       for m in range(n)])
     restricted = float(np.sum(p * p * terms))  # p_m * d_BL of the p_m-scaled pair

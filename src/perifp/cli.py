@@ -164,19 +164,30 @@ _FP_SCHEMA = {
     "source_f": (None, _expr),
     "form": ("divergence", _one_of(*fpe_grid.FORMS)),
     "integrator": ("cn", _one_of(*fpe_grid.INTEGRATORS)),
-    "init": ({"kind": "uniform"}, None),
+    "init": ({}, None),                 # default: the uniform density
     "tol": (1e-9, _pos),
     "max_iter": (500, _bounded(_int, 1)),
     "c_shift": (None, _bounded(_num, 0.0)),
-    "seed": (0, _int),
 }
+# the span each fp subcommand marches (dt must divide it), and the keys
+# that only some subcommands read; the others reject them
+_FP_SPAN = {"fp-solve": "t1", "eigen": "period_T", "stationary": None,
+            "semilinear": "period_T"}
+_FP_READERS = {"tol": ("eigen", "semilinear"), "source_f": ("semilinear",),
+               "c_shift": ("semilinear",), "max_iter": ("semilinear",)}
 
 
-def _parse_fp_config(doc, span_key=None, default_form="divergence"):
-    """Resolve an fp config; dt must divide cfg[span_key], the span marched."""
+def _parse_fp_config(doc, command):
+    """Resolve the fp config of one subcommand."""
     cfg, defaulted = _schema_check(doc, _FP_SCHEMA)
-    if "/form" in defaulted:
-        cfg["form"] = default_form
+    for key, readers in _FP_READERS.items():
+        if command not in readers:
+            if f"/{key}" not in defaulted:
+                raise ConfigError(f"/{key}", f"{command} does not read this key")
+            del cfg[key]
+            defaulted.remove(f"/{key}")
+    if "/form" in defaulted and command == "semilinear":
+        cfg["form"] = "nondivergence"   # semilinear problems march u, not p
     dom, dom_def = _schema_check(cfg["domain"], {
         "lower": (_REQUIRED, _num), "upper": (_REQUIRED, _num)}, "/domain")
     defaulted += dom_def
@@ -187,6 +198,7 @@ def _parse_fp_config(doc, span_key=None, default_form="divergence"):
         cfg["dt"] = cfg["period_T"] / 256
     if cfg["t1"] is None:
         cfg["t1"] = cfg["period_T"]
+    span_key = _FP_SPAN[command]
     if span_key is not None:
         _check_divides(cfg[span_key], cfg["dt"], span_key)
     if (cfg["sigma"] is None) == (cfg["a_eff"] is None):
@@ -214,23 +226,32 @@ def _parse_fp_config(doc, span_key=None, default_form="divergence"):
     return cfg, defaulted, grid, coeffs, bc
 
 
+def _load_csv(path, where, **kwargs):
+    """Comma-separated numbers; a missing or malformed file is a ConfigError at where."""
+    try:
+        return np.loadtxt(path, delimiter=",", **kwargs)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(where, f"cannot read {path}: {exc}") from exc
+
+
 def _initial_density(cfg, grid, base_dir):
-    init = cfg["init"]
-    spec, _ = _schema_check(init, {"kind": (None, _str), "expr": (None, _expr),
-                                   "csv": (None, _str)}, "/init")
+    spec, _ = _schema_check(cfg["init"], {"expr": (None, _expr), "csv": (None, _str)},
+                            "/init")
     if spec["expr"] is not None:
-        f = CoefficientField(parse_expr(spec["expr"]))
-        vals = f(x=grid.centers)
-        if np.any(vals < 0):
-            raise ConfigError("/init/expr", "initial density must be nonnegative")
+        key, vals = "/init/expr", CoefficientField(parse_expr(spec["expr"]))(x=grid.centers)
     elif spec["csv"] is not None:
-        vals = np.loadtxt(base_dir / spec["csv"], delimiter=",", usecols=1)
+        key, vals = "/init/csv", _load_csv(base_dir / spec["csv"], "/init/csv",
+                                           usecols=1, ndmin=1)
         if len(vals) != grid.n_cells:
-            raise ConfigError("/init/csv", f"expected {grid.n_cells} rows")
+            raise ConfigError(key, f"expected {grid.n_cells} rows")
     else:
-        vals = np.ones(grid.n_cells)
-    vals = vals / (vals.sum() * grid.dx)
-    return fpe_grid.DensityField(grid, vals)
+        key, vals = "/init", np.ones(grid.n_cells)
+    if not np.all(vals >= 0):
+        raise ConfigError(key, "initial density must be nonnegative")
+    mass = vals.sum() * grid.dx
+    if not 0 < mass < np.inf:
+        raise ConfigError("/init", "initial density must have positive finite mass")
+    return fpe_grid.DensityField(grid, vals / mass)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +312,19 @@ class _Run:
 # subcommands
 
 def _cmd_markov_check(args):
-    P = markov.TransitionMatrix.from_array(
-        np.loadtxt(args.matrix, delimiter=",", ndmin=2),
-        row_stochastic=args.row_stochastic)
-    x0 = markov.DistributionVector(np.loadtxt(args.init, delimiter=","))
+    if args.nmax < 1:
+        raise ConfigError("--nmax", "must be at least 1")
+    if not args.tol > 0:
+        raise ConfigError("--tol", "must be positive")
+    try:
+        P = markov.TransitionMatrix.from_array(
+            _load_csv(args.matrix, "--matrix", ndmin=2), row_stochastic=args.row_stochastic)
+    except (ValueError, DimensionMismatch) as exc:
+        raise ConfigError("--matrix", str(exc)) from exc
+    try:
+        x0 = markov.DistributionVector(_load_csv(args.init, "--init", ndmin=1))
+    except (ValueError, DimensionMismatch) as exc:
+        raise ConfigError("--init", str(exc)) from exc
     report = markov.detect_period(P, x0, N_max=args.nmax, tol=args.tol)
     doc = {"period": report.period, "strong": bool(report.strong),
            "tol": report.tol, "residuals": report.residuals.tolist()}
@@ -309,16 +339,17 @@ def _cmd_markov_check(args):
     return 0
 
 
-def _load_measure_csv(path):
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    if rows.shape[1] < 2:
-        raise ConfigError("/", f"{path}: need columns x1..xd,weight")
-    return bl_metric.EmpiricalMeasure(rows[:, :-1], rows[:, -1])
-
-
 def _cmd_dbl(args):
-    mu = _load_measure_csv(args.mu)
-    nu = _load_measure_csv(args.nu)
+    measures = []
+    for flag, path in (("--mu", args.mu), ("--nu", args.nu)):
+        rows = _load_csv(path, flag, ndmin=2)
+        if rows.shape[1] < 2:
+            raise ConfigError(flag, f"{path}: need columns x1..xd,weight")
+        try:
+            measures.append(bl_metric.EmpiricalMeasure(rows[:, :-1], rows[:, -1]))
+        except ValueError as exc:
+            raise ConfigError(flag, str(exc)) from exc
+    mu, nu = measures
     res = bl_metric.dbl(mu, nu)
     doc = {"distance": res.distance, "status": res.status,
            "witness": res.witness.tolist(),
@@ -372,7 +403,10 @@ def _cmd_simulate_sde(args):
         if len(init) != domain.dim:
             raise ConfigError("/init", f"point needs {domain.dim} coordinates")
     elif init_spec["csv"] is not None:
-        init = np.loadtxt(base / init_spec["csv"], delimiter=",", ndmin=2)
+        init = _load_csv(base / init_spec["csv"], "/init/csv", ndmin=2)
+        if init.shape != (cfg["paths"], domain.dim):
+            raise ConfigError("/init/csv", f"expected {cfg['paths']} rows of "
+                              f"{domain.dim} coordinates")
     else:
         raise ConfigError("/init", "give 'point' or 'csv'")
 
@@ -397,7 +431,7 @@ def _cmd_simulate_sde(args):
 
 def _cmd_fp_solve(args):
     doc, base = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, "t1")
+    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
     p0 = _initial_density(cfg, grid, base)
     snapshot_times = [0.0, cfg["t1"]]
     if args.snapshots:
@@ -421,7 +455,7 @@ def _cmd_fp_solve(args):
 
 def _cmd_eigen(args):
     doc, _ = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, "period_T")
+    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
     if args.bc:
         bc = _bc_from_name(args.bc, cfg)
     pm = period_map.build_period_map(grid, coeffs, bc, cfg["period_T"], cfg["dt"],
@@ -442,7 +476,7 @@ def _cmd_eigen(args):
 
 def _cmd_stationary(args):
     doc, _ = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc)
+    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
     # the closed form is the zero-flux density of the flux-form equation
     if bc.kind != "reflecting":
         raise ConfigError("/bc", "the stationary closed form needs reflecting walls")
@@ -481,8 +515,7 @@ def _auto_pair(problem, dt):
 
 def _cmd_semilinear(args):
     doc, _ = load_config(args.config)
-    # semilinear problems march u, not p
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, "period_T", "nondivergence")
+    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
     if cfg["source_f"] is None:
         raise ConfigError("/source_f", "required for the semilinear solver")
     if cfg["integrator"] != "cn":
@@ -551,7 +584,7 @@ def _cmd_selftest(args):
     p1 = fpe_grid.step_cn(p0, coeffs, fpe_grid.reflecting(), 0.01)
     check("fpe_grid: reflecting CN conserves mass", abs(p1.mass - p0.mass) < 1e-13)
 
-    pm = period_map.PeriodMap(np.eye(8), fpe_grid.reflecting(), T)
+    pm = period_map.PeriodMap(np.eye(8), T)
     spec = period_map.power_iteration(pm)
     check("period_map: K = I gives r = 1", abs(spec.r - 1.0) < 1e-12)
 

@@ -29,10 +29,10 @@ class TransitionMatrix:
         object.__setattr__(self, "entries", P)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DimensionMismatch(f"transition matrix must be square, got {P.shape}")
-        if np.any(P < -_STOCHASTIC_TOL) or np.any(P > 1 + _STOCHASTIC_TOL):
+        if not np.all((P >= -_STOCHASTIC_TOL) & (P <= 1 + _STOCHASTIC_TOL)):
             raise ValueError("transition probabilities must lie in [0, 1]")
         colsums = P.sum(axis=0)
-        if np.any(np.abs(colsums - 1.0) > _STOCHASTIC_TOL):
+        if not np.all(np.abs(colsums - 1.0) <= _STOCHASTIC_TOL):
             raise ValueError(f"columns must sum to 1 (max deviation {np.max(np.abs(colsums - 1)):.3e})")
 
     @classmethod
@@ -54,9 +54,9 @@ class DistributionVector:
         object.__setattr__(self, "probs", x)
         if x.ndim != 1:
             raise DimensionMismatch("distribution must be a vector")
-        if np.any(x < -_STOCHASTIC_TOL):
+        if not np.all(x >= -_STOCHASTIC_TOL):
             raise ValueError("probabilities must be nonnegative")
-        if abs(x.sum() - 1.0) > _STOCHASTIC_TOL:
+        if not abs(x.sum() - 1.0) <= _STOCHASTIC_TOL:
             raise ValueError(f"probabilities must sum to 1, got {x.sum()!r}")
 
 

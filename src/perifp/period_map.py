@@ -23,13 +23,7 @@ DECAY_FLOOR = 1e-280
 @dataclass(frozen=True)
 class PeriodMap:
     K: np.ndarray
-    bc: BoundaryCondition
     T: float
-    form: str = "divergence"
-
-    @property
-    def n(self) -> int:
-        return self.K.shape[0]
 
 
 @dataclass(frozen=True)
@@ -41,51 +35,32 @@ class SpectralResult:
     residual: float
 
 
-def evolve_matrix(V: np.ndarray, grid: Grid1D, coeffs: FpCoefficients,
-                  bc: BoundaryCondition, t0: float, t1: float, dt: float,
-                  form: str = "divergence", integrator: str = "cn",
-                  sources=None) -> np.ndarray:
-    """Evolve every column of V from t0 to t1 (Crank-Nicolson by default).
-
-    sources, if given, is a callable k -> column source array applied at
-    step k (evaluated at the half step for CN).
-
-    For the non-divergence form without sources, the spatial mean of the
-    zero-order term is pulled out of each step and applied as an exact
-    exponential factor at the end, so a constant added to a0 scales the
-    result by exactly e^{-c (t1-t0)} (up to a single exp rounding).
-    """
-    n_steps = step_count(t1 - t0, dt)
-    extract = form == "nondivergence" and sources is None
-    prop = Propagator(grid, coeffs, bc, dt, form, integrator, a0_mean_out=extract)
-    V, _ = prop.march(V, prop.blocks(n_steps, t0), sources)
-    if prop.phase != 0.0:
-        V *= math.exp(-prop.phase)
-    return V
-
-
 def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
                      T: float, dt: float, form: str = "divergence",
                      integrator: str = "cn") -> PeriodMap:
-    """K = U(T,0) by evolving the n unit cell densities over one period."""
-    K = evolve_matrix(np.eye(grid.n_cells), grid, coeffs, bc, 0.0, T, dt,
-                      form=form, integrator=integrator)
-    return PeriodMap(K=K, bc=bc, T=T, form=form)
+    """K = U(T,0) by evolving the n unit cell densities over one period.
+
+    For the non-divergence form the spatial mean of the zero-order term
+    is pulled out of each step and applied as an exact exponential
+    factor at the end, so a constant added to a0 scales K by exactly
+    e^{-c T} (up to a single exp rounding).
+    """
+    prop = Propagator(grid, coeffs, bc, dt, form, integrator,
+                      a0_mean_out=form == "nondivergence")
+    K, _ = prop.march(np.eye(grid.n_cells), prop.blocks(step_count(T, dt)))
+    if prop.phase != 0.0:
+        K *= math.exp(-prop.phase)
+    return PeriodMap(K=K, T=T)
 
 
-def power_iteration(pm: PeriodMap | np.ndarray, tol: float = 1e-10,
-                    max_iter: int = 20000, T: float | None = None) -> SpectralResult:
+def power_iteration(pm: PeriodMap, tol: float = 1e-10,
+                    max_iter: int = 20000) -> SpectralResult:
     """Dominant eigenpair by power iteration from the uniform density.
 
     The eigenvector is sign-fixed so its max-magnitude entry is positive;
     the Rayleigh quotient supplies the eigenvalue estimate.
     """
-    if isinstance(pm, PeriodMap):
-        K, T = pm.K, pm.T
-    else:
-        K = np.asarray(pm, dtype=float)
-        if T is None:
-            T = 1.0
+    K = pm.K
     n = K.shape[0]
     v = np.full(n, 1.0 / n)
     v /= np.linalg.norm(v)
@@ -107,7 +82,7 @@ def power_iteration(pm: PeriodMap | np.ndarray, tol: float = 1e-10,
         v = -v
     if r <= 0:
         raise NonPositiveRadius(f"computed spectral radius {r!r} is not positive")
-    return SpectralResult(r=r, mu=-math.log(r) / T, eigvec=v, iterations=it,
+    return SpectralResult(r=r, mu=-math.log(r) / pm.T, eigvec=v, iterations=it,
                           residual=residual)
 
 

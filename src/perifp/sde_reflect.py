@@ -42,10 +42,6 @@ class BoxDomain:
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
-
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
 
@@ -122,10 +118,9 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
                 seed: int, snap_resolution: float | None = None) -> TrajectoryBatch:
     """Simulate M paths and record the empirical law at 0, T, ..., nT.
 
-    init is a point (all paths start there), an (M, d) array of starting
-    positions, or an EmpiricalMeasure to sample starts from.  Snapshot
-    supports are optionally snapped to a grid of resolution
-    snap_resolution at emission.
+    init is a point (all paths start there) or an (M, d) array of
+    starting positions.  Snapshot supports are optionally snapped to a
+    grid of resolution snap_resolution at emission.
     """
     if M < 1:
         raise ValueError("need at least one path")
@@ -133,16 +128,10 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
     steps_per_period = step_count(T, dt)
     d = sys.domain.dim
 
-    if isinstance(init, EmpiricalMeasure):
-        gen = np.random.Generator(np.random.Philox(
-            key=np.array([seed, 2**63], dtype=np.uint64)))
-        idx = gen.choice(len(init.weights), size=M, p=init.weights / init.mass)
-        X = init.points[idx]
-    else:
-        init = np.asarray(init, dtype=float)
-        X = np.broadcast_to(init, (M, d)).copy() if init.ndim <= 1 else init.copy()
-        if X.shape != (M, d):
-            raise DimensionMismatch(f"init must broadcast to ({M}, {d})")
+    init = np.asarray(init, dtype=float)
+    X = np.broadcast_to(init, (M, d)).copy() if init.ndim <= 1 else init.copy()
+    if X.shape != (M, d):
+        raise DimensionMismatch(f"init must broadcast to ({M}, {d})")
     X = sys.domain.project(X)
 
     sqrt_dt = np.sqrt(dt)
@@ -168,37 +157,6 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
     return TrajectoryBatch(seed=seed, paths=M, dt=dt, period_T=T,
                            snapshots=snapshots, snapshot_times=times,
                            reflection_counts=reflections)
-
-
-def lipschitz_report(sys: SdeSystem, samples: int = 1000, seed: int = 0) -> dict:
-    """Sampled estimates of the Lipschitz/growth quotients of b and sigma.
-
-    Purely diagnostic: the four quotients are maximized over random
-    (t, x, y) triples in [0, T) x box x box.
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    lo, hi = sys.domain.lower, sys.domain.upper
-    ts = gen.uniform(0.0, sys.period_T, samples)
-    xs = gen.uniform(lo, hi, (samples, sys.domain.dim))
-    ys = gen.uniform(lo, hi, (samples, sys.domain.dim))
-
-    def fields(X):   # drift (samples, d) and diffusion (samples, d, m) at (ts, X)
-        return (_eval_componentwise(sys.drift, ts, X),
-                np.stack([_eval_componentwise(col, ts, X) for col in zip(*sys.diffusion)],
-                         axis=2))
-
-    (bx, sx), (by, sy) = fields(xs), fields(ys)
-    gap = np.linalg.norm(xs - ys, axis=1)
-    far = gap > 1e-12
-    cap = np.sqrt(1.0 + np.sum(xs * xs, axis=1))
-    quotients = {"drift_lipschitz": np.linalg.norm(bx - by, axis=1)[far] / gap[far],
-                 "sigma_lipschitz": np.linalg.norm(sx - sy, axis=(1, 2))[far] / gap[far],
-                 "drift_growth": np.linalg.norm(bx, axis=1) / cap,
-                 "sigma_growth": np.linalg.norm(sx, axis=(1, 2)) / cap}
-    return {**{k: float(np.max(q, initial=0.0)) for k, q in quotients.items()},
-            "samples": samples}
 
 
 def periodicity_diagnostic(batch: TrajectoryBatch, burn_in: int,

@@ -27,7 +27,7 @@ from .coeff_dsl import CoefficientField
 from .errors import (MonotonicityViolation, NotConverged, SingularSystem)
 from .fpe_grid import (BoundaryCondition, DensityField, FpCoefficients, Grid1D,
                        Propagator, assemble_generator, step_count)
-from .period_map import power_iteration
+from .period_map import PeriodMap, power_iteration
 
 SPR_SINGULAR_MARGIN = 1e-8
 MONOTONE_SLACK = 1e-10
@@ -77,7 +77,7 @@ class PeriodicLinearSolver:
         self._period = [self._prop.operators(0.0, 0, self.n_steps)]
         n = self.grid.n_cells
         self.K = self._prop.march(np.eye(n), self._period)[0]
-        spec = power_iteration(self.K, tol=1e-12, T=self.T)
+        spec = power_iteration(PeriodMap(self.K, self.T), tol=1e-12)
         self.spr = spec.r
         if self.spr >= 1.0 - SPR_SINGULAR_MARGIN:
             raise SingularSystem(
@@ -99,31 +99,6 @@ class PeriodicLinearSolver:
         _, states = self._prop.march(u0, self._period, g,
                                      record=range(self.n_steps + 1))
         return u0, np.stack(list(states.values()))
-
-
-def poincare_solve(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
-                   T: float, dt: float, source, c: float = 0.0,
-                   form: str = "nondivergence"):
-    """Solve the linear periodic problem d_t v + (A(t) + c) v = g.
-
-    source is either an (n_steps, n) array of half-step values or a
-    callable g(t, x) evaluated at the half steps.  Returns
-    (u0, trajectory, periodicity_residual).
-    """
-    solver = PeriodicLinearSolver(grid, coeffs, bc, T, dt, c=c, form=form)
-    n_steps = solver.n_steps
-    if callable(source):
-        xs = grid.centers
-        source = np.stack([np.broadcast_to(
-            np.asarray(source((k + 0.5) * dt, xs), dtype=float), xs.shape)
-            for k in range(n_steps)])
-    else:
-        source = np.asarray(source, dtype=float)
-        if source.shape != (n_steps, grid.n_cells):
-            raise ValueError(f"source must be ({n_steps}, {grid.n_cells})")
-    u0, traj = solver.solve(source)
-    residual = float(np.max(np.abs(traj[-1] - traj[0])))
-    return u0, traj, residual
 
 
 def estimate_c(problem: SemilinearProblem, u_min: float, u_max: float,

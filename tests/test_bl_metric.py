@@ -88,7 +88,9 @@ def test_scaling_linearity():
     nu = EmpiricalMeasure(np.array([[1.0]]), np.array([1.0]))
     base = dbl(mu, nu).distance
     for c in (0.25, 0.5, 2.0):
-        assert dbl(mu.scaled(c), nu.scaled(c)).distance == pytest.approx(
+        mu_c = EmpiricalMeasure(mu.points, c * mu.weights)
+        nu_c = EmpiricalMeasure(nu.points, c * nu.weights)
+        assert dbl(mu_c, nu_c).distance == pytest.approx(
             c * base, rel=1e-9)
 
 
@@ -206,7 +208,8 @@ def test_chain_matches_lp_sample_clouds():
         mu = EmpiricalMeasure.from_samples(gen.normal(0.0, scale, (60, 1)))
         nu = EmpiricalMeasure.from_samples(gen.normal(shift, scale, (50, 1)))
         _assert_chain_matches_lp(mu, nu)
-        _assert_chain_matches_lp(mu.scaled(0.6), nu.scaled(0.8))
+        _assert_chain_matches_lp(EmpiricalMeasure(mu.points, 0.6 * mu.weights),
+                                 EmpiricalMeasure(nu.points, 0.8 * nu.weights))
 
 
 def test_coarsen_bounded_perturbation():

@@ -1,7 +1,9 @@
 """Command-line interface: strict configs, outputs, manifests, exit codes."""
 
+import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -204,11 +206,25 @@ def test_semilinear_subcommand(tmp_path, capsys):
     ("semilinear", {"integrator": "ie"}, "/integrator"),
     ("semilinear", {"c_shift": -1}, "/c_shift"),
     ("semilinear", {"max_iter": 0}, "/max_iter"),
+    ("fp-solve", {"source_f": "100"}, "/source_f"),     # only semilinear reads these
+    ("eigen", {"c_shift": 1.0}, "/c_shift"),
+    ("stationary", {"max_iter": 10, "bc": "reflecting"}, "/max_iter"),
+    ("fp-solve", {"tol": 1e-6}, "/tol"),                # only eigen and semilinear
+    ("stationary", {"tol": 1e-6, "bc": "reflecting"}, "/tol"),
+    ("fp-solve", {"seed": 3}, "/seed"),
+    ("fp-solve", {"init": {"kind": "gaussian"}}, "/init/kind"),
+    ("fp-solve", {"init": {"csv": "missing.csv"}}, "/init/csv"),
+    ("fp-solve", {"init": {"csv": "text.csv"}}, "/init/csv"),
+    ("fp-solve", {"init": {"csv": "negative.csv"}}, "/init/csv"),
+    ("fp-solve", {"init": {"expr": "0"}}, "/init"),       # zero mass
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
         else dict(HEAT_CONFIG)
     doc.update(change)
+    (tmp_path / "text.csv").write_text("x,p\n")
+    np.savetxt(tmp_path / "negative.csv", np.column_stack([np.arange(200), np.full(200, -1.0)]),
+               delimiter=",")
     cfg = _write(tmp_path / "fp.json", doc)
     code = run(["--json-errors", command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
@@ -228,8 +244,11 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     ({"seed": -1}, "/seed"),
     ({"drift": "0"}, "/drift"),
     ({"sigma": [["0.5", 1]]}, "/sigma/0/1"),
+    ({"init": {"csv": "missing.csv"}}, "/init/csv"),
+    ({"init": {"csv": "three.csv"}}, "/init/csv"),     # 200 paths need 200 rows
 ])
 def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
+    np.savetxt(tmp_path / "three.csv", np.full((3, 1), 0.5), delimiter=",")
     cfg = _sde_config(tmp_path, **change)
     code = run(["--json-errors", "simulate-sde", "--config", cfg,
                 "--out", str(tmp_path / "o")])
@@ -239,27 +258,62 @@ def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     assert err["path"] == path
 
 
-# small valid configs; each example changes one key to a bad value or drops it
+@pytest.mark.parametrize("argv, path", [
+    (["markov-check", "--matrix", "missing.csv", "--init", "x0.csv"], "--matrix"),
+    (["markov-check", "--matrix", "text.csv", "--init", "x0.csv"], "--matrix"),
+    (["markov-check", "--matrix", "Q.csv", "--init", "x0.csv"], "--matrix"),
+    (["markov-check", "--matrix", "nan.csv", "--init", "x0.csv"], "--matrix"),
+    (["markov-check", "--matrix", "P.csv", "--init", "missing.csv"], "--init"),
+    (["markov-check", "--matrix", "P.csv", "--init", "y0.csv"], "--init"),
+    (["markov-check", "--matrix", "P.csv", "--init", "x0.csv", "--nmax", "0"], "--nmax"),
+    (["markov-check", "--matrix", "P.csv", "--init", "x0.csv", "--tol", "0"], "--tol"),
+    (["markov-check", "--matrix", "P.csv", "--init", "x0.csv", "--tol=-1e-9"], "--tol"),
+    (["dbl", "--mu", "missing.csv", "--nu", "mu.csv"], "--mu"),
+    (["dbl", "--mu", "mu.csv", "--nu", "text.csv"], "--nu"),
+    (["dbl", "--mu", "mu.csv", "--nu", "negative.csv"], "--nu"),
+])
+def test_bad_csv_input_reports_flag(tmp_path, monkeypatch, capsys, argv, path):
+    monkeypatch.chdir(tmp_path)
+    files = {"P.csv": "1,0\n0,1\n", "Q.csv": "0.5,0\n0.6,1\n", "nan.csv": "nan,0\n0,1\n",
+             "x0.csv": "0.5,0.5\n", "y0.csv": "0.7,0.7\n", "mu.csv": "0.0,1.0\n",
+             "negative.csv": "0.0,-0.5\n1.0,1.5\n", "text.csv": "x,weight\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(["--json-errors"] + argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["path"] == path
+
+
+# small valid configs; each example changes one key, at the top level or
+# inside domain or init, to a bad value or drops it
 _SMALL = {
     "fp-solve": {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 0.1, "dt": 0.025,
-                 "n_cells": 8, "drift": "0", "sigma": "1", "bc": "reflecting"},
+                 "n_cells": 8, "drift": "0", "sigma": "1", "bc": "reflecting",
+                 "init": {"expr": "1 + x"}},
     "simulate-sde": {"domain": {"lower": [0.0], "upper": [1.0]}, "period_T": 1.0,
                      "dt": 0.25, "paths": 4, "periods": 1, "drift": ["0"],
                      "sigma": [["1"]], "init": {"point": [0.5]}},
 }
-_MUTABLE = [(command, key) for command, schema in (("fp-solve", _FP_SCHEMA),
-                                                   ("simulate-sde", _SDE_SCHEMA))
-            for key in sorted(schema)]
+_NESTED = {"fp-solve": {"domain": ("lower", "upper"), "init": ("expr", "csv")},
+           "simulate-sde": {"domain": ("lower", "upper"), "init": ("point", "csv")}}
+_MUTABLE = [(command, (key,)) for command, schema in (("fp-solve", _FP_SCHEMA),
+                                                      ("simulate-sde", _SDE_SCHEMA))
+            for key in sorted(schema)] + \
+    [(command, (outer, key)) for command, nested in _NESTED.items()
+     for outer, keys in nested.items() for key in keys]
 _REMOVED = object()
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_MUTABLE), st.sampled_from([True, None, {}, -1, 0, [], "x", _REMOVED]))
 def test_single_key_mutation_never_raises(mutation, value):
-    command, key = mutation
-    doc = {k: v for k, v in _SMALL[command].items() if k != key}
+    command, (*outer, key) = mutation
+    doc = json.loads(json.dumps(_SMALL[command]))
+    target = doc[outer[0]] if outer else doc
+    target.pop(key, None)
     if value is not _REMOVED:
-        doc[key] = value
+        target[key] = value
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         code = run(["--json-errors", command, "--config", _write(Path(tmp) / "c.json", doc),
@@ -305,3 +359,19 @@ def test_deterministic_fp_solve_outputs(tmp_path):
     assert run(["fp-solve", "--config", cfg, "--out", str(out1)]) == 0
     assert run(["fp-solve", "--config", cfg, "--out", str(out2)]) == 0
     assert _sha(out1 / "density.csv") == _sha(out2 / "density.csv")
+
+
+def test_bench_tracer_targets_resolve():
+    # the traced benchmark wraps each (module, attribute path) of its TARGETS
+    # by name; read them without importing anything from bench/
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    assign = next(node for node in ast.parse(tracer.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TARGETS")
+    targets = ast.literal_eval(assign.value)
+    assert targets
+    for module, attr, _, _ in targets:
+        obj = importlib.import_module(f"perifp.{module}")
+        for name in attr.split("."):
+            obj = getattr(obj, name)
+        assert callable(obj), f"{module}.{attr}"

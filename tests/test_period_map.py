@@ -8,11 +8,10 @@ import pytest
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import NonPositiveRadius
 from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
-                             absorbing, neumann, reflecting,
+                             Propagator, absorbing, neumann, reflecting,
                              stationary_closed_form, step_cn)
 from perifp.period_map import (PeriodMap, build_period_map, decay_check,
-                               dense_spectrum_cross_check, evolve_matrix,
-                               lambda1, power_iteration)
+                               dense_spectrum_cross_check, lambda1, power_iteration)
 
 T = 0.1
 ONE = CoefficientField.from_string("1", T)
@@ -21,7 +20,7 @@ HEAT = FpCoefficients(a_eff=ONE, b=ZERO)
 
 
 def test_identity_map_spectrum():
-    pm = PeriodMap(np.eye(10), reflecting(), T)
+    pm = PeriodMap(np.eye(10), T)
     spec = power_iteration(pm)
     assert spec.r == pytest.approx(1.0, abs=1e-12)
     assert spec.mu == pytest.approx(0.0, abs=1e-10)
@@ -29,7 +28,7 @@ def test_identity_map_spectrum():
 
 def test_diagonal_matrix_dominant_eigenpair():
     K = np.diag([0.9, 0.5, 0.1])
-    spec = power_iteration(K, T=1.0)
+    spec = power_iteration(PeriodMap(K, 1.0))
     assert spec.r == pytest.approx(0.9, abs=1e-9)
     assert spec.mu == pytest.approx(-math.log(0.9), abs=1e-8)
     assert np.argmax(np.abs(spec.eigvec)) == 0
@@ -38,7 +37,7 @@ def test_diagonal_matrix_dominant_eigenpair():
 def test_power_iteration_rejects_nilpotent():
     K = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonPositiveRadius):
-        power_iteration(K, T=1.0)
+        power_iteration(PeriodMap(K, 1.0))
 
 
 def test_heat_equation_dirichlet_rate():
@@ -99,7 +98,7 @@ def test_period_map_semigroup_property():
     drift = CoefficientField.from_string("sin(2*pi*t/0.1)*(1-2*x)", T)
     co = FpCoefficients(a_eff=ONE, b=drift)
     K1 = build_period_map(grid, co, reflecting(), T, T / 64).K
-    K2 = evolve_matrix(np.eye(60), grid, co, reflecting(), 0.0, 2 * T, T / 64)
+    K2 = build_period_map(grid, co, reflecting(), 2 * T, T / 64).K
     assert np.max(np.abs(K1 @ K1 - K2)) < 1e-12
 
 
@@ -127,7 +126,8 @@ def test_evolve_matrix_with_sources_matches_step_loop():
         return np.column_stack([np.sin(np.pi * xs) * np.cos(20 * np.pi * t),
                                 np.full(40, 1.0 + t)])
 
-    V = evolve_matrix(V0, grid, co, absorbing(), 0.0, 5 * T, dt, sources=sources)
+    prop = Propagator(grid, co, absorbing(), dt)
+    V, _ = prop.march(V0, prop.blocks(n_steps), sources)
     for j in range(2):
         ref = _cn_loop(V0[:, j], grid, co, absorbing(), dt, n_steps,
                        source=lambda k: sources(k)[:, j])
@@ -148,12 +148,11 @@ def test_evolve_matrix_a0_extraction_matches_step_loop():
     assert n_steps > BLOCK_ENTRIES // grid.n_cells
     phase = sum(1.5 * (1 + 0.5 * math.sin(2 * math.pi * (k + 0.5) * dt / T)) * dt
                 for k in range(n_steps))
-    V0 = np.eye(64)[:, [0, 21, 40]]
-    V = evolve_matrix(V0, grid, co, absorbing(), 0.0, 2 * T, dt, form="nondivergence")
-    for j in range(3):
-        ref = math.exp(-phase) * _cn_loop(V0[:, j], grid, mean_free, absorbing(), dt,
-                                          n_steps, form="nondivergence")
-        assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    K = build_period_map(grid, co, absorbing(), 2 * T, dt, form="nondivergence").K
+    for j in (0, 21, 40):
+        ref = math.exp(-phase) * _cn_loop(np.eye(64)[:, j], grid, mean_free, absorbing(),
+                                          dt, n_steps, form="nondivergence")
+        assert np.max(np.abs(K[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_absorbing_positive_zero_order_contracts():

@@ -9,8 +9,8 @@ from perifp.bl_metric import EmpiricalMeasure, dbl
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import SolverFailure
 from perifp.sde_reflect import (BoxDomain, SdeSystem, TrajectoryBatch,
-                                em_reflect_step, lipschitz_report,
-                                periodicity_diagnostic, sample_laws)
+                                em_reflect_step, periodicity_diagnostic,
+                                sample_laws)
 
 T = 1.0
 
@@ -29,7 +29,6 @@ def test_box_projection_is_clamp():
     np.testing.assert_array_equal(dom.project(np.array([1.5, -2.0])),
                                   np.array([1.0, -1.0]))
     assert dom.dim == 2
-    assert dom.diameter == pytest.approx(np.sqrt(1 + 4))
 
 
 def test_box_requires_ordered_bounds():
@@ -103,15 +102,6 @@ def test_snapshots_are_probability_measures():
         assert snap.mass == pytest.approx(1.0, abs=1e-12)
 
 
-def test_initial_measure_sampling():
-    sys_ = _scalar_system("0", "0")
-    init = EmpiricalMeasure(np.array([[0.2], [0.8]]), np.array([0.5, 0.5]))
-    batch = sample_laws(sys_, init, M=200, n_periods=1, dt=T / 8, seed=9)
-    pts = batch.snapshots[0].points.ravel()
-    assert set(np.unique(pts)) <= {0.2, 0.8}
-    assert 0.3 < np.mean(pts == 0.2) < 0.7
-
-
 def test_dt_must_divide_period():
     sys_ = _scalar_system()
     with pytest.raises(ValueError):
@@ -129,59 +119,6 @@ def test_componentwise_coefficients_2d():
                              np.zeros((1, 2)), sys_)
     assert out[0, 0] == pytest.approx(0.45)
     assert out[0, 1] == 0.5
-
-
-# ---------------------------------------------------------------------------
-# coefficient regularity diagnostics
-
-def test_lipschitz_linear_drift_quotient_one():
-    rep = lipschitz_report(_scalar_system("0 - x", "1"), samples=500, seed=3)
-    assert rep["drift_lipschitz"] == pytest.approx(1.0, abs=1e-6)
-    assert rep["sigma_lipschitz"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_lipschitz_sine_drift_bounded_by_one():
-    rep = lipschitz_report(_scalar_system("sin(x)", "1"), samples=800, seed=4)
-    assert rep["drift_lipschitz"] <= 1.0 + 1e-6
-
-
-def test_lipschitz_linear_sigma():
-    rep = lipschitz_report(_scalar_system("0", "x"), samples=500, seed=5)
-    assert rep["sigma_lipschitz"] == pytest.approx(1.0, abs=1e-6)
-    assert rep["sigma_growth"] <= 1.0 + 1e-9  # |x| <= sqrt(1 + x^2)
-
-
-def test_lipschitz_report_matches_per_sample_loop():
-    # the report evaluates every sample in one broadcast call per field;
-    # a loop over the same draws, one sample at a time, is the reference
-    dom = BoxDomain([0.0, -1.0], [1.0, 1.0])
-    sys_ = SdeSystem(drift=(_field("sin(2*pi*t)*(1-2*x)"), _field("0.5")),
-                     diffusion=((_field("x"), _field("x^2")),
-                                (_field("0"), _field("cos(x) + t"))),
-                     period_T=T, domain=dom, brownian_dim=2)
-    rep = lipschitz_report(sys_, samples=300, seed=8)
-
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(8)))
-    ts = gen.uniform(0.0, T, 300)
-    xs = gen.uniform(dom.lower, dom.upper, (300, 2))
-    ys = gen.uniform(dom.lower, dom.upper, (300, 2))
-    ref = dict.fromkeys(["drift_lipschitz", "sigma_lipschitz",
-                         "drift_growth", "sigma_growth"], 0.0)
-    for t, x, y in zip(ts, xs, ys):
-        bx, by = (np.array([float(f(t=t, x=z[i])) for i, f in enumerate(sys_.drift)])
-                  for z in (x, y))
-        sx, sy = (np.array([[float(f(t=t, x=z[i])) for f in row]
-                            for i, row in enumerate(sys_.diffusion)]) for z in (x, y))
-        gap = float(np.linalg.norm(x - y))
-        cap = float(np.sqrt(1.0 + np.dot(x, x)))
-        for key, q in [("drift_lipschitz", np.linalg.norm(bx - by) / gap),
-                       ("sigma_lipschitz", np.linalg.norm(sx - sy) / gap),
-                       ("drift_growth", np.linalg.norm(bx) / cap),
-                       ("sigma_growth", np.linalg.norm(sx) / cap)]:
-            ref[key] = max(ref[key], float(q))
-    for key, value in ref.items():
-        assert rep[key] == pytest.approx(value, rel=1e-12), key
-    assert rep["samples"] == 300
 
 
 # ---------------------------------------------------------------------------

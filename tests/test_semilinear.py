@@ -13,7 +13,7 @@ from perifp.fpe_grid import (DensityField, FpCoefficients, Grid1D, absorbing,
                              assemble_generator, neumann, step_cn)
 from perifp.semilinear import (OrderedPair, PeriodicLinearSolver,
                                SemilinearProblem, estimate_c, monotone_iterate,
-                               poincare_solve, verify_upper_lower)
+                               verify_upper_lower)
 
 T = 1.0
 ONE = CoefficientField.from_string("1", T)
@@ -30,8 +30,9 @@ def _const_field(grid, value):
 
 def test_poincare_zero_source_gives_zero():
     grid = Grid1D(40, 0.0, 1.0)
-    u0, traj, resid = poincare_solve(grid, HEAT, absorbing(), T, T / 32,
-                                     source=np.zeros((32, 40)))
+    solver = PeriodicLinearSolver(grid, HEAT, absorbing(), T, T / 32)
+    u0, traj = solver.solve(np.zeros((32, 40)))
+    resid = np.max(np.abs(traj[-1] - traj[0]))
     assert np.max(np.abs(u0)) < 1e-14
     assert np.max(np.abs(traj)) < 1e-14
     assert resid < 1e-14
@@ -43,8 +44,9 @@ def test_poincare_static_elliptic_oracle():
     grid = Grid1D(80, 0.0, 1.0)
     c = 2.0
     g = np.sin(np.pi * grid.centers)
-    u0, traj, resid = poincare_solve(grid, HEAT, absorbing(), T, T / 64,
-                                     source=lambda t, x: np.sin(np.pi * x), c=c)
+    solver = PeriodicLinearSolver(grid, HEAT, absorbing(), T, T / 64, c=c)
+    u0, traj = solver.solve(np.tile(g, (64, 1)))
+    resid = np.max(np.abs(traj[-1] - traj[0]))
     L = assemble_generator(grid, HEAT, 0.0, absorbing(), form="nondivergence")
     u_exact = np.linalg.solve(-(L.to_dense()) + c * np.eye(80), g)
     assert np.max(np.abs(u0 - u_exact)) < 1e-6
@@ -56,8 +58,9 @@ def test_poincare_static_elliptic_oracle():
 def test_poincare_positive_source_positive_solution():
     # resolvent positivity below the principal eigenvalue
     grid = Grid1D(60, 0.0, 1.0)
-    u0, _, _ = poincare_solve(grid, HEAT, absorbing(), T, T / 32,
-                              source=lambda t, x: 1.0 + 0.5 * np.sin(2 * np.pi * t))
+    t_half = (np.arange(32) + 0.5) * T / 32
+    source = np.tile((1.0 + 0.5 * np.sin(2 * np.pi * t_half))[:, None], (1, 60))
+    u0, _ = PeriodicLinearSolver(grid, HEAT, absorbing(), T, T / 32).solve(source)
     assert np.all(u0 > 0)
 
 
