@@ -15,9 +15,18 @@ d_BL(c*mu, c*nu) = c*d_BL(mu, nu).
 In d = 1 the sorted support is a chain: |z_i - z_j| is the sum of the
 gaps between them, so the K - 1 adjacent constraints imply all the
 others, and a dynamic program over concave piecewise-linear value
-functions solves the chain exactly in one pass.  In d >= 2 the program
-is solved as an explicit LP with a constraint for every pair.  The
-optimal witness h is in general not unique; the two paths may return
+functions solves the chain exactly in one pass.
+
+In d >= 2, two measures with the same number of points and one common
+weight w (the laws ``EmpiricalMeasure.from_samples`` builds, and every
+uncoarsened SDE snapshot; the mass may be below 1) are solved as an
+n x n assignment problem.  By Kantorovich-Rubinstein duality for the
+metric min(|x - y|, 2) (Dudley, Real Analysis and Probability, 11.8),
+d_BL is w times the cheapest matching cost, and an optimal plan between
+equal-weight clouds is a permutation.  Every other d >= 2 pair is solved
+as an explicit LP with a constraint for every pair.
+
+The optimal witness h is in general not unique; the paths may return
 different witnesses of the same distance.
 """
 
@@ -26,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatch, SolverFailure
 
@@ -101,7 +108,11 @@ def _merge_support(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
 
 
 def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
-    """Bounded-Lipschitz distance on the merged support: a chain DP in d = 1, else an LP."""
+    """Bounded-Lipschitz distance on the merged support.
+
+    A chain DP in d = 1; in d >= 2 an assignment when both measures have
+    the same number of points and one common weight, else an LP.
+    """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"measures live in dimensions {mu.dim} and {nu.dim}")
     support, c = _merge_support(mu, nu)
@@ -113,6 +124,9 @@ def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
         return BLResult(distance=abs(float(c.sum())), witness=h, support=support,
                         status="optimal")
     if support.shape[1] > 1:
+        w = mu.weights
+        if len(w) == len(nu.weights) and np.all(w == w[0]) and np.all(nu.weights == w[0]):
+            return _dbl_assignment(mu.points, nu.points, float(w[0]), support)
         return _dbl_lp(support, c)
     h = _chain_witness(support[:, 0], c)   # np.unique sorted the support
     return BLResult(distance=float(c @ h), witness=h, support=support, status="optimal")
@@ -149,8 +163,56 @@ def _chain_witness(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     return h
 
 
+def _truncated_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min(||a_i - b_j||_2, 2) for every pair of rows."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.minimum(np.sqrt(np.sum(diff * diff, axis=2)), 2.0)
+
+
+def _dbl_assignment(x: np.ndarray, y: np.ndarray, w: float,
+                    support: np.ndarray) -> BLResult:
+    """d_BL of sum_k w delta_{x_k} and sum_k w delta_{y_k} as an assignment.
+
+    With C(a, b) = min(||a - b||, 2), an optimal matching sigma gives
+    d = w * sum_k C_k, C_k = C(x_k, y_sigma(k)).  The witness comes from
+    potentials u on the x's with u_i <= u_k + C(x_i, y_sigma(k)) - C_k,
+    shortest paths by Bellman-Ford relaxation from u = 0 (an optimal
+    sigma leaves no negative cycle).  Then
+
+        h(z) = min_k u_k - C_k + C(z, y_sigma(k))
+
+    is 1-Lipschitz for the truncated metric, so its range is at most 2
+    wide; h(x_i) = u_i and h(y_sigma(k)) <= u_k - C_k give c.h >= d,
+    hence c.h = d.  Shifting h by its midrange moves it into [-1, 1]
+    without changing c.h, since both measures have the same mass.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    n = len(x)
+    C = _truncated_distances(x, y)
+    _, sigma = linear_sum_assignment(C)
+    Ck = C[np.arange(n), sigma]
+    A = C[:, sigma].T - Ck[:, None]          # A[k, i] = C(x_i, y_sigma(k)) - C_k
+    u = np.zeros(n)
+    # without negative cycles the potentials settle within n rounds, but
+    # rounding can leave cycles of about -1e-17 that never settle; h
+    # below is 1-Lipschitz whatever u is, so the loop is only capped
+    for _ in range(n):
+        relaxed = np.min(u[:, None] + A, axis=0)   # A[k, k] = 0, so never above u
+        if np.array_equal(relaxed, u):
+            break
+        u = relaxed
+    h = np.min(u - Ck + _truncated_distances(support, y[sigma]), axis=1)
+    h = np.clip(h - (h.max() + h.min()) / 2, -1.0, 1.0)
+    return BLResult(distance=w * float(Ck.sum()), witness=h, support=support,
+                    status="optimal")
+
+
 def _dbl_lp(support: np.ndarray, c: np.ndarray) -> BLResult:
     """The LP with a pair constraint per pair of support points (any d)."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     K = len(support)
     diff = support[:, None, :] - support[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))

@@ -237,6 +237,8 @@ def _load_csv(path, where, **kwargs):
 def _initial_density(cfg, grid, base_dir):
     spec, _ = _schema_check(cfg["init"], {"expr": (None, _expr), "csv": (None, _str)},
                             "/init")
+    if spec["expr"] is not None and spec["csv"] is not None:
+        raise ConfigError("/init", "give at most one of 'expr' or 'csv'")
     if spec["expr"] is not None:
         key, vals = "/init/expr", CoefficientField(parse_expr(spec["expr"]))(x=grid.centers)
     elif spec["csv"] is not None:
@@ -325,6 +327,9 @@ def _cmd_markov_check(args):
         x0 = markov.DistributionVector(_load_csv(args.init, "--init", ndmin=1))
     except (ValueError, DimensionMismatch) as exc:
         raise ConfigError("--init", str(exc)) from exc
+    if len(x0.probs) != P.m:
+        raise ConfigError("--init", f"expected {P.m} entries for a {P.m}x{P.m} matrix, "
+                          f"got {len(x0.probs)}")
     report = markov.detect_period(P, x0, N_max=args.nmax, tol=args.tol)
     doc = {"period": report.period, "strong": bool(report.strong),
            "tol": report.tol, "residuals": report.residuals.tolist()}
@@ -345,6 +350,8 @@ def _cmd_dbl(args):
         rows = _load_csv(path, flag, ndmin=2)
         if rows.shape[1] < 2:
             raise ConfigError(flag, f"{path}: need columns x1..xd,weight")
+        if not np.all(np.isfinite(rows)):
+            raise ConfigError(flag, f"{path}: entries must be finite")
         try:
             measures.append(bl_metric.EmpiricalMeasure(rows[:, :-1], rows[:, -1]))
         except ValueError as exc:
@@ -398,17 +405,17 @@ def _cmd_simulate_sde(args):
                                  domain=domain, brownian_dim=len(sigma[0]))
     init_spec, _ = _schema_check(cfg["init"], {"point": (None, _list_of(_num)),
                                                "csv": (None, _str)}, "/init")
+    if (init_spec["point"] is None) == (init_spec["csv"] is None):
+        raise ConfigError("/init", "give exactly one of 'point' or 'csv'")
     if init_spec["point"] is not None:
         init = np.array(init_spec["point"])
         if len(init) != domain.dim:
             raise ConfigError("/init", f"point needs {domain.dim} coordinates")
-    elif init_spec["csv"] is not None:
+    else:
         init = _load_csv(base / init_spec["csv"], "/init/csv", ndmin=2)
         if init.shape != (cfg["paths"], domain.dim):
             raise ConfigError("/init/csv", f"expected {cfg['paths']} rows of "
                               f"{domain.dim} coordinates")
-    else:
-        raise ConfigError("/init", "give 'point' or 'csv'")
 
     batch = sde_reflect.sample_laws(sys_, init, M=cfg["paths"],
                                     n_periods=cfg["periods"], dt=cfg["dt"],

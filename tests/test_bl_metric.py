@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-import perifp.bl_metric as bl_metric
 from perifp.bl_metric import (EmpiricalMeasure, _dbl_lp, _merge_support, cesaro_defect,
                               coarsen, dbl)
 from perifp.errors import DimensionMismatch, SolverFailure
@@ -230,6 +230,97 @@ def test_distance_symmetric_property(seed):
 
 
 # ---------------------------------------------------------------------------
+# the assignment for equal-count, equal-weight clouds in d >= 2 against the LP
+
+@pytest.fixture
+def tight_lp(monkeypatch):
+    """Run the LP oracle at HiGHS feasibility tolerances of 1e-10.
+
+    At the default 1e-7 the pair rows may be violated by up to ~1e-7, so
+    on clouds of spread 0.01 the LP over-reports d_BL by up to ~1e-9.
+    """
+    real = scipy.optimize.linprog
+
+    def linprog(*args, **kwargs):
+        return real(*args, **kwargs, options={"primal_feasibility_tolerance": 1e-10,
+                                              "dual_feasibility_tolerance": 1e-10})
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+
+
+def _assert_assignment_matches_lp(mu, nu):
+    support, c = _merge_support(mu, nu)
+    res = dbl(mu, nu)
+    assert res.status == "optimal"
+    np.testing.assert_array_equal(res.support, support)
+    assert abs(res.distance - _dbl_lp(support, c).distance) <= 1e-9
+    h = res.witness
+    assert np.all(np.abs(h) <= 1.0)
+    dist = np.sqrt(((support[:, None, :] - support[None, :, :]) ** 2).sum(axis=2))
+    assert np.all(np.abs(h[:, None] - h[None, :]) <= dist + 1e-12)
+    assert abs(float(c @ h) - res.distance) <= 1e-12
+
+
+def test_assignment_matches_lp_random_clouds(tight_lp):
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(4321)))
+    for trial in range(60):
+        d = 2 + trial % 2
+        n = int(gen.integers(2, 61))
+        spread = (0.01, 0.1, 0.5, 1.0, 3.0)[trial % 5]   # the cap at 2 binds at 3
+        x = gen.uniform(0.0, spread, (n, d))
+        y = gen.uniform(0.0, spread, (n, d)) + gen.uniform(0.0, 0.5 * spread, d)
+        w = (1.0 if trial % 4 else gen.uniform(0.2, 1.0)) / n   # sub-probability masses
+        _assert_assignment_matches_lp(EmpiricalMeasure(x, np.full(n, w)),
+                                      EmpiricalMeasure(y, np.full(n, w)))
+
+
+def test_assignment_matches_lp_coincident_points(tight_lp):
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(11)))
+    x = gen.uniform(0.0, 1.0, (12, 2))
+    y = gen.uniform(0.0, 1.0, (12, 2))
+    y[:5] = x[:5]                       # shared between mu and nu
+    x[6:9] = x[5]                       # repeated within mu
+    y[9:] = y[8]                        # repeated within nu
+    _assert_assignment_matches_lp(EmpiricalMeasure.from_samples(x),
+                                  EmpiricalMeasure.from_samples(y))
+    # a point start: law 0 is M copies of one point
+    _assert_assignment_matches_lp(EmpiricalMeasure.from_samples(np.full((30, 2), 0.5)),
+                                  EmpiricalMeasure.from_samples(y[:1].repeat(30, axis=0)
+                                                                + gen.normal(0, 0.3, (30, 2))))
+
+
+def _patch_linprog(monkeypatch, fail_after=None):
+    """Count LP calls; report an iteration limit on every call after the first ``fail_after``."""
+    real, calls = scipy.optimize.linprog, [0]
+
+    def linprog(*args, **kwargs):
+        calls[0] += 1
+        res = real(*args, **kwargs)
+        if fail_after is not None and calls[0] > fail_after:
+            res.status = 1
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    return calls
+
+
+def test_only_equal_count_equal_weight_pairs_skip_the_lp(monkeypatch):
+    calls = _patch_linprog(monkeypatch)
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(8)))
+    x, y = gen.uniform(0.0, 1.0, (6, 2)), gen.uniform(0.0, 1.0, (6, 2))
+    dbl(EmpiricalMeasure.from_samples(x), EmpiricalMeasure.from_samples(y))
+    dbl(EmpiricalMeasure(x, np.full(6, 0.1)), EmpiricalMeasure(y, np.full(6, 0.1)))
+    assert calls[0] == 0
+    dbl(EmpiricalMeasure.from_samples(x), EmpiricalMeasure.from_samples(y[:5]))
+    assert calls[0] == 1                       # unequal counts
+    dbl(EmpiricalMeasure(x, np.full(6, 0.1)), EmpiricalMeasure(y, np.full(6, 0.2)))
+    assert calls[0] == 2                       # weights differ between mu and nu
+    w = np.linspace(1.0, 2.0, 6) / 9.0
+    dbl(EmpiricalMeasure(x, w), EmpiricalMeasure(y, w))
+    assert calls[0] == 3                       # weights differ within mu and nu
+
+
+# ---------------------------------------------------------------------------
 # Cesaro averages of one-period-apart distances
 
 def test_cesaro_exactly_periodic_sequence():
@@ -256,30 +347,16 @@ def test_cesaro_restricted_dominated_by_unrestricted():
     assert res.restricted <= res.unrestricted + 1e-12
 
 
-def _failing_linprog(monkeypatch, after):
-    """Make the LP report an iteration limit on every call after the first ``after``."""
-    real, calls = bl_metric.linprog, [0]
-
-    def linprog(*args, **kwargs):
-        calls[0] += 1
-        res = real(*args, **kwargs)
-        if calls[0] > after:
-            res.status = 1
-        return res
-
-    monkeypatch.setattr(bl_metric, "linprog", linprog)
-
-
 def test_cesaro_raises_on_non_optimal_term(monkeypatch):
     gen = np.random.Generator(np.random.Philox(key=np.uint64(5)))
     laws = [_random_measure(gen, 2, max_pts=3) for _ in range(4)]
-    _failing_linprog(monkeypatch, after=1)
+    _patch_linprog(monkeypatch, fail_after=1)
     with pytest.raises(SolverFailure, match=r"law\[2\] and law\[1\]"):
         cesaro_defect(laws)
 
 
 def test_dbl_reports_non_optimal_status(monkeypatch):
-    _failing_linprog(monkeypatch, after=0)
+    _patch_linprog(monkeypatch, fail_after=0)
     mu = EmpiricalMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
     nu = EmpiricalMeasure(np.array([[0.0, 0.5]]), np.array([1.0]))
     assert dbl(mu, nu).status == "iteration_limit"

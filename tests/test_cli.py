@@ -217,6 +217,7 @@ def test_semilinear_subcommand(tmp_path, capsys):
     ("fp-solve", {"init": {"csv": "text.csv"}}, "/init/csv"),
     ("fp-solve", {"init": {"csv": "negative.csv"}}, "/init/csv"),
     ("fp-solve", {"init": {"expr": "0"}}, "/init"),       # zero mass
+    ("fp-solve", {"init": {"expr": "1", "csv": "missing.csv"}}, "/init"),
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -246,6 +247,7 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     ({"sigma": [["0.5", 1]]}, "/sigma/0/1"),
     ({"init": {"csv": "missing.csv"}}, "/init/csv"),
     ({"init": {"csv": "three.csv"}}, "/init/csv"),     # 200 paths need 200 rows
+    ({"init": {"point": [0.5], "csv": "missing.csv"}}, "/init"),
 ])
 def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     np.savetxt(tmp_path / "three.csv", np.full((3, 1), 0.5), delimiter=",")
@@ -271,10 +273,11 @@ def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     (["dbl", "--mu", "missing.csv", "--nu", "mu.csv"], "--mu"),
     (["dbl", "--mu", "mu.csv", "--nu", "text.csv"], "--nu"),
     (["dbl", "--mu", "mu.csv", "--nu", "negative.csv"], "--nu"),
+    (["markov-check", "--matrix", "I3.csv", "--init", "x0.csv"], "--init"),   # length 2
 ])
 def test_bad_csv_input_reports_flag(tmp_path, monkeypatch, capsys, argv, path):
     monkeypatch.chdir(tmp_path)
-    files = {"P.csv": "1,0\n0,1\n", "Q.csv": "0.5,0\n0.6,1\n", "nan.csv": "nan,0\n0,1\n",
+    files = {"P.csv": "1,0\n0,1\n", "I3.csv": "1,0,0\n0,1,0\n0,0,1\n", "Q.csv": "0.5,0\n0.6,1\n", "nan.csv": "nan,0\n0,1\n",
              "x0.csv": "0.5,0.5\n", "y0.csv": "0.7,0.7\n", "mu.csv": "0.0,1.0\n",
              "negative.csv": "0.0,-0.5\n1.0,1.5\n", "text.csv": "x,weight\n"}
     for name, text in files.items():
@@ -318,6 +321,58 @@ def test_single_key_mutation_never_raises(mutation, value):
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         code = run(["--json-errors", command, "--config", _write(Path(tmp) / "c.json", doc),
                     "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        report = json.loads(err.getvalue())   # one JSON object and nothing else
+        assert (report["error"] == "ConfigError") == (code == 2) == ("path" in report)
+
+
+# small valid CSV inputs; each example changes one cell of one file to a
+# bad value, or drops or repeats one of its rows or columns
+_CSV_SMALL = {
+    "markov-check": {"--matrix": [["0", "1"], ["1", "0"]], "--init": [["0.25", "0.75"]]},
+    "dbl": {"--mu": [["0", "0", "0.5"], ["1", "0.5", "0.5"]],      # d = 2, equal weights
+            "--nu": [["0.5", "0.5", "0.5"], ["0.2", "0.9", "0.5"]]},
+}
+_CSV_MUTATIONS = [
+    (command, flag, change)
+    for command, files in _CSV_SMALL.items() for flag, rows in files.items()
+    for change in [("cell", r, c, v) for r in range(len(rows)) for c in range(len(rows[0]))
+                   for v in ("nan", "inf", "-1", "0", "2", "1e308", "x", "")]
+    + [(shape, axis) for shape in ("drop", "repeat") for axis in (0, 1)]]
+
+
+def _csv_text(rows, change=None):
+    rows = [list(row) for row in rows]
+    if change is None:
+        pass
+    elif change[0] == "cell":
+        _, r, c, value = change
+        rows[r][c] = value
+    elif change == ("drop", 0):
+        rows.pop()
+    elif change == ("drop", 1):
+        rows = [row[:-1] for row in rows]
+    elif change == ("repeat", 0):
+        rows.append(rows[0])
+    else:
+        rows = [row + row[-1:] for row in rows]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_CSV_MUTATIONS))
+def test_single_csv_mutation_never_raises(mutation):
+    command, mutated, change = mutation
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        argv = ["--json-errors", command]
+        for flag, rows in _CSV_SMALL[command].items():
+            path = Path(tmp) / f"{flag[2:]}.csv"
+            path.write_text(_csv_text(rows, change if flag == mutated else None))
+            argv += [flag, str(path)]
+        code = run(argv + ["--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2)
     if code:
         report = json.loads(err.getvalue())   # one JSON object and nothing else

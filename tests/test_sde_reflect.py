@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import perifp.bl_metric as bl_metric
@@ -170,7 +171,7 @@ def test_periodicity_diagnostic_raises_on_non_optimal_tail_pair(monkeypatch):
                      period_T=T, domain=BoxDomain([0.0, 0.0], [1.0, 1.0]),
                      brownian_dim=2)
     batch = sample_laws(sys_, [0.5, 0.5], M=8, n_periods=3, dt=T / 8, seed=3)
-    real, calls = bl_metric.linprog, [0]
+    real, calls = scipy.optimize.linprog, [0]
 
     def linprog(*args, **kwargs):
         # the Cesaro defect's three solves succeed, the tail's first fails
@@ -180,9 +181,12 @@ def test_periodicity_diagnostic_raises_on_non_optimal_tail_pair(monkeypatch):
             res.status = 1
         return res
 
-    monkeypatch.setattr(bl_metric, "linprog", linprog)
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    # coarsening merges weights (1, 3, 4 and 5 points of unequal weight),
+    # so every pair takes the LP rather than the assignment
     with pytest.raises(SolverFailure, match="snapshots 0 and 2"):
-        periodicity_diagnostic(batch, burn_in=0)
+        periodicity_diagnostic(batch, burn_in=0, snap_resolution=0.5)
+    assert calls[0] > 3
 
 
 def test_periodicity_diagnostic_needs_snapshots():
