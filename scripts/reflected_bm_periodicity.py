@@ -23,10 +23,10 @@ def run_case(name, drift_src, sigma, T, paths, periods, burn_in, seed, res):
     sys_ = SdeSystem(
         (CoefficientField.from_string(drift_src, T),),
         ((CoefficientField.from_string(sigma, T),),),
-        T, BoxDomain([0.0], [1.0]), 1)
+        T, BoxDomain([0.0], [1.0]))
     batch = sample_laws(sys_, [0.5], M=paths, n_periods=periods, dt=T / 256,
                         seed=seed, snap_resolution=res)
-    diag = periodicity_diagnostic(batch, burn_in, snap_resolution=res)
+    diag = periodicity_diagnostic(batch, burn_in)
 
     grid = Grid1D(200, 0.0, 1.0)
     a_eff = f"({sigma})^2 / 2"

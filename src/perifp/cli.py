@@ -133,14 +133,6 @@ _BOUNDARIES = {"absorbing": fpe_grid.absorbing, "dirichlet": fpe_grid.absorbing,
                "reflecting": fpe_grid.reflecting, "neumann": fpe_grid.neumann}
 
 
-def _bc_from_name(name, cfg):
-    if name != "robin":
-        return _BOUNDARIES[name]()
-    if cfg["form"] == "divergence":
-        raise ConfigError("/bc", "robin boundaries need form 'nondivergence'")
-    return fpe_grid.robin(*cfg["robin"])
-
-
 def _check_divides(span, dt, span_key):
     try:
         fpe_grid.step_count(span, dt)
@@ -222,7 +214,12 @@ def _parse_fp_config(doc, command):
         b=CoefficientField(b_expr, T),
         a0=None if cfg["a0"] is None else CoefficientField(parse_expr(cfg["a0"]), T))
     grid = fpe_grid.Grid1D(cfg["n_cells"], dom["lower"], dom["upper"])
-    bc = _bc_from_name(cfg["bc"], cfg)
+    if cfg["bc"] != "robin":
+        bc = _BOUNDARIES[cfg["bc"]]()
+    elif cfg["form"] == "divergence":
+        raise ConfigError("/bc", "robin boundaries need form 'nondivergence'")
+    else:
+        bc = fpe_grid.robin(*cfg["robin"])
     return cfg, defaulted, grid, coeffs, bc
 
 
@@ -401,8 +398,7 @@ def _cmd_simulate_sde(args):
     drift = tuple(CoefficientField(parse_expr(e), T) for e in cfg["drift"])
     sigma = tuple(tuple(CoefficientField(parse_expr(e), T) for e in row)
                   for row in cfg["sigma"])
-    sys_ = sde_reflect.SdeSystem(drift=drift, diffusion=sigma, period_T=T,
-                                 domain=domain, brownian_dim=len(sigma[0]))
+    sys_ = sde_reflect.SdeSystem(drift=drift, diffusion=sigma, period_T=T, domain=domain)
     init_spec, _ = _schema_check(cfg["init"], {"point": (None, _list_of(_num)),
                                                "csv": (None, _str)}, "/init")
     if (init_spec["point"] is None) == (init_spec["csv"] is None):
@@ -426,8 +422,7 @@ def _cmd_simulate_sde(args):
         rows = np.hstack([snap.points, snap.weights[:, None]])
         run.write_csv(f"snapshot_{k:04d}.csv", rows, header="x1..xd,weight")
     if len(batch.snapshots) > cfg["burn_in"] + 1:
-        diag = sde_reflect.periodicity_diagnostic(batch, cfg["burn_in"],
-                                                  snap_resolution=cfg["snap_resolution"])
+        diag = sde_reflect.periodicity_diagnostic(batch, cfg["burn_in"])
         run.headline["cesaro_defect"] = diag["defect"]
         run.headline["cesaro_defect_restricted"] = diag["defect_restricted"]
         run.headline["max_pairwise_tail_dbl"] = diag["max_pairwise_tail_dbl"]
@@ -463,8 +458,6 @@ def _cmd_fp_solve(args):
 def _cmd_eigen(args):
     doc, _ = load_config(args.config)
     cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
-    if args.bc:
-        bc = _bc_from_name(args.bc, cfg)
     pm = period_map.build_period_map(grid, coeffs, bc, cfg["period_T"], cfg["dt"],
                                      form=cfg["form"], integrator=cfg["integrator"])
     spec = period_map.power_iteration(pm, tol=cfg["tol"])
@@ -580,7 +573,7 @@ def _cmd_selftest(args):
     zero = CoefficientField.from_string("0", T)
     one = CoefficientField.from_string("1", T)
     dom = sde_reflect.BoxDomain([0.0], [1.0])
-    sys_ = sde_reflect.SdeSystem((zero,), ((zero,),), T, dom, 1)
+    sys_ = sde_reflect.SdeSystem((zero,), ((zero,),), T, dom)
     batch = sde_reflect.sample_laws(sys_, [0.5], M=8, n_periods=2, dt=T / 8, seed=1)
     check("sde_reflect: frozen dynamics stays put",
           all(np.allclose(s.points, 0.5) for s in batch.snapshots))
@@ -611,9 +604,23 @@ def _cmd_selftest(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors (exit 2)."""
+
+    def error(self, message):
+        # argparse names the argument at fault in the message: "argument
+        # --nmax: invalid int value: 'abc'", "the following arguments are
+        # required: --init", "unrecognized arguments: --bc robin"
+        head, _, tail = message.partition(": ")
+        if head.startswith("argument "):
+            name, message = head.removeprefix("argument "), tail
+        else:
+            name = tail.replace(",", " ").split(" ")[0]
+        raise ConfigError(name if name.startswith("-") else "argv", message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="perifp",
-                                     description="Distributional periodicity toolkit")
+    parser = _Parser(prog="perifp", description="Distributional periodicity toolkit")
     parser.add_argument("--json-errors", action="store_true",
                         help="emit structured JSON diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -646,8 +653,6 @@ def _build_parser():
 
     p = sub.add_parser("eigen", help="period map spectral analysis")
     p.add_argument("--config", required=True)
-    p.add_argument("--bc", default=None,
-                   choices=["dirichlet", "reflecting", "robin", "neumann"])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_eigen)
 
@@ -667,20 +672,21 @@ def _build_parser():
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # read off argv, so that usage errors honour --json-errors too
+    json_errors = "--json-errors" in argv
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
-        _report_error(args, exc)
+        _report_error(json_errors, exc)
         return 2
     except PerifpError as exc:
-        _report_error(args, exc)
+        _report_error(json_errors, exc)
         return 1
 
 
-def _report_error(args, exc):
-    if getattr(args, "json_errors", False):
+def _report_error(json_errors, exc):
+    if json_errors:
         doc = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError):
             doc["path"] = exc.path

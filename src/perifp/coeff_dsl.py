@@ -291,18 +291,6 @@ def eval_expr(node: Expr, env: dict):
     raise TypeError(f"not an Expr node: {node!r}")
 
 
-def free_vars(node: Expr) -> frozenset:
-    if isinstance(node, Var):
-        return frozenset({node.name})
-    if isinstance(node, Neg):
-        return free_vars(node.operand)
-    if isinstance(node, Call):
-        return free_vars(node.arg)
-    if isinstance(node, Bin):
-        return free_vars(node.left) | free_vars(node.right)
-    return frozenset()
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """A parsed coefficient expression with an optional declared period.

@@ -410,15 +410,16 @@ def stationary_closed_form(coeffs: FpCoefficients, grid: Grid1D,
 
 
 def check_stationarity_condition(coeffs: FpCoefficients, grid: Grid1D,
-                                 times, dt_fd: float = 1e-5) -> dict:
+                                 times) -> dict:
     """Residual of the stationarity identity
     int (a (b_t - a_xt) - a_t (b - a_x)) / a^2 dx = 0 at sampled times.
 
-    Time derivatives by central differences with step dt_fd; the spatial
+    Time derivatives by central differences with step 1e-5; the spatial
     integral by the composite trapezoid rule over all n cell centers,
     dx * (f_0/2 + f_1 + ... + f_{n-2} + f_{n-1}/2), the two end values
     weighted 1/2.
     """
+    dt_fd = 1e-5
     xs, dx = grid.centers, grid.dx
     times = np.asarray(times, dtype=float)
 

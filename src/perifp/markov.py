@@ -68,13 +68,6 @@ class PeriodReport:
     tol: float = DEFAULT_TOL
 
 
-def step(P: TransitionMatrix, x: DistributionVector) -> DistributionVector:
-    """One Chapman-Kolmogorov step: x -> P x."""
-    if P.m != x.probs.shape[0]:
-        raise DimensionMismatch(f"matrix is {P.m}x{P.m} but vector has length {x.probs.shape[0]}")
-    return DistributionVector(P.entries @ x.probs)
-
-
 def matrix_power(P: TransitionMatrix, N: int) -> np.ndarray:
     """P^N by repeated squaring with a cache of P^(2^j)."""
     if N < 0:

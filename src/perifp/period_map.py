@@ -53,13 +53,13 @@ def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition
     return PeriodMap(K=K, T=T)
 
 
-def power_iteration(pm: PeriodMap, tol: float = 1e-10,
-                    max_iter: int = 20000) -> SpectralResult:
+def power_iteration(pm: PeriodMap, tol: float = 1e-10) -> SpectralResult:
     """Dominant eigenpair by power iteration from the uniform density.
 
     The eigenvector is sign-fixed so its max-magnitude entry is positive;
     the Rayleigh quotient supplies the eigenvalue estimate.
     """
+    max_iter = 20000
     K = pm.K
     n = K.shape[0]
     v = np.full(n, 1.0 / n)
@@ -107,23 +107,11 @@ def decay_check(pm: PeriodMap, spec: SpectralResult, n_periods: int) -> float:
 
 
 def lambda1(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
-            T: float, dt: float, form: str = "nondivergence",
-            tol: float = 1e-12, max_iter: int = 20000) -> float:
+            T: float, dt: float) -> float:
     """Principal periodic-parabolic eigenvalue lambda_1 = -(1/T) ln spr(K).
 
-    K is the period map of d_t u + A(t) u = 0 including the zero-order
-    term a0 carried by coeffs.
+    K is the non-divergence period map of d_t u + A(t) u = 0 including
+    the zero-order term a0 carried by coeffs.
     """
-    pm = build_period_map(grid, coeffs, bc, T, dt, form=form)
-    spec = power_iteration(pm, tol=tol, max_iter=max_iter)
-    return spec.mu
-
-
-def dense_spectrum_cross_check(pm: PeriodMap) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair from the dense eigensolver (guard for gap-free cases)."""
-    vals, vecs = np.linalg.eig(pm.K)
-    i = int(np.argmax(np.abs(vals)))
-    v = np.real(vecs[:, i])
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return float(np.abs(vals[i])), v / np.linalg.norm(v)
+    pm = build_period_map(grid, coeffs, bc, T, dt, form="nondivergence")
+    return power_iteration(pm, tol=1e-12).mu

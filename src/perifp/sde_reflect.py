@@ -52,7 +52,6 @@ class SdeSystem:
     diffusion: tuple      # d rows of m CoefficientFields sigma_ij(t, x_i)
     period_T: float
     domain: BoxDomain
-    brownian_dim: int
 
     def __post_init__(self):
         drift = tuple(self.drift)
@@ -60,23 +59,24 @@ class SdeSystem:
         d = self.domain.dim
         if len(drift) != d:
             raise DimensionMismatch(f"need {d} drift components, got {len(drift)}")
-        if len(diffusion) != d or any(len(row) != self.brownian_dim for row in diffusion):
-            raise DimensionMismatch(f"diffusion must be {d}x{self.brownian_dim}")
+        m = len(diffusion[0]) if diffusion else 0
+        if len(diffusion) != d or any(len(row) != m for row in diffusion):
+            raise DimensionMismatch(f"diffusion must be {d}x{m}")
         for f in drift + tuple(f for row in diffusion for f in row):
             if f.period_T is None or abs(f.period_T - self.period_T) > 1e-12 * self.period_T:
                 raise ValueError("all coefficients must be declared T-periodic with the system period")
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "diffusion", diffusion)
 
+    @property
+    def brownian_dim(self) -> int:
+        """m, the number of Brownian motions: the length of a diffusion row."""
+        return len(self.diffusion[0])
+
 
 @dataclass
 class TrajectoryBatch:
-    seed: int
-    paths: int
-    dt: float
-    period_T: float
     snapshots: list            # EmpiricalMeasure at times 0, T, ..., nT
-    snapshot_times: np.ndarray
     reflection_counts: np.ndarray  # per-path projection tallies
 
 
@@ -153,26 +153,20 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
             reflections += hit
             step_index += 1
         snapshots.append(emit(X))
-    times = np.arange(n_periods + 1) * T
-    return TrajectoryBatch(seed=seed, paths=M, dt=dt, period_T=T,
-                           snapshots=snapshots, snapshot_times=times,
-                           reflection_counts=reflections)
+    return TrajectoryBatch(snapshots=snapshots, reflection_counts=reflections)
 
 
-def periodicity_diagnostic(batch: TrajectoryBatch, burn_in: int,
-                           snap_resolution: float | None = None) -> dict:
+def periodicity_diagnostic(batch: TrajectoryBatch, burn_in: int) -> dict:
     """Theorem-style periodicity diagnostics over post-burn-in snapshots.
 
     Reports the Cesaro defect (the unrestricted one-period-apart average,
-    which dominates the indicator-weighted variant; both are included),
-    the max pairwise d_BL among the last 5 snapshots, and the empirical
-    second moment at each retained snapshot time.
+    which dominates the indicator-weighted variant; both are included)
+    and the max pairwise d_BL among the last 5 snapshots.  The snapshots
+    are compared as sample_laws emitted them, coarsened there or not.
     """
     laws = batch.snapshots[burn_in:]
     if len(laws) < 2:
         raise ValueError("need more snapshots than burn_in + 1")
-    if snap_resolution is not None:
-        laws = [coarsen(m, snap_resolution) for m in laws]
     defect: CesaroDefect = cesaro_defect(laws)
     first = max(0, len(laws) - 5)   # the tail is laws[first:]
     # its consecutive pairs were already solved, and checked, for the defect
@@ -181,15 +175,10 @@ def periodicity_diagnostic(batch: TrajectoryBatch, burn_in: int,
         for j in range(i + 2, len(laws)):
             max_pairwise = max(max_pairwise, optimal_distance(
                 laws[i], laws[j], f"snapshots {burn_in + i} and {burn_in + j}"))
-    second_moments = np.array([
-        float(np.sum(m.weights * np.sum(m.points**2, axis=1)) / m.mass)
-        for m in batch.snapshots])
     return {"defect": defect.unrestricted,
             "defect_restricted": defect.restricted,
             "defect_terms": defect.terms,
-            "max_pairwise_tail_dbl": max_pairwise,
-            "second_moments": second_moments,
-            "burn_in": burn_in}
+            "max_pairwise_tail_dbl": max_pairwise}
 
 
 def density_to_measure(density) -> EmpiricalMeasure:

@@ -101,9 +101,10 @@ class PeriodicLinearSolver:
         return u0, np.stack(list(states.values()))
 
 
-def estimate_c(problem: SemilinearProblem, u_min: float, u_max: float,
-               margin: float = 1.5, n_t: int = 32, n_u: int = 32) -> float:
-    """sup |df/du| by central differences on a (t, x, u) sample lattice."""
+def estimate_c(problem: SemilinearProblem, u_min: float, u_max: float) -> float:
+    """1.5 sup |df/du|, by central differences on a 32-time, 32-level
+    (t, x, u) sample lattice over the grid centers."""
+    margin, n_t, n_u = 1.5, 32, 32
     ts = np.linspace(0.0, problem.T, n_t, endpoint=False)[:, None, None]
     us = np.linspace(u_min, u_max, n_u)[:, None]
     xs = problem.grid.centers
@@ -129,8 +130,7 @@ def _source_from_trajectory(problem: SemilinearProblem, traj: np.ndarray,
 
 @dataclass
 class MonotoneResult:
-    solution0: DensityField          # periodic solution profile at t = 0
-    trajectory: np.ndarray           # (n_steps + 1, n)
+    trajectory: np.ndarray           # (n_steps + 1, n), the periodic solution
     gap: float                       # sup |upper limit - lower limit|
     iterations: int
     deltas_upper: list
@@ -185,7 +185,6 @@ def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
     traj_up = np.ascontiguousarray(traj[..., 0])
     residual = float(np.max(np.abs(traj_up[-1] - traj_up[0])))
     return MonotoneResult(
-        solution0=DensityField(problem.grid, traj_up[0]),
         trajectory=traj_up, gap=gap, iterations=it,
         deltas_upper=deltas_up, deltas_lower=deltas_lo,
         periodicity_residual=residual, c=c)

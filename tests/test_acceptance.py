@@ -301,11 +301,10 @@ def test_criterion_10_reflected_sde_periodicity():
     one = CoefficientField.from_string("1", T)
     zero = CoefficientField.from_string("0", T)
     bm = sde_reflect.SdeSystem((zero,), ((one,),), T,
-                               sde_reflect.BoxDomain([0.0], [1.0]), 1)
+                               sde_reflect.BoxDomain([0.0], [1.0]))
     batch = sde_reflect.sample_laws(bm, [0.5], M=10000, n_periods=20, dt=T / 256,
                                     seed=2024, snap_resolution=res)
-    diag = sde_reflect.periodicity_diagnostic(batch, burn_in=10,
-                                              snap_resolution=res)
+    diag = sde_reflect.periodicity_diagnostic(batch, burn_in=10)
     defect = diag["defect"]
 
     grid = fpe_grid.Grid1D(200, 0.0, 1.0)
@@ -320,7 +319,7 @@ def test_criterion_10_reflected_sde_periodicity():
     ou = sde_reflect.SdeSystem(
         (CoefficientField.from_string(drift_src, T),),
         ((CoefficientField.from_string("0.5", T),),), T,
-        sde_reflect.BoxDomain([0.0], [1.0]), 1)
+        sde_reflect.BoxDomain([0.0], [1.0]))
     batch_ou = sde_reflect.sample_laws(ou, [0.5], M=10000, n_periods=20,
                                        dt=T / 256, seed=2025, snap_resolution=res)
     co_ou = fpe_grid.FpCoefficients(

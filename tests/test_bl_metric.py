@@ -289,6 +289,40 @@ def test_assignment_matches_lp_coincident_points(tight_lp):
                                                                 + gen.normal(0, 0.3, (30, 2))))
 
 
+def test_lp_witness_through_dbl_matches_tight_lp(monkeypatch, request):
+    # pairs with unequal weights or counts, and coarsened laws, still take
+    # the pairwise LP at HiGHS's default tolerances: its witness must be
+    # feasible and attain the distance, which must match the tight oracle
+    calls = _patch_linprog(monkeypatch)
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(2718)))
+    pairs = []
+    for trial in range(24):
+        d, spread = 2 + trial // 4 % 2, (0.01, 0.1)[trial // 2 % 2]
+        n = int(gen.integers(2, 31))
+        # unequal counts, or equal counts with unequal weights within mu
+        m = n + int(gen.integers(1, 10)) if trial % 2 else n
+        w = np.full(n, 1.0) if trial % 2 else gen.uniform(0.2, 1.0, n)
+        pairs.append((EmpiricalMeasure(gen.uniform(0.0, spread, (n, d)), w / w.sum()),
+                      EmpiricalMeasure.from_samples(gen.uniform(0.0, spread, (m, d)))))
+    for trial in range(8):
+        r, n = (1 / 64, 1 / 32, 0.05, 0.1)[trial % 4], int(gen.integers(50, 301))
+        spread = 0.02 if r < 0.05 else 0.1
+        pairs.append(tuple(coarsen(EmpiricalMeasure.from_samples(
+            gen.normal(0.5, spread, (n, 2))), r) for _ in range(2)))
+    results = [dbl(mu, nu) for mu, nu in pairs]
+    assert calls[0] == len(pairs)              # every pair took the LP
+    request.getfixturevalue("tight_lp")
+    for (mu, nu), res in zip(pairs, results):
+        support, c = _merge_support(mu, nu)
+        assert res.status == "optimal"
+        h = res.witness
+        assert np.all(np.abs(h) <= 1.0)
+        dist = np.sqrt(((support[:, None, :] - support[None, :, :]) ** 2).sum(axis=2))
+        assert np.all(np.abs(h[:, None] - h[None, :]) <= dist + 1e-12)
+        assert abs(float(c @ h) - res.distance) <= 1e-12
+        assert abs(res.distance - _dbl_lp(support, c).distance) <= 1e-10
+
+
 def _patch_linprog(monkeypatch, fail_after=None):
     """Count LP calls; report an iteration limit on every call after the first ``fail_after``."""
     real, calls = scipy.optimize.linprog, [0]

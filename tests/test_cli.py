@@ -288,6 +288,32 @@ def test_bad_csv_input_reports_flag(tmp_path, monkeypatch, capsys, argv, path):
     assert err["path"] == path
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["markov-check", "--matrix", "P.csv", "--init", "x0.csv", "--nmax", "abc"], "--nmax"),
+    (["markov-check", "--matrix", "P.csv"], "--init"),
+    (["eigen", "--config", "fp.json", "--bc", "dirichlet", "--out", "o"], "--bc"),
+    (["dbl", "--mu", "mu.csv", "--nu"], "--nu"),
+    ([], "argv"),
+    (["frobnicate"], "argv"),
+    (["dbl", "--mu", "mu.csv", "--nu", "mu.csv", "extra"], "argv"),
+])
+def test_usage_error_reports_flag(capsys, argv, path):
+    # argparse's usage errors follow the ConfigError contract too
+    assert run(["--json-errors"] + argv) == 2
+    err = json.loads(capsys.readouterr().err)   # one JSON object and nothing else
+    assert err["error"] == "ConfigError"
+    assert err["path"] == path
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("perifp: ConfigError: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["eigen", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 # small valid configs; each example changes one key, at the top level or
 # inside domain or init, to a bad value or drops it
 _SMALL = {
@@ -393,14 +419,6 @@ def test_auto_pair_stops_at_first_upper_candidate():
     np.testing.assert_array_equal(pair.upper.values, 2 * np.geomspace(1e-3, 1e6, 64)[23])
 
 
-def test_eigen_bc_override_robin_needs_nondivergence(tmp_path, capsys):
-    cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG))
-    code = run(["--json-errors", "eigen", "--config", cfg, "--bc", "robin",
-                "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["path"] == "/bc"
-
-
 def test_both_sigma_and_a_eff_rejected(tmp_path):
     doc = dict(HEAT_CONFIG)
     doc["a_eff"] = "1"
@@ -430,3 +448,51 @@ def test_bench_tracer_targets_resolve():
         for name in attr.split("."):
             obj = getattr(obj, name)
         assert callable(obj), f"{module}.{attr}"
+
+
+# public names that only tests call, each kept on purpose
+_TEST_ONLY_KEEP = {
+    "paper_five_state_matrix": "acceptance criterion 1",
+    "detect_strong_period": "acceptance criterion 2",
+    "permutation_order": "acceptance criterion 2",
+    "decay_check": "acceptance criterion 5",
+    "lambda1": "acceptance criterion 9",
+    "pretty": "the parser's round-trip property test",
+    "verify_upper_lower": "ROADMAP item 4 reports it as a run diagnostic",
+}
+
+
+def _referenced_names(node):
+    """Identifiers a statement uses, including dotted names in string literals
+    such as bench/tracer.py's TARGETS."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and all(part.isidentifier() for part in sub.value.split(".")):
+            names.update(sub.value.split("."))
+    return names
+
+
+def test_every_public_library_name_has_a_program_caller():
+    # a public top-level function or class of the package must be used by
+    # a program (the CLI, another module, scripts/ or bench/), not only by
+    # tests; its own body does not count
+    root = Path(__file__).resolve().parents[1]
+    programs = [path for folder in ("src/perifp", "scripts", "bench")
+                for path in sorted((root / folder).glob("*.py"))]
+    assert root / "src/perifp/cli.py" in programs
+    statements = [(path, stmt, _referenced_names(stmt)) for path in programs
+                  for stmt in ast.parse(path.read_text()).body]
+    unused = [f"{path.stem}.{stmt.name}" for path, stmt, _ in statements
+              if path.parent.name == "perifp"
+              and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_") and stmt.name not in _TEST_ONLY_KEEP
+              and not any(stmt.name in names for _, other, names in statements
+                          if other is not stmt)]
+    assert unused == []

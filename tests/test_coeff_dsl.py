@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perifp.coeff_dsl import (Bin, Call, CoefficientField, Const, Neg, Num, Var,
-                              eval_expr, free_vars, parse_expr, pretty)
+                              eval_expr, parse_expr, pretty)
 from perifp.errors import EvalError, ExprSyntaxError, UnknownIdentifier
 
 
@@ -66,12 +66,6 @@ def test_constants_and_functions():
     assert eval_expr(parse_expr("exp(1)"), {}) == pytest.approx(math.e)
     assert eval_expr(parse_expr("tanh(0)"), {}) == 0.0
     assert eval_expr(parse_expr("abs(-3)"), {}) == 3.0
-
-
-def test_free_vars():
-    assert free_vars(parse_expr("sin(2*pi*t)*(1-2*x)")) == {"t", "x"}
-    assert free_vars(parse_expr("u*(1-u)")) == {"u"}
-    assert free_vars(parse_expr("pi + 1")) == set()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from perifp.markov import (DistributionVector, TransitionMatrix, detect_period,
                            detect_strong_period, matrix_power,
-                           paper_five_state_matrix, permutation_order, step)
+                           paper_five_state_matrix, permutation_order)
 
 
 def _perm_matrix(perm):
@@ -78,21 +78,6 @@ def test_row_stochastic_loader_transposes():
     rows = np.array([[0.2, 0.8], [0.7, 0.3]])
     P = TransitionMatrix.from_array(rows, row_stochastic=True)
     np.testing.assert_allclose(P.entries, rows.T)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32),
-       st.integers(min_value=1, max_value=6))
-def test_step_preserves_mass_and_positivity(m, seed, k):
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    M = gen.uniform(0, 1, (m, m))
-    M /= M.sum(axis=0, keepdims=True)
-    P = TransitionMatrix(M)
-    x = DistributionVector(np.full(m, 1.0 / m))
-    for _ in range(k):
-        x = step(P, x)
-    assert abs(x.probs.sum() - 1.0) < 1e-12
-    assert np.all(x.probs >= -1e-15)
 
 
 def test_matrix_power_consistency():

@@ -6,9 +6,9 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import perifp.bl_metric as bl_metric
-from perifp.bl_metric import EmpiricalMeasure, dbl
+from perifp.bl_metric import EmpiricalMeasure, coarsen, dbl
 from perifp.coeff_dsl import CoefficientField
-from perifp.errors import SolverFailure
+from perifp.errors import DimensionMismatch, SolverFailure
 from perifp.sde_reflect import (BoxDomain, SdeSystem, TrajectoryBatch,
                                 em_reflect_step, periodicity_diagnostic,
                                 sample_laws)
@@ -22,7 +22,7 @@ def _field(src):
 
 def _scalar_system(drift="0", sigma="1", lo=0.0, hi=1.0):
     return SdeSystem(drift=(_field(drift),), diffusion=((_field(sigma),),),
-                     period_T=T, domain=BoxDomain([lo], [hi]), brownian_dim=1)
+                     period_T=T, domain=BoxDomain([lo], [hi]))
 
 
 def test_box_projection_is_clamp():
@@ -41,7 +41,17 @@ def test_system_requires_matching_period():
     aperiodic = CoefficientField.from_string("0")  # no declared period
     with pytest.raises(ValueError):
         SdeSystem(drift=(aperiodic,), diffusion=((_field("1"),),),
-                  period_T=T, domain=BoxDomain([0.0], [1.0]), brownian_dim=1)
+                  period_T=T, domain=BoxDomain([0.0], [1.0]))
+
+
+def test_system_rejects_ragged_diffusion_rows():
+    # m is the length of a diffusion row, so every row must have it
+    one = _field("1")
+    dom = BoxDomain([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(DimensionMismatch, match="diffusion must be 2x2"):
+        SdeSystem(drift=(one, one), diffusion=((one, one), (one,)), period_T=T, domain=dom)
+    with pytest.raises(DimensionMismatch, match="diffusion must be 2x1"):
+        SdeSystem(drift=(one, one), diffusion=((one,), (one, one)), period_T=T, domain=dom)
 
 
 def test_step_zero_dynamics_identity():
@@ -115,7 +125,8 @@ def test_componentwise_coefficients_2d():
     sys_ = SdeSystem(drift=(_field("0 - x"), _field("0")),
                      diffusion=((_field("0"), _field("0")),
                                 (_field("0"), _field("0"))),
-                     period_T=T, domain=dom, brownian_dim=2)
+                     period_T=T, domain=dom)
+    assert sys_.brownian_dim == 2
     out, _ = em_reflect_step(np.array([[0.5, 0.5]]), 0.0, 0.1,
                              np.zeros((1, 2)), sys_)
     assert out[0, 0] == pytest.approx(0.45)
@@ -131,7 +142,7 @@ def test_periodicity_diagnostic_frozen_dynamics():
     diag = periodicity_diagnostic(batch, burn_in=0)
     assert diag["defect"] == pytest.approx(0.0, abs=1e-12)
     assert diag["max_pairwise_tail_dbl"] == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(diag["second_moments"], 0.25, atol=1e-12)
+    assert all(np.array_equal(s.points, np.full((32, 1), 0.5)) for s in batch.snapshots)
 
 
 def test_periodicity_diagnostic_reuses_consecutive_pairs(monkeypatch):
@@ -157,9 +168,7 @@ def test_periodicity_diagnostic_reuses_consecutive_pairs(monkeypatch):
 def test_periodicity_diagnostic_tail_max_at_last_consecutive_pair():
     # diracs at 0.2, 0.1, 0.0, 0.5: only the last transition moves by 0.5
     snaps = [EmpiricalMeasure.dirac([x]) for x in (0.2, 0.1, 0.0, 0.5)]
-    batch = TrajectoryBatch(seed=0, paths=1, dt=T, period_T=T, snapshots=snaps,
-                            snapshot_times=np.arange(4) * T,
-                            reflection_counts=np.zeros(1, dtype=np.int64))
+    batch = TrajectoryBatch(snapshots=snaps, reflection_counts=np.zeros(1, dtype=np.int64))
     diag = periodicity_diagnostic(batch, burn_in=0)
     np.testing.assert_allclose(diag["defect_terms"], [0.1, 0.1, 0.5], atol=1e-12)
     assert diag["max_pairwise_tail_dbl"] == pytest.approx(0.5, abs=1e-12)
@@ -168,9 +177,11 @@ def test_periodicity_diagnostic_tail_max_at_last_consecutive_pair():
 def test_periodicity_diagnostic_raises_on_non_optimal_tail_pair(monkeypatch):
     one, zero = _field("1"), _field("0")
     sys_ = SdeSystem(drift=(zero, zero), diffusion=((one, zero), (zero, one)),
-                     period_T=T, domain=BoxDomain([0.0, 0.0], [1.0, 1.0]),
-                     brownian_dim=2)
-    batch = sample_laws(sys_, [0.5, 0.5], M=8, n_periods=3, dt=T / 8, seed=3)
+                     period_T=T, domain=BoxDomain([0.0, 0.0], [1.0, 1.0]))
+    # coarsening merges weights (1, 3, 4 and 5 points of unequal weight),
+    # so every pair takes the LP rather than the assignment
+    batch = sample_laws(sys_, [0.5, 0.5], M=8, n_periods=3, dt=T / 8, seed=3,
+                        snap_resolution=0.5)
     real, calls = scipy.optimize.linprog, [0]
 
     def linprog(*args, **kwargs):
@@ -182,10 +193,8 @@ def test_periodicity_diagnostic_raises_on_non_optimal_tail_pair(monkeypatch):
         return res
 
     monkeypatch.setattr(scipy.optimize, "linprog", linprog)
-    # coarsening merges weights (1, 3, 4 and 5 points of unequal weight),
-    # so every pair takes the LP rather than the assignment
     with pytest.raises(SolverFailure, match="snapshots 0 and 2"):
-        periodicity_diagnostic(batch, burn_in=0, snap_resolution=0.5)
+        periodicity_diagnostic(batch, burn_in=0)
     assert calls[0] > 3
 
 
@@ -194,3 +203,28 @@ def test_periodicity_diagnostic_needs_snapshots():
     batch = sample_laws(sys_, [0.5], M=8, n_periods=1, dt=T / 8, seed=0)
     with pytest.raises(ValueError):
         periodicity_diagnostic(batch, burn_in=1)
+
+
+@pytest.mark.parametrize("r", [1 / 64, 0.1, 0.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_snapshots_are_coarsened_once(d, r):
+    # the diagnostic compares the snapshots as sample_laws emitted them,
+    # so a second coarsening at the same resolution must change nothing
+    rng = np.random.default_rng([d, round(1 / r)])
+    for n in (1, 7, 50, 400):
+        m = EmpiricalMeasure(rng.normal(0.5, 2.0, (n, d)), rng.uniform(0.0, 1.0 / n, n))
+        once = coarsen(m, r)
+        twice = coarsen(once, r)
+        np.testing.assert_array_equal(twice.points, once.points)
+        np.testing.assert_array_equal(twice.weights, once.weights)
+    one, zero = _field("1"), _field("0")
+    sys_ = SdeSystem(drift=(zero,) * d,
+                     diffusion=tuple(tuple(one if i == j else zero for j in range(d))
+                                     for i in range(d)),
+                     period_T=T, domain=BoxDomain([0.0] * d, [1.0] * d))
+    batch = sample_laws(sys_, [0.5] * d, M=64, n_periods=2, dt=T / 16, seed=d,
+                        snap_resolution=r)
+    for snap in batch.snapshots:
+        again = coarsen(snap, r)
+        np.testing.assert_array_equal(again.points, snap.points)
+        np.testing.assert_array_equal(again.weights, snap.weights)
