@@ -431,13 +431,33 @@ def _cmd_simulate_sde(args):
     return 0
 
 
+def _snapshot_times(text, t1, dt):
+    """The comma-separated times of --snapshots, each a step boundary in [0, t1]."""
+    times = []
+    for item in text.split(","):
+        try:
+            t = float(item)
+        except ValueError:
+            raise ConfigError("--snapshots", f"{item!r} is not a number") from None
+        if not 0.0 <= t <= t1:
+            raise ConfigError("--snapshots", f"time {t!r} is outside [0, t1 = {t1!r}]")
+        if t > 0.0:
+            try:
+                fpe_grid.step_count(t, dt)
+            except ValueError:
+                raise ConfigError("--snapshots",
+                                  f"time {t!r} is not a multiple of dt = {dt!r}") from None
+        times.append(t)
+    return times
+
+
 def _cmd_fp_solve(args):
     doc, base = load_config(args.config)
     cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
     p0 = _initial_density(cfg, grid, base)
     snapshot_times = [0.0, cfg["t1"]]
     if args.snapshots:
-        snapshot_times = [float(s) for s in args.snapshots.split(",")]
+        snapshot_times = _snapshot_times(args.snapshots, cfg["t1"], cfg["dt"])
     p, snaps = fpe_grid.solve_ivp(p0, coeffs, bc, 0.0, cfg["t1"], cfg["dt"],
                                   form=cfg["form"], integrator=cfg["integrator"],
                                   snapshot_times=snapshot_times)
@@ -458,9 +478,9 @@ def _cmd_fp_solve(args):
 def _cmd_eigen(args):
     doc, _ = load_config(args.config)
     cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
-    pm = period_map.build_period_map(grid, coeffs, bc, cfg["period_T"], cfg["dt"],
-                                     form=cfg["form"], integrator=cfg["integrator"])
-    spec = period_map.power_iteration(pm, tol=cfg["tol"])
+    op = period_map.PeriodOperator(grid, coeffs, bc, cfg["period_T"], cfg["dt"],
+                                   form=cfg["form"], integrator=cfg["integrator"])
+    spec = period_map.principal_eigenpair(op, tol=cfg["tol"])
     run = _Run(args.out, cfg, defaulted)
     doc_out = {"r": spec.r, "mu": spec.mu, "lambda1": spec.mu,
                "residual": spec.residual, "iterations": spec.iterations,
@@ -468,7 +488,9 @@ def _cmd_eigen(args):
     run.write_text("spectral.json", json.dumps(doc_out, indent=2))
     run.write_csv("eigvec.csv", np.column_stack([grid.centers, spec.eigvec]),
                   header="x,v")
-    run.headline.update({"r": spec.r, "mu": spec.mu})
+    run.headline.update({"r": spec.r, "mu": spec.mu, "periods_applied": spec.iterations,
+                         "stiffness_ratio": op.stiffness_ratio,
+                         "eigvec_min_over_max": spec.min_over_max})
     run.finish()
     print(json.dumps(doc_out, indent=2))
     return 0
@@ -504,9 +526,9 @@ def _auto_pair(problem, dt):
                if np.max(problem.f(t=ts, x=problem.grid.centers, u=cand)) <= 0), None)
     if M0 is None:
         raise ConfigError("/source_f", "could not find M0 with f(t,x,M0) <= 0")
-    pm = period_map.build_period_map(problem.grid, problem.coeffs, problem.bc,
-                                     problem.T, dt, form=problem.form)
-    spec = period_map.power_iteration(pm)
+    op = period_map.PeriodOperator(problem.grid, problem.coeffs, problem.bc,
+                                   problem.T, dt, form=problem.form)
+    spec = period_map.principal_eigenpair(op)
     phi = np.abs(spec.eigvec) / np.max(np.abs(spec.eigvec))
     lower = fpe_grid.DensityField(problem.grid, 1e-3 * phi)
     upper = fpe_grid.DensityField(problem.grid, np.full(problem.grid.n_cells, 2 * M0))

@@ -69,6 +69,17 @@ class NonPositiveRadius(PerifpError):
     pass
 
 
+class SignIndefinite(PerifpError):
+    """The principal eigenvector of a period map has entries of both signs."""
+
+    def __init__(self, min_over_max, stiffness_ratio=None):
+        message = (f"principal eigenvector changes sign (min/max = {min_over_max:.3e}), "
+                   "so it is a spurious grid mode")
+        if stiffness_ratio is not None:
+            message += f"; stiffness ratio dt*max|L_ii|/2 = {stiffness_ratio:.4g}"
+        super().__init__(message)
+
+
 class SingularSystem(PerifpError):
     pass
 

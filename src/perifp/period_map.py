@@ -5,6 +5,10 @@ is the matrix of the monodromy (period) operator on the grid.  The
 spectral radius r = spr(K) gives mu = -(1/T) log r, the exponential rate
 in p(nT) = e^{-mu n T} p0; with a zero-order term a0 the same machinery
 yields the periodic-parabolic principal eigenvalue lambda_1.
+
+PeriodOperator applies U(T, 0) to vectors without forming K, so the
+spectrum costs a few periods on one vector instead of n columns;
+build_period_map marches the same operators on the identity.
 """
 
 from __future__ import annotations
@@ -14,16 +18,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveRadius, NotConverged
+from .errors import NonPositiveRadius, NotConverged, SignIndefinite
 from .fpe_grid import BoundaryCondition, FpCoefficients, Grid1D, Propagator, step_count
 
 DECAY_FLOOR = 1e-280
+# a principal eigenvector entry below -SIGN_SLACK * (largest entry) is a
+# sign change, not roundoff or power-iteration error
+SIGN_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
 class PeriodMap:
     K: np.ndarray
     T: float
+
+    @property
+    def n(self) -> int:
+        return self.K.shape[0]
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        return self.K @ V
 
 
 @dataclass(frozen=True)
@@ -34,40 +48,87 @@ class SpectralResult:
     iterations: int
     residual: float
 
+    @property
+    def min_over_max(self) -> float:
+        """Smallest over largest eigenvector entry; negative on a sign change."""
+        return float(self.eigvec.min() / self.eigvec.max())
+
+
+class PeriodOperator:
+    """U(T, 0) applied to a vector, or to the columns of a matrix, without forming K.
+
+    With Crank-Nicolson each period of the coefficients (a_eff's declared
+    period, else T) starts with two implicit-Euler steps of dt/2
+    (Rannacher start-up): CN maps a stiff grid mode z = dt*lambda -> -inf
+    to (1+z/2)/(1-z/2) -> -1 each step, so it would outlive the physical
+    modes, while the two half steps damp it by about 4/z^2.  CN covers
+    the remaining steps.  The operators of one period are assembled once,
+    block by block, and every apply marches them once per period in T.
+    In the non-divergence form the a0 mean of each step (each half step
+    counting dt/2) is applied as one exact exponential factor.
+    """
+
+    def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
+                 T: float, dt: float, form: str = "divergence", integrator: str = "cn"):
+        period = coeffs.a_eff.period_T or T
+        try:
+            repeats = step_count(T, period)
+        except ValueError:
+            raise ValueError(f"span {T!r} is not a multiple of the period {period!r}") from None
+        n_steps = step_count(period, dt)
+        mean_out = form == "nondivergence"
+        self._prop = Propagator(grid, coeffs, bc, dt, form, integrator, a0_mean_out=mean_out)
+        if integrator == "cn":
+            startup = Propagator(grid, coeffs, bc, dt / 2, form, "ie", a0_mean_out=mean_out)
+            ops = [startup.operators(0.0, 0, 2), *self._prop.blocks(n_steps - 1, dt)]
+        else:
+            ops = list(self._prop.blocks(n_steps))
+        self._ops = ops * repeats
+        self._scale = math.exp(-sum(phase for *_, phase in self._ops))
+        self.T, self.n = T, grid.n_cells
+        # dt max|L_ii| / 2, read off the implicit operators I - theta L:
+        # theta is dt/2 for CN and the start-up, dt for implicit Euler
+        theta_over_half_dt = 1.0 if integrator == "cn" else 2.0
+        self.stiffness_ratio = max(float(np.max(np.abs(1.0 - implicit.diag)))
+                                   for _, implicit, _ in ops) / theta_over_half_dt
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        V, _ = self._prop.march(V, self._ops)
+        V *= self._scale
+        return V
+
 
 def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
                      T: float, dt: float, form: str = "divergence",
                      integrator: str = "cn") -> PeriodMap:
     """K = U(T,0) by evolving the n unit cell densities over one period.
 
-    For the non-divergence form the spatial mean of the zero-order term
-    is pulled out of each step and applied as an exact exponential
-    factor at the end, so a constant added to a0 scales K by exactly
-    e^{-c T} (up to a single exp rounding).
+    The columns march the operators of PeriodOperator, Rannacher start-up
+    included.  For the non-divergence form the spatial mean of the
+    zero-order term is pulled out of each step and applied as an exact
+    exponential factor at the end, so a constant added to a0 scales K by
+    exactly e^{-c T} (up to a single exp rounding).
     """
-    prop = Propagator(grid, coeffs, bc, dt, form, integrator,
-                      a0_mean_out=form == "nondivergence")
-    K, _ = prop.march(np.eye(grid.n_cells), prop.blocks(step_count(T, dt)))
-    if prop.phase != 0.0:
-        K *= math.exp(-prop.phase)
-    return PeriodMap(K=K, T=T)
+    op = PeriodOperator(grid, coeffs, bc, T, dt, form, integrator)
+    return PeriodMap(K=op.apply(np.eye(grid.n_cells)), T=T)
 
 
-def power_iteration(pm: PeriodMap, tol: float = 1e-10) -> SpectralResult:
+def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
     """Dominant eigenpair by power iteration from the uniform density.
 
-    The eigenvector is sign-fixed so its max-magnitude entry is positive;
-    the Rayleigh quotient supplies the eigenvalue estimate.
+    pm is a dense PeriodMap or a matrix-free PeriodOperator: each
+    iteration applies one period.  The eigenvector is sign-fixed so its
+    max-magnitude entry is positive; the Rayleigh quotient supplies the
+    eigenvalue estimate.
     """
     max_iter = 20000
-    K = pm.K
-    n = K.shape[0]
+    n = pm.n
     v = np.full(n, 1.0 / n)
     v /= np.linalg.norm(v)
     r = 0.0
     residual = np.inf
     for it in range(1, max_iter + 1):
-        w = K @ v
+        w = pm.apply(v)
         r = float(v @ w)
         residual = float(np.max(np.abs(w - r * v)))
         norm = np.linalg.norm(w)
@@ -86,6 +147,17 @@ def power_iteration(pm: PeriodMap, tol: float = 1e-10) -> SpectralResult:
                           residual=residual)
 
 
+def principal_eigenpair(pm, tol: float = 1e-10) -> SpectralResult:
+    """power_iteration, checked against Krein-Rutman: the principal
+    eigenfunction of a period map is sign-definite, so an eigenvector
+    with entries of both signs is a spurious (stiff) grid mode.  The
+    error names the stiffness ratio of a PeriodOperator."""
+    spec = power_iteration(pm, tol)
+    if spec.min_over_max < -SIGN_SLACK:
+        raise SignIndefinite(spec.min_over_max, getattr(pm, "stiffness_ratio", None))
+    return spec
+
+
 def decay_check(pm: PeriodMap, spec: SpectralResult, n_periods: int) -> float:
     """Max over n <= n_periods of ||K^n p0 - r^n p0||_inf / ||r^n p0||_inf.
 
@@ -97,7 +169,7 @@ def decay_check(pm: PeriodMap, spec: SpectralResult, n_periods: int) -> float:
     rn = 1.0
     worst = 0.0
     for _ in range(n_periods):
-        v = pm.K @ v
+        v = pm.apply(v)
         rn *= spec.r
         if rn < DECAY_FLOOR:
             break
@@ -113,5 +185,5 @@ def lambda1(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
     K is the non-divergence period map of d_t u + A(t) u = 0 including
     the zero-order term a0 carried by coeffs.
     """
-    pm = build_period_map(grid, coeffs, bc, T, dt, form="nondivergence")
-    return power_iteration(pm, tol=1e-12).mu
+    op = PeriodOperator(grid, coeffs, bc, T, dt, form="nondivergence")
+    return principal_eigenpair(op, tol=1e-12).mu

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifp import fpe_grid, semilinear
+from perifp import fpe_grid, period_map, semilinear
 from perifp.cli import _FP_SCHEMA, _SDE_SCHEMA, _auto_pair, run
 from perifp.coeff_dsl import CoefficientField
 
@@ -103,6 +103,67 @@ def test_eigen_heat_headline(tmp_path, capsys):
     assert abs(doc["r"] - exact) / exact < 0.01
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["headline"]["r"] == pytest.approx(doc["r"])
+
+
+def test_eigen_fine_grid_at_default_dt(tmp_path, capsys):
+    # n = 1600 at dt = T/256: Crank-Nicolson alone reports a stiff grid
+    # mode (r = 0.774); the start-up leaves the physical e^{-pi^2 T}
+    cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG, n_cells=1600))
+    out = tmp_path / "out"
+    assert run(["eigen", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    exact = math.exp(-math.pi**2 * 0.1)
+    assert abs(doc["r"] - exact) / exact < 0.01
+    headline = json.loads((out / "manifest.json").read_text())["headline"]
+    assert headline["periods_applied"] == doc["iterations"]
+    # dt max|L_ii| / 2 with the wall cells' 3 a / dx^2
+    assert headline["stiffness_ratio"] == pytest.approx(0.1 / 512 * 3 * 1600**2, rel=1e-12)
+    assert 0.0 < headline["eigvec_min_over_max"] < 0.01
+
+
+def test_eigen_and_auto_pair_never_build_the_dense_map(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_period_map called")
+
+    monkeypatch.setattr(period_map, "build_period_map", refuse)
+    cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG, n_cells=300))
+    assert run(["eigen", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+    sl = _write(tmp_path / "sl.json", {
+        "domain": {"lower": 0.0, "upper": 1.0}, "period_T": 1.0, "drift": "0",
+        "a_eff": "1", "bc": "neumann", "n_cells": 16, "dt": 1.0 / 16,
+        "source_f": "u*(1-u)"})
+    assert run(["semilinear", "--config", sl, "--out", str(tmp_path / "s")]) == 0
+
+
+def test_eigen_sign_change_is_reported(tmp_path, monkeypatch, capsys):
+    # a power iteration that lands on a sign-changing vector must end in a
+    # typed error naming the stiffness ratio, not in a reported r
+    def sign_changing(pm, tol):
+        v = np.cos(np.linspace(0.0, np.pi, pm.n))
+        return period_map.SpectralResult(r=0.9, mu=1.0, eigvec=v / np.linalg.norm(v),
+                                         iterations=3, residual=0.0)
+
+    monkeypatch.setattr(period_map, "power_iteration", sign_changing)
+    cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG, n_cells=40))
+    assert run(["--json-errors", "eigen", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SignIndefinite"
+    assert "stiffness ratio dt*max|L_ii|/2 = " in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_eigen_reruns_are_byte_identical(tmp_path):
+    doc = dict(HEAT_CONFIG, bc="reflecting", drift="sin(2*pi*t/0.1)*(1-2*x)", n_cells=100)
+    cfg = _write(tmp_path / "fp.json", doc)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["eigen", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("eigvec.csv", "spectral.json"):
+        assert _sha(out1 / name) == _sha(out2 / name)
+    h1, h2 = (json.loads((out / "manifest.json").read_text())["headline"]
+              for out in (out1, out2))
+    assert h1 == h2
 
 
 def test_stationary_subcommand(tmp_path, capsys):
@@ -286,6 +347,32 @@ def test_bad_csv_input_reports_flag(tmp_path, monkeypatch, capsys, argv, path):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["path"] == path
+
+
+@pytest.mark.parametrize("snapshots, message", [
+    ("0.05,abc", "'abc' is not a number"),
+    ("0.05,0.5", "outside [0, t1"),                   # t1 = period_T = 0.1
+    ("0.05,0.0123", "not a multiple of dt"),          # dt = 0.1/256
+], ids=["not-a-number", "outside-span", "off-step"])
+def test_bad_snapshot_times_report_flag(tmp_path, capsys, snapshots, message):
+    cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG, n_cells=16))
+    code = run(["--json-errors", "fp-solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                "--snapshots", snapshots])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["path"] == "--snapshots"
+    assert message in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_snapshot_times_on_step_boundaries_are_written(tmp_path):
+    cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG, n_cells=16))
+    out = tmp_path / "o"
+    assert run(["fp-solve", "--config", cfg, "--out", str(out),
+                "--snapshots", "0,0.05,0.1"]) == 0
+    for t in ("0", "0.05", "0.1"):
+        assert (out / f"density_t{t}.csv").exists()
 
 
 @pytest.mark.parametrize("argv, path", [

@@ -1,16 +1,18 @@
 """Period map spectra: decay rates and principal eigenvalues."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from perifp.coeff_dsl import CoefficientField
-from perifp.errors import NonPositiveRadius
+from perifp.errors import NonPositiveRadius, SignIndefinite
 from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
-                             Propagator, absorbing, neumann, reflecting,
-                             stationary_closed_form, step_cn)
-from perifp.period_map import PeriodMap, build_period_map, decay_check, lambda1, power_iteration
+                             Propagator, absorbing, neumann, reflecting, robin,
+                             stationary_closed_form, step_cn, step_ie)
+from perifp.period_map import (PeriodMap, PeriodOperator, build_period_map, decay_check, lambda1,
+                               power_iteration, principal_eigenpair)
 
 T = 0.1
 ONE = CoefficientField.from_string("1", T)
@@ -139,7 +141,8 @@ def test_evolve_matrix_with_sources_matches_step_loop():
 def test_evolve_matrix_a0_extraction_matches_step_loop():
     # the extracted mean of a0 = (1+x) s(t) over the cell centres is 1.5 s(t)
     # (up to rounding); marching a0 - 1.5 s(t) and applying exp(-sum 1.5 s dt)
-    # is the same evolution written as a plain CN loop
+    # is the same evolution written as a plain step loop: each of the two
+    # periods starts with two implicit-Euler half steps, then CN
     grid = Grid1D(64, 0.0, 1.0)
     s_t = "(1 + 0.5*sin(2*pi*t/0.1))"
     co = FpCoefficients(a_eff=ONE, b=ZERO,
@@ -148,12 +151,27 @@ def test_evolve_matrix_a0_extraction_matches_step_loop():
         f"(1+x)*{s_t} - 1.5*{s_t}", T))
     n_steps, dt = 200, 2 * T / 200
     assert n_steps > BLOCK_ENTRIES // grid.n_cells
-    phase = sum(1.5 * (1 + 0.5 * math.sin(2 * math.pi * (k + 0.5) * dt / T)) * dt
-                for k in range(n_steps))
+    per_period = n_steps // 2
+
+    def s(t):
+        return 1 + 0.5 * math.sin(2 * math.pi * t / T)
+
+    phase = 0.0
+    for k in range(n_steps):
+        if k % per_period == 0:
+            phase += 1.5 * (s((k + 0.5) * dt) + s((k + 1) * dt)) * dt / 2
+        else:
+            phase += 1.5 * s((k + 0.5) * dt) * dt
     K = build_period_map(grid, co, absorbing(), 2 * T, dt, form="nondivergence").K
     for j in (0, 21, 40):
-        ref = math.exp(-phase) * _cn_loop(np.eye(64)[:, j], grid, mean_free, absorbing(),
-                                          dt, n_steps, form="nondivergence")
+        p = DensityField(grid, np.eye(64)[:, j], time_stamp=0.0)
+        for k in range(n_steps):
+            if k % per_period == 0:
+                for _ in range(2):
+                    p = step_ie(p, mean_free, absorbing(), dt / 2, form="nondivergence")
+            else:
+                p = step_cn(p, mean_free, absorbing(), dt, form="nondivergence")
+        ref = math.exp(-phase) * p.values
         assert np.max(np.abs(K[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -171,6 +189,77 @@ def test_absorbing_positive_zero_order_contracts():
                               form="nondivergence")
         spec = power_iteration(pm)
         assert 0.0 < spec.r < 1.0
+
+
+def _dominant_eig(K):
+    vals, vecs = np.linalg.eig(K)
+    i = int(np.argmax(np.abs(vals)))
+    v = np.real(vecs[:, i])
+    return float(np.abs(vals[i])), v * np.sign(v[np.argmax(np.abs(v))]) / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("coeffs, bc, form", [
+    (FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*x", T),
+                    b=CoefficientField.from_string("0.5*cos(2*pi*t/0.1)", T),
+                    a0=CoefficientField.from_string("1 + 0.6*sin(2*pi*t/0.1)", T)),
+     robin(0.7, 1.6), "nondivergence"),
+    (FpCoefficients(a_eff=CoefficientField.from_string("0.5", T),
+                    b=CoefficientField.from_string("sin(2*pi*t/0.1)*(1-2*x)", T)),
+     reflecting(), "divergence"),
+], ids=["robin-nondivergence", "reflecting-drift"])
+def test_matrix_free_spectrum_matches_dense_eig(coeffs, bc, form):
+    grid = Grid1D(120, 0.0, 1.0)
+    op = PeriodOperator(grid, coeffs, bc, T, T / 128, form)
+    spec = power_iteration(op, tol=1e-13)
+    r_dense, v_dense = _dominant_eig(build_period_map(grid, coeffs, bc, T, T / 128, form).K)
+    assert spec.r == pytest.approx(r_dense, rel=1e-9)
+    assert np.max(np.abs(spec.eigvec - v_dense)) <= 1e-9
+
+
+def test_startup_removes_the_stiff_cn_mode():
+    # n = 600, dt = T/64: without the start-up CN leaves a stiff pair of
+    # modes above e^{-pi^2 T}; with it the physical mode dominates
+    grid = Grid1D(600, 0.0, 1.0)
+    op = PeriodOperator(grid, HEAT, absorbing(), T, T / 64)
+    spec = principal_eigenpair(op, tol=1e-9)
+    exact_r = math.exp(-math.pi**2 * T)
+    assert abs(spec.r - exact_r) / exact_r < 1e-3
+    assert spec.iterations < 10
+    assert spec.min_over_max > 0.0
+    # dt max|L_ii| / 2, the wall cells losing 3/dx^2
+    assert op.stiffness_ratio == pytest.approx(T / 128 * 3 * 600**2, rel=1e-12)
+
+
+def test_matrix_free_spectrum_allocates_no_dense_map():
+    grid = Grid1D(2000, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        spec = principal_eigenpair(PeriodOperator(grid, HEAT, absorbing(), T, T / 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.min_over_max > 0.0
+    assert peak < 2000 * 2000 * 8 / 4
+
+
+def test_sign_guard_rejects_sign_changing_eigenvector():
+    # dominant eigenvector (1, -0.5, 0.3) of eigenvalue 0.9
+    V = np.array([[1.0, 0.2, 0.1], [-0.5, 1.0, 0.3], [0.3, 0.1, 1.0]])
+    K = V @ np.diag([0.9, 0.5, 0.2]) @ np.linalg.inv(V)
+    spec = power_iteration(PeriodMap(K, 1.0))
+    assert spec.r == pytest.approx(0.9, rel=1e-9)
+    assert spec.min_over_max == pytest.approx(-0.5, rel=1e-6)
+    with pytest.raises(SignIndefinite, match="changes sign"):
+        principal_eigenpair(PeriodMap(K, 1.0))
+    positive = np.abs(V[:, 0])
+    K_pos = (positive[:, None] * positive[None, :]) * 0.9 / (positive @ positive)
+    assert principal_eigenpair(PeriodMap(K_pos, 1.0)).min_over_max > 0.0
+
+
+def test_span_must_be_whole_periods():
+    grid = Grid1D(20, 0.0, 1.0)
+    with pytest.raises(ValueError, match="multiple of the period"):
+        PeriodOperator(grid, HEAT, absorbing(), 1.5 * T, T / 64)
 
 
 # ---------------------------------------------------------------------------
