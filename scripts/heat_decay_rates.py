@@ -15,7 +15,7 @@ import numpy as np
 
 from perifp.coeff_dsl import CoefficientField
 from perifp.fpe_grid import FpCoefficients, Grid1D, absorbing
-from perifp.period_map import PeriodOperator, principal_eigenpair
+from perifp.period_map import PeriodOperator, power_iteration
 
 
 def main(argv=None):
@@ -33,7 +33,7 @@ def main(argv=None):
     for n in (50, 100, 200, 400):
         for steps in (256, 512, 1024):
             op = PeriodOperator(Grid1D(n, 0.0, 1.0), coeffs, absorbing(), T, T / steps)
-            spec = principal_eigenpair(op)
+            spec = power_iteration(op)
             rows.append((n, steps, spec.r, abs(spec.r - exact_r) / exact_r,
                          spec.mu, abs(spec.mu - math.pi**2) / math.pi**2))
             print(f"n={n:4d} steps={steps:4d}  r={spec.r:.8f}  "

@@ -38,8 +38,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, SolverFailure
 
-MASS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -92,19 +90,19 @@ def coarsen(measure: EmpiricalMeasure, resolution: float) -> EmpiricalMeasure:
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     snapped = np.round(measure.points / resolution) * resolution
-    uniq, inverse = np.unique(snapped, axis=0, return_inverse=True)
+    return EmpiricalMeasure(*_merge(snapped, measure.weights))
+
+
+def _merge(points: np.ndarray, weights: np.ndarray):
+    """The distinct rows of points, sorted, each with the summed weight of its copies."""
+    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
     w = np.zeros(len(uniq))
-    np.add.at(w, inverse.ravel(), measure.weights)
-    return EmpiricalMeasure(uniq, w)
+    np.add.at(w, inverse.ravel(), weights)
+    return uniq, w
 
 
 def _merge_support(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
-    pts = np.vstack([mu.points, nu.points])
-    signed = np.concatenate([mu.weights, -nu.weights])
-    uniq, inverse = np.unique(pts, axis=0, return_inverse=True)
-    c = np.zeros(len(uniq))
-    np.add.at(c, inverse.ravel(), signed)
-    return uniq, c
+    return _merge(np.vstack([mu.points, nu.points]), np.concatenate([mu.weights, -nu.weights]))
 
 
 def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
@@ -164,9 +162,11 @@ def _chain_witness(z: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _truncated_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """min(||a_i - b_j||_2, 2) for every pair of rows."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.minimum(np.sqrt(np.sum(diff * diff, axis=2)), 2.0)
+    """min(||a_i - b_j||_2, 2) for every pair of rows; a square that
+    overflows gives inf, hence 2."""
+    with np.errstate(over="ignore"):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.minimum(np.sqrt(np.sum(diff * diff, axis=2)), 2.0)
 
 
 def _dbl_assignment(x: np.ndarray, y: np.ndarray, w: float,
@@ -209,13 +209,16 @@ def _dbl_assignment(x: np.ndarray, y: np.ndarray, w: float,
 
 
 def _dbl_lp(support: np.ndarray, c: np.ndarray) -> BLResult:
-    """The LP with a pair constraint per pair of support points (any d)."""
+    """The LP with a pair constraint per pair of support points (any d).
+
+    The pair distances are capped at 2: a row with d_ij >= 2 is already
+    implied by |h| <= 1.
+    """
     from scipy import sparse
     from scipy.optimize import linprog
 
     K = len(support)
-    diff = support[:, None, :] - support[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _truncated_distances(support, support)
     iu, ju = np.triu_indices(K, k=1)
 
     # rows: h_i - h_j <= d_ij and h_j - h_i <= d_ij

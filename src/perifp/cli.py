@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,21 +215,24 @@ def _parse_fp_config(doc, command):
         b=CoefficientField(b_expr, T),
         a0=None if cfg["a0"] is None else CoefficientField(parse_expr(cfg["a0"]), T))
     grid = fpe_grid.Grid1D(cfg["n_cells"], dom["lower"], dom["upper"])
-    if cfg["bc"] != "robin":
-        bc = _BOUNDARIES[cfg["bc"]]()
-    elif cfg["form"] == "divergence":
-        raise ConfigError("/bc", "robin boundaries need form 'nondivergence'")
-    else:
-        bc = fpe_grid.robin(*cfg["robin"])
+    bc = fpe_grid.robin(*cfg["robin"]) if cfg["bc"] == "robin" else _BOUNDARIES[cfg["bc"]]()
+    if bc.kind == "robin" and cfg["form"] == "divergence":
+        raise ConfigError("/bc", f"{cfg['bc']} boundaries need form 'nondivergence'")
     return cfg, defaulted, grid, coeffs, bc
 
 
 def _load_csv(path, where, **kwargs):
-    """Comma-separated numbers; a missing or malformed file is a ConfigError at where."""
+    """Comma-separated numbers; a missing, malformed or empty file is a ConfigError at where."""
     try:
-        return np.loadtxt(path, delimiter=",", **kwargs)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file with no data; that is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", **kwargs)
     except (OSError, ValueError) as exc:
         raise ConfigError(where, f"cannot read {path}: {exc}") from exc
+    if rows.size == 0:
+        raise ConfigError(where, f"{path} holds no data")
+    return rows
 
 
 def _initial_density(cfg, grid, base_dir):
@@ -480,7 +484,7 @@ def _cmd_eigen(args):
     cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
     op = period_map.PeriodOperator(grid, coeffs, bc, cfg["period_T"], cfg["dt"],
                                    form=cfg["form"], integrator=cfg["integrator"])
-    spec = period_map.principal_eigenpair(op, tol=cfg["tol"])
+    spec = period_map.power_iteration(op, tol=cfg["tol"])
     run = _Run(args.out, cfg, defaulted)
     doc_out = {"r": spec.r, "mu": spec.mu, "lambda1": spec.mu,
                "residual": spec.residual, "iterations": spec.iterations,
@@ -528,7 +532,7 @@ def _auto_pair(problem, dt):
         raise ConfigError("/source_f", "could not find M0 with f(t,x,M0) <= 0")
     op = period_map.PeriodOperator(problem.grid, problem.coeffs, problem.bc,
                                    problem.T, dt, form=problem.form)
-    spec = period_map.principal_eigenpair(op)
+    spec = period_map.power_iteration(op)
     phi = np.abs(spec.eigvec) / np.max(np.abs(spec.eigvec))
     lower = fpe_grid.DensityField(problem.grid, 1e-3 * phi)
     upper = fpe_grid.DensityField(problem.grid, np.full(problem.grid.n_cells, 2 * M0))

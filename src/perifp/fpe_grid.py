@@ -283,7 +283,7 @@ class Propagator:
     LAPACK dgtsv.  blocks() drops each block once marched, while a caller
     that marches one period many times keeps its operators() to reuse.
     With a0_mean_out, the spatial mean m(t) of a0 is pulled out of each
-    step and m dt added to phase: the evolution is exp(-phase) times V.
+    step; the caller applies exp(-m dt) from the phase of operators().
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
@@ -297,7 +297,6 @@ class Propagator:
         self.form, self.c = form, c
         self.cn = integrator == "cn"
         self.a0_mean_out = a0_mean_out and coeffs.a0 is not None
-        self.phase = 0.0
 
     def operators(self, t0: float, k0: int, k1: int):
         """Operators of steps k0..k1-1 of a march that starts at t0.
@@ -336,8 +335,7 @@ class Propagator:
         V = np.asfortranarray(V.reshape(shape[0], -1))
         states = {0: V.reshape(shape)} if 0 in record else {}
         k = 0
-        for explicit, implicit, phase in blocks:
-            self.phase += phase
+        for explicit, implicit, _ in blocks:
             for j in range(implicit.diag.shape[0]):
                 if explicit is None:
                     rhs = V.copy(order="F")

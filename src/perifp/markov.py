@@ -57,7 +57,7 @@ class DistributionVector:
         if not np.all(x >= -_STOCHASTIC_TOL):
             raise ValueError("probabilities must be nonnegative")
         if not abs(x.sum() - 1.0) <= _STOCHASTIC_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {x.sum()!r}")
+            raise ValueError(f"probabilities must sum to 1, got {float(x.sum())!r}")
 
 
 @dataclass(frozen=True)
@@ -66,21 +66,6 @@ class PeriodReport:
     residuals: np.ndarray  # residuals[k-1] = ||P^k x0 - x0||_inf, k = 1..N_max
     strong: bool
     tol: float = DEFAULT_TOL
-
-
-def matrix_power(P: TransitionMatrix, N: int) -> np.ndarray:
-    """P^N by repeated squaring with a cache of P^(2^j)."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    result = np.eye(P.m)
-    square = P.entries
-    n = N
-    while n:
-        if n & 1:
-            result = square @ result
-        square = square @ square
-        n >>= 1
-    return result
 
 
 def detect_period(P: TransitionMatrix, x0: DistributionVector,
@@ -102,7 +87,7 @@ def detect_period(P: TransitionMatrix, x0: DistributionVector,
             period = k
     strong = False
     if period is not None:
-        strong = np.max(np.abs(matrix_power(P, period) - np.eye(P.m))) <= tol
+        strong = np.max(np.abs(np.linalg.matrix_power(P.entries, period) - np.eye(P.m))) <= tol
     return PeriodReport(period=period, residuals=residuals, strong=strong, tol=tol)
 
 

@@ -119,7 +119,10 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
     pm is a dense PeriodMap or a matrix-free PeriodOperator: each
     iteration applies one period.  The eigenvector is sign-fixed so its
     max-magnitude entry is positive; the Rayleigh quotient supplies the
-    eigenvalue estimate.
+    eigenvalue estimate.  The result is checked against Krein-Rutman:
+    the principal eigenfunction of a period map is sign-definite, so an
+    eigenvector with entries of both signs is a spurious (stiff) grid
+    mode.  The error names the stiffness ratio of a PeriodOperator.
     """
     max_iter = 20000
     n = pm.n
@@ -143,16 +146,8 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
         v = -v
     if r <= 0:
         raise NonPositiveRadius(f"computed spectral radius {r!r} is not positive")
-    return SpectralResult(r=r, mu=-math.log(r) / pm.T, eigvec=v, iterations=it,
+    spec = SpectralResult(r=r, mu=-math.log(r) / pm.T, eigvec=v, iterations=it,
                           residual=residual)
-
-
-def principal_eigenpair(pm, tol: float = 1e-10) -> SpectralResult:
-    """power_iteration, checked against Krein-Rutman: the principal
-    eigenfunction of a period map is sign-definite, so an eigenvector
-    with entries of both signs is a spurious (stiff) grid mode.  The
-    error names the stiffness ratio of a PeriodOperator."""
-    spec = power_iteration(pm, tol)
     if spec.min_over_max < -SIGN_SLACK:
         raise SignIndefinite(spec.min_over_max, getattr(pm, "stiffness_ratio", None))
     return spec
@@ -186,4 +181,4 @@ def lambda1(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
     the zero-order term a0 carried by coeffs.
     """
     op = PeriodOperator(grid, coeffs, bc, T, dt, form="nondivergence")
-    return principal_eigenpair(op, tol=1e-12).mu
+    return power_iteration(op, tol=1e-12).mu

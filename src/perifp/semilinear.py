@@ -27,7 +27,6 @@ from .coeff_dsl import CoefficientField
 from .errors import (MonotonicityViolation, NotConverged, SingularSystem)
 from .fpe_grid import (BoundaryCondition, DensityField, FpCoefficients, Grid1D,
                        Propagator, assemble_generator, step_count)
-from .period_map import PeriodMap, power_iteration
 
 SPR_SINGULAR_MARGIN = 1e-8
 MONOTONE_SLACK = 1e-10
@@ -77,8 +76,7 @@ class PeriodicLinearSolver:
         self._period = [self._prop.operators(0.0, 0, self.n_steps)]
         n = self.grid.n_cells
         self.K = self._prop.march(np.eye(n), self._period)[0]
-        spec = power_iteration(PeriodMap(self.K, self.T), tol=1e-12)
-        self.spr = spec.r
+        self.spr = float(np.max(np.abs(np.linalg.eigvals(self.K))))
         if self.spr >= 1.0 - SPR_SINGULAR_MARGIN:
             raise SingularSystem(
                 f"homogeneous period map has spr {self.spr:.8f} >= 1; "

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,14 +137,13 @@ def test_eigen_and_auto_pair_never_build_the_dense_map(tmp_path, monkeypatch, ca
 
 
 def test_eigen_sign_change_is_reported(tmp_path, monkeypatch, capsys):
-    # a power iteration that lands on a sign-changing vector must end in a
-    # typed error naming the stiffness ratio, not in a reported r
-    def sign_changing(pm, tol):
-        v = np.cos(np.linspace(0.0, np.pi, pm.n))
-        return period_map.SpectralResult(r=0.9, mu=1.0, eigvec=v / np.linalg.norm(v),
-                                         iterations=3, residual=0.0)
+    # a period operator whose dominant eigenvector changes sign must end in
+    # a typed error naming the stiffness ratio, not in a reported r
+    def rank_one(self, V):
+        v = np.linspace(1.0, -0.5, self.n)   # not orthogonal to the uniform start
+        return 0.9 * v * (v @ V) / (v @ v)
 
-    monkeypatch.setattr(period_map, "power_iteration", sign_changing)
+    monkeypatch.setattr(period_map.PeriodOperator, "apply", rank_one)
     cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG, n_cells=40))
     assert run(["--json-errors", "eigen", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = json.loads(capsys.readouterr().err)
@@ -279,6 +279,8 @@ def test_semilinear_subcommand(tmp_path, capsys):
     ("fp-solve", {"init": {"csv": "negative.csv"}}, "/init/csv"),
     ("fp-solve", {"init": {"expr": "0"}}, "/init"),       # zero mass
     ("fp-solve", {"init": {"expr": "1", "csv": "missing.csv"}}, "/init"),
+    ("fp-solve", {"bc": "neumann"}, "/bc"),             # a Robin wall, divergence form
+    ("eigen", {"bc": "neumann"}, "/bc"),
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -347,6 +349,48 @@ def test_bad_csv_input_reports_flag(tmp_path, monkeypatch, capsys, argv, path):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["path"] == path
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["markov-check", "--matrix", "P.csv", "--init", "empty.csv"], "--init"),
+    (["dbl", "--mu", "empty.csv", "--nu", "mu.csv"], "--mu"),
+    (["fp-solve", "--config", "fp.json", "--out", "o"], "/init/csv"),
+    (["simulate-sde", "--config", "sde.json", "--out", "o"], "/init/csv"),
+])
+def test_empty_csv_is_one_json_error(tmp_path, monkeypatch, capsys, argv, path):
+    # loadtxt warns on a file with no data; nothing may precede the JSON error
+    monkeypatch.chdir(tmp_path)
+    for name, text in {"empty.csv": "", "P.csv": "1,0\n0,1\n", "mu.csv": "0.0,1.0\n"}.items():
+        (tmp_path / name).write_text(text)
+    _write(tmp_path / "fp.json", dict(HEAT_CONFIG, init={"csv": "empty.csv"}))
+    _sde_config(tmp_path, init={"csv": "empty.csv"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--json-errors"] + argv) == 2
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["path"] == path
+
+
+@pytest.mark.parametrize("nu", ["0,0.5,0.5\n1,0,0.5\n", "0,0.5,1\n"],
+                         ids=["assignment", "lp"])
+def test_dbl_huge_coordinate_is_a_capped_distance(tmp_path, capsys, nu):
+    # the square of a 1e200 offset overflows; the distance is the cap, 2,
+    # as for a point moved to (10, 0)
+    (tmp_path / "nu.csv").write_text(nu)
+    distances = []
+    for far in ("1e200", "10"):
+        (tmp_path / "mu.csv").write_text(f"0,0,0.5\n{far},0,0.5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["dbl", "--mu", str(tmp_path / "mu.csv"),
+                        "--nu", str(tmp_path / "nu.csv")]) == 0
+        assert caught == []
+        out = capsys.readouterr()
+        assert out.err == ""
+        distances.append(json.loads(out.out)["distance"])
+    assert distances[0] == distances[1]
 
 
 @pytest.mark.parametrize("snapshots, message", [

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perifp.markov import (DistributionVector, TransitionMatrix, detect_period,
-                           detect_strong_period, matrix_power,
-                           paper_five_state_matrix, permutation_order)
+                           detect_strong_period, paper_five_state_matrix,
+                           permutation_order)
 
 
 def _perm_matrix(perm):
@@ -63,7 +63,7 @@ def test_residuals_match_matrix_powers():
     x0 = DistributionVector(np.array([0.1, 0.1, 0.35, 0.4, 0.05]))
     rep = detect_period(P, x0, N_max=8)
     for k in range(1, 9):
-        xk = matrix_power(P, k) @ x0.probs
+        xk = np.linalg.matrix_power(P.entries, k) @ x0.probs
         assert abs(rep.residuals[k - 1] - np.max(np.abs(xk - x0.probs))) < 1e-10
 
 
@@ -78,13 +78,6 @@ def test_row_stochastic_loader_transposes():
     rows = np.array([[0.2, 0.8], [0.7, 0.3]])
     P = TransitionMatrix.from_array(rows, row_stochastic=True)
     np.testing.assert_allclose(P.entries, rows.T)
-
-
-def test_matrix_power_consistency():
-    P = paper_five_state_matrix(0.4, 0.6)
-    P5 = matrix_power(P, 5)
-    expected = np.linalg.matrix_power(P.entries, 5)
-    np.testing.assert_allclose(P5, expected, atol=1e-13)
 
 
 def test_detect_period_none_when_aperiodic():

@@ -38,6 +38,19 @@ def test_poincare_zero_source_gives_zero():
     assert resid < 1e-14
 
 
+def test_spr_is_exact_where_cn_stiff_modes_dominate():
+    # at n = 40, dt = T/15 the largest eigenvalues of K_c are negative CN
+    # stiff modes (about -0.908): power iteration from the uniform start
+    # returned one and took its sign for a non-positive radius
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*x", T),
+                        b=CoefficientField.from_string("0.5*cos(2*pi*t)", T))
+    solver = PeriodicLinearSolver(Grid1D(40, 0.0, 1.0), co, absorbing(), T, T / 15, c=1.0)
+    assert solver.spr == float(np.max(np.abs(np.linalg.eigvals(solver.K))))
+    assert solver.spr < 1.0
+    u0, traj = solver.solve(np.ones((15, 40)))
+    assert np.max(np.abs(traj[-1] - u0)) <= 1e-12 * np.max(np.abs(u0))
+
+
 def test_poincare_static_elliptic_oracle():
     # time-independent g: the periodic solution solves -u'' + c u = g,
     # which a dense solve of the stationary system reproduces
