@@ -58,8 +58,10 @@ def _schema_check(doc, schema, path=""):
 
 
 def _num(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, "expected a number")
+    # Python's json reads NaN and +-Infinity, and an integer past the float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, "expected a finite number")
     return float(value)
 
 
@@ -153,10 +155,8 @@ _FP_SCHEMA = {
     "sigma": (None, _expr),
     "a_eff": (None, _expr),
     "a0": (None, _expr),
-    "alpha": (None, _expr),
     "source_f": (None, _expr),
     "form": ("divergence", _one_of(*fpe_grid.FORMS)),
-    "integrator": ("cn", _one_of(*fpe_grid.INTEGRATORS)),
     "init": ({}, None),                 # default: the uniform density
     "tol": (1e-9, _pos),
     "max_iter": (500, _bounded(_int, 1)),
@@ -205,14 +205,9 @@ def _parse_fp_config(doc, command):
     else:
         s = parse_expr(cfg["sigma"])
         a_expr = Bin("/", Bin("*", s, s), Num(2.0))
-    b_expr = parse_expr(cfg["drift"])
-    if cfg["alpha"] is not None:
-        alpha = parse_expr(cfg["alpha"])
-        a_expr = Bin("*", alpha, a_expr)
-        b_expr = Bin("*", alpha, b_expr)
     coeffs = fpe_grid.FpCoefficients(
         a_eff=CoefficientField(a_expr, T),
-        b=CoefficientField(b_expr, T),
+        b=CoefficientField(parse_expr(cfg["drift"]), T),
         a0=None if cfg["a0"] is None else CoefficientField(parse_expr(cfg["a0"]), T))
     grid = fpe_grid.Grid1D(cfg["n_cells"], dom["lower"], dom["upper"])
     bc = fpe_grid.robin(*cfg["robin"]) if cfg["bc"] == "robin" else _BOUNDARIES[cfg["bc"]]()
@@ -408,14 +403,16 @@ def _cmd_simulate_sde(args):
     if (init_spec["point"] is None) == (init_spec["csv"] is None):
         raise ConfigError("/init", "give exactly one of 'point' or 'csv'")
     if init_spec["point"] is not None:
-        init = np.array(init_spec["point"])
+        key, init = "/init", np.array(init_spec["point"])
         if len(init) != domain.dim:
-            raise ConfigError("/init", f"point needs {domain.dim} coordinates")
+            raise ConfigError(key, f"point needs {domain.dim} coordinates")
     else:
-        init = _load_csv(base / init_spec["csv"], "/init/csv", ndmin=2)
+        key, init = "/init/csv", _load_csv(base / init_spec["csv"], "/init/csv", ndmin=2)
         if init.shape != (cfg["paths"], domain.dim):
-            raise ConfigError("/init/csv", f"expected {cfg['paths']} rows of "
+            raise ConfigError(key, f"expected {cfg['paths']} rows of "
                               f"{domain.dim} coordinates")
+    if not np.all((domain.lower <= init) & (init <= domain.upper)):
+        raise ConfigError(key, "start points must lie in the domain")
 
     batch = sde_reflect.sample_laws(sys_, init, M=cfg["paths"],
                                     n_periods=cfg["periods"], dt=cfg["dt"],
@@ -463,8 +460,7 @@ def _cmd_fp_solve(args):
     if args.snapshots:
         snapshot_times = _snapshot_times(args.snapshots, cfg["t1"], cfg["dt"])
     p, snaps = fpe_grid.solve_ivp(p0, coeffs, bc, 0.0, cfg["t1"], cfg["dt"],
-                                  form=cfg["form"], integrator=cfg["integrator"],
-                                  snapshot_times=snapshot_times)
+                                  form=cfg["form"], snapshot_times=snapshot_times)
     run = _Run(args.out, cfg, defaulted)
     rows = np.column_stack([grid.centers, p.values])
     run.write_csv("density.csv", rows, header="x,p")
@@ -483,7 +479,7 @@ def _cmd_eigen(args):
     doc, _ = load_config(args.config)
     cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
     op = period_map.PeriodOperator(grid, coeffs, bc, cfg["period_T"], cfg["dt"],
-                                   form=cfg["form"], integrator=cfg["integrator"])
+                                   form=cfg["form"])
     spec = period_map.power_iteration(op, tol=cfg["tol"])
     run = _Run(args.out, cfg, defaulted)
     doc_out = {"r": spec.r, "mu": spec.mu, "lambda1": spec.mu,
@@ -544,8 +540,6 @@ def _cmd_semilinear(args):
     cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
     if cfg["source_f"] is None:
         raise ConfigError("/source_f", "required for the semilinear solver")
-    if cfg["integrator"] != "cn":
-        raise ConfigError("/integrator", "the semilinear solver marches Crank-Nicolson only")
     T = cfg["period_T"]
     problem = semilinear.SemilinearProblem(
         coeffs=coeffs, f=CoefficientField(parse_expr(cfg["source_f"]), T),

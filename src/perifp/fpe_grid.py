@@ -24,7 +24,6 @@ from .errors import EllipticityViolation, QuadratureOverflow, SolverFailure
 ELLIPTICITY_FLOOR = 1e-12
 EXP_OVERFLOW = 700.0
 FORMS = ("divergence", "nondivergence")
-INTEGRATORS = ("cn", "ie")
 # entries of each stacked (steps, n) array of a marching block (64 KiB):
 # larger blocks save little time but raise peak memory
 BLOCK_ENTRIES = 8192
@@ -256,7 +255,7 @@ def step_cn(p: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
 
 def step_ie(p: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
             dt: float, form: str = "divergence", source=None) -> DensityField:
-    """One implicit-Euler step (positivity-preserving M-matrix fallback)."""
+    """One implicit-Euler step; two of dt/2 are the start-up of a march."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     L = assemble_generator(p.grid, coeffs, p.time_stamp + dt, bc, form)
@@ -275,60 +274,64 @@ def step_count(span: float, dt: float) -> int:
 
 
 class Propagator:
-    """Marches dV/dt = (L(t) - c) V + g(t) in steps dt, V of shape (n,) or (n, m).
+    """Marches dV/dt = (L(t) - c) V + g(t) by Crank-Nicolson in steps dt, V of shape (n,) or (n, m).
 
-    Crank-Nicolson ('cn') evaluates L at each half step, implicit Euler
-    ('ie') at each step's end.  Operators are assembled for a block of
-    steps from one broadcast coefficient evaluation; each step solves by
-    LAPACK dgtsv.  blocks() drops each block once marched, while a caller
-    that marches one period many times keeps its operators() to reuse.
+    blocks() makes the first step two implicit-Euler steps of dt/2
+    (Rannacher start-up): CN maps a stiff grid mode z = dt*lambda -> -inf
+    to (1+z/2)/(1-z/2) -> -1 each step, so it would outlive the physical
+    modes and drive a density negative; the half steps damp it by about
+    4/z^2.  Operators are assembled for a block of steps from one
+    broadcast coefficient evaluation; each step solves by LAPACK dgtsv.
     With a0_mean_out, the spatial mean m(t) of a0 is pulled out of each
-    step; the caller applies exp(-m dt) from the phase of operators().
+    step; the caller applies exp(-m dt) from the phase of each block.
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
-                 dt: float, form: str = "divergence", integrator: str = "cn",
-                 c: float = 0.0, a0_mean_out: bool = False):
-        if integrator not in INTEGRATORS:
-            raise ValueError(f"unknown integrator {integrator!r}")
+                 dt: float, form: str = "divergence", c: float = 0.0,
+                 a0_mean_out: bool = False):
         if not dt > 0:
             raise ValueError("dt must be positive")
         self.grid, self.coeffs, self.bc, self.dt = grid, coeffs, bc, dt
         self.form, self.c = form, c
-        self.cn = integrator == "cn"
         self.a0_mean_out = a0_mean_out and coeffs.a0 is not None
 
-    def operators(self, t0: float, k0: int, k1: int):
-        """Operators of steps k0..k1-1 of a march that starts at t0.
-
-        Returns (explicit, implicit, phase): the stacked tridiagonals
-        I + theta (L - c) (None for implicit Euler) and I - theta (L - c),
-        and the steps' a0 means times dt.
-        """
-        times = t0 + (np.arange(k0, k1) + (0.5 if self.cn else 1.0)) * self.dt
+    def _operators(self, times: np.ndarray, step: float, cn: bool):
+        # CN steps and the start-up's half steps share I - (dt/2)(L - c)
         offset = 0.0
         if self.a0_mean_out:
             offset = self.coeffs.a0(t=times[:, None], x=self.grid.centers).mean(axis=1)
         L = assemble_generator(self.grid, self.coeffs, times, self.bc, self.form,
                                a0_offset=offset)
-        theta = self.dt / 2 if self.cn else self.dt
+        theta = self.dt / 2
         lower, diag, upper = theta * L.lower, theta * (L.diag - self.c), theta * L.upper
-        explicit = Tridiag(lower, 1.0 + diag, upper) if self.cn else None
+        explicit = Tridiag(lower, 1.0 + diag, upper) if cn else None
         implicit = Tridiag(-lower, 1.0 - diag, -upper)
-        return explicit, implicit, float(np.sum(offset)) * self.dt
+        return explicit, implicit, float(np.sum(offset)) * step
+
+    def operators(self, t0: float, k0: int, k1: int):
+        """Crank-Nicolson operators of steps k0..k1-1 of a march that starts at t0.
+
+        Returns (explicit, implicit, phase): the stacked tridiagonals
+        I + (dt/2)(L - c) and I - (dt/2)(L - c), and the steps' a0 means
+        times dt.
+        """
+        return self._operators(t0 + (np.arange(k0, k1) + 0.5) * self.dt, self.dt, True)
 
     def blocks(self, n_steps: int, t0: float = 0.0):
-        """Operators of n_steps steps from t0, a block of about BLOCK_ENTRIES at a time."""
+        """Operators of n_steps steps from t0: the start-up's two half steps
+        (explicit None), then CN, a block of about BLOCK_ENTRIES at a time."""
+        yield self._operators(t0 + (np.arange(2) + 1.0) * (self.dt / 2), self.dt / 2, False)
         size = max(1, BLOCK_ENTRIES // self.grid.n_cells)
-        for k0 in range(0, n_steps, size):
-            yield self.operators(t0, k0, min(k0 + size, n_steps))
+        for k0 in range(0, n_steps - 1, size):
+            yield self.operators(t0 + self.dt, k0, min(k0 + size, n_steps - 1))
 
     def march(self, V, blocks, sources=None, record=()):
-        """Advance V through every step of blocks (operators(), in order).
+        """Advance V through every step of blocks (operators() or blocks(), in order).
 
-        sources(k), if given, is the source g of step k, shaped like V.
+        sources(k), if given, is the source g of step k, shaped like V;
+        each half step of a start-up block applies it over dt/2.
         Returns (V, states), states mapping each k in record to the state
-        after k steps (0 is the initial state).
+        after k steps (0 is the initial state; a start-up block is one step).
         """
         V = np.asarray(V, dtype=float)
         shape = V.shape
@@ -336,6 +339,7 @@ class Propagator:
         states = {0: V.reshape(shape)} if 0 in record else {}
         k = 0
         for explicit, implicit, _ in blocks:
+            h = self.dt if explicit is not None else self.dt / 2
             for j in range(implicit.diag.shape[0]):
                 if explicit is None:
                     rhs = V.copy(order="F")
@@ -344,11 +348,13 @@ class Propagator:
                     rhs[1:] += explicit.lower[j, 1:, None] * V[:-1]
                     rhs[:-1] += explicit.upper[j, :-1, None] * V[1:]
                 if sources is not None:
-                    rhs += self.dt * np.reshape(sources(k), rhs.shape)
+                    rhs += h * np.reshape(sources(k), rhs.shape)
                 *_, V, info = dgtsv(implicit.lower[j, 1:], implicit.diag[j],
                                     implicit.upper[j, :-1], rhs, overwrite_b=True)
                 if info:
                     raise SolverFailure(f"singular tridiagonal system (LAPACK info {info})")
+                if explicit is None and j == 0:
+                    continue        # the start-up's first half step
                 k += 1
                 if k in record:
                     states[k] = V.reshape(shape)
@@ -357,8 +363,9 @@ class Propagator:
 
 def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
               t0: float, t1: float, dt: float, form: str = "divergence",
-              integrator: str = "cn", snapshot_times=None):
-    """March from t0 to t1; returns (final DensityField, list of snapshots).
+              snapshot_times=None):
+    """March from t0 to t1 (Rannacher start-up, then Crank-Nicolson);
+    returns (final DensityField, list of snapshots).
 
     Snapshots are emitted at the requested times (matched to the nearest
     step boundary).
@@ -367,7 +374,7 @@ def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
     snap_steps = set()
     if snapshot_times is not None:
         snap_steps = {int(round((s - t0) / dt)) for s in snapshot_times}
-    prop = Propagator(p0.grid, coeffs, bc, dt, form, integrator)
+    prop = Propagator(p0.grid, coeffs, bc, dt, form)
     p, states = prop.march(p0.values, prop.blocks(n_steps, t0), record=snap_steps)
     snapshots = [DensityField(p0.grid, v, t0 + k * dt) for k, v in states.items()]
     return DensityField(p0.grid, p, t0 + n_steps * dt), snapshots

@@ -57,40 +57,30 @@ class SpectralResult:
 class PeriodOperator:
     """U(T, 0) applied to a vector, or to the columns of a matrix, without forming K.
 
-    With Crank-Nicolson each period of the coefficients (a_eff's declared
-    period, else T) starts with two implicit-Euler steps of dt/2
-    (Rannacher start-up): CN maps a stiff grid mode z = dt*lambda -> -inf
-    to (1+z/2)/(1-z/2) -> -1 each step, so it would outlive the physical
-    modes, while the two half steps damp it by about 4/z^2.  CN covers
-    the remaining steps.  The operators of one period are assembled once,
-    block by block, and every apply marches them once per period in T.
-    In the non-divergence form the a0 mean of each step (each half step
-    counting dt/2) is applied as one exact exponential factor.
+    Each period of the coefficients (a_eff's declared period, else T) is
+    one Propagator march, Rannacher start-up included.  The operators of
+    one period are assembled once, block by block, and every apply
+    marches them once per period in T.  In the non-divergence form the
+    a0 mean of each step (each half step counting dt/2) is applied as
+    one exact exponential factor.
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
-                 T: float, dt: float, form: str = "divergence", integrator: str = "cn"):
+                 T: float, dt: float, form: str = "divergence"):
         period = coeffs.a_eff.period_T or T
         try:
             repeats = step_count(T, period)
         except ValueError:
             raise ValueError(f"span {T!r} is not a multiple of the period {period!r}") from None
-        n_steps = step_count(period, dt)
-        mean_out = form == "nondivergence"
-        self._prop = Propagator(grid, coeffs, bc, dt, form, integrator, a0_mean_out=mean_out)
-        if integrator == "cn":
-            startup = Propagator(grid, coeffs, bc, dt / 2, form, "ie", a0_mean_out=mean_out)
-            ops = [startup.operators(0.0, 0, 2), *self._prop.blocks(n_steps - 1, dt)]
-        else:
-            ops = list(self._prop.blocks(n_steps))
+        self._prop = Propagator(grid, coeffs, bc, dt, form,
+                                a0_mean_out=form == "nondivergence")
+        ops = list(self._prop.blocks(step_count(period, dt)))
         self._ops = ops * repeats
         self._scale = math.exp(-sum(phase for *_, phase in self._ops))
         self.T, self.n = T, grid.n_cells
-        # dt max|L_ii| / 2, read off the implicit operators I - theta L:
-        # theta is dt/2 for CN and the start-up, dt for implicit Euler
-        theta_over_half_dt = 1.0 if integrator == "cn" else 2.0
+        # dt max|L_ii| / 2, read off the implicit operators I - (dt/2) L
         self.stiffness_ratio = max(float(np.max(np.abs(1.0 - implicit.diag)))
-                                   for _, implicit, _ in ops) / theta_over_half_dt
+                                   for _, implicit, _ in ops)
 
     def apply(self, V: np.ndarray) -> np.ndarray:
         V, _ = self._prop.march(V, self._ops)
@@ -99,8 +89,7 @@ class PeriodOperator:
 
 
 def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
-                     T: float, dt: float, form: str = "divergence",
-                     integrator: str = "cn") -> PeriodMap:
+                     T: float, dt: float, form: str = "divergence") -> PeriodMap:
     """K = U(T,0) by evolving the n unit cell densities over one period.
 
     The columns march the operators of PeriodOperator, Rannacher start-up
@@ -109,7 +98,7 @@ def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition
     exponential factor at the end, so a constant added to a0 scales K by
     exactly e^{-c T} (up to a single exp rounding).
     """
-    op = PeriodOperator(grid, coeffs, bc, T, dt, form, integrator)
+    op = PeriodOperator(grid, coeffs, bc, T, dt, form)
     return PeriodMap(K=op.apply(np.eye(grid.n_cells)), T=T)
 
 

@@ -73,6 +73,8 @@ class PeriodicLinearSolver:
         self.n_steps = step_count(self.T, self.dt)
         self._prop = Propagator(self.grid, self.coeffs, self.bc, self.dt, self.form,
                                 c=self.c)
+        # plain CN, no start-up: a periodic solve starts from the periodic
+        # state, and its sources sit at the CN half steps
         self._period = [self._prop.operators(0.0, 0, self.n_steps)]
         n = self.grid.n_cells
         self.K = self._prop.march(np.eye(n), self._period)[0]

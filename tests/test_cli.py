@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -93,6 +94,23 @@ def test_fp_solve_reflecting_mass(tmp_path):
     assert manifest["headline"]["final_mass"] == pytest.approx(1.0, abs=1e-10)
     rows = np.loadtxt(out / "density.csv", delimiter=",")
     assert rows.shape == (200, 2)
+
+
+def test_fp_solve_fine_grid_at_default_dt_stays_nonnegative(tmp_path):
+    # n = 1600 at dt = T/256: plain Crank-Nicolson carries the stiff wall
+    # mode to t = T (minimum -0.048, mass off by 5.4e-4); the start-up
+    # damps it.  The mass of the absorbing heat equation from the uniform
+    # density is sum over odd k of 8/(k pi)^2 exp(-(k pi)^2 T)
+    cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG, n_cells=1600))
+    out = tmp_path / "out"
+    assert run(["fp-solve", "--config", cfg, "--out", str(out)]) == 0
+    p = np.loadtxt(out / "density.csv", delimiter=",")[:, 1]
+    assert p.min() >= 0.0
+    k = np.arange(1, 200, 2) * math.pi
+    series = float(np.sum(8 / k**2 * np.exp(-k**2 * 0.1)))
+    final_mass = json.loads((out / "manifest.json").read_text())["headline"]["final_mass"]
+    assert final_mass == pytest.approx(p.sum() / 1600, rel=1e-12)
+    assert abs(final_mass - series) <= 1e-4
 
 
 def test_eigen_heat_headline(tmp_path, capsys):
@@ -247,7 +265,7 @@ def test_semilinear_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, change, path", [
-    ("fp-solve", {"integrator": "CN"}, "/integrator"),
+    ("fp-solve", {"integrator": "CN"}, "/integrator"),     # unknown keys
     ("eigen", {"integrator": "euler"}, "/integrator"),
     ("fp-solve", {"form": "div"}, "/form"),
     ("fp-solve", {"dt": 0.03}, "/dt"),                 # t1 = period_T = 0.1
@@ -281,6 +299,13 @@ def test_semilinear_subcommand(tmp_path, capsys):
     ("fp-solve", {"init": {"expr": "1", "csv": "missing.csv"}}, "/init"),
     ("fp-solve", {"bc": "neumann"}, "/bc"),             # a Robin wall, divergence form
     ("eigen", {"bc": "neumann"}, "/bc"),
+    ("fp-solve", {"domain": {"lower": math.nan, "upper": 1.0}}, "/domain/lower"),
+    ("fp-solve", {"bc": "robin", "form": "nondivergence", "robin": [math.nan, 1.0]},
+     "/robin/0"),
+    ("eigen", {"period_T": math.inf}, "/period_T"),
+    ("fp-solve", {"dt": -math.inf}, "/dt"),
+    ("semilinear", {"c_shift": math.inf}, "/c_shift"),
+    ("fp-solve", {"alpha": "2"}, "/alpha"),
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -295,6 +320,8 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["path"] == path
+    if path in ("/integrator", "/alpha"):
+        assert err["message"] == f"{path}: unknown key"
 
 
 @pytest.mark.parametrize("change, path", [
@@ -311,9 +338,17 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     ({"init": {"csv": "missing.csv"}}, "/init/csv"),
     ({"init": {"csv": "three.csv"}}, "/init/csv"),     # 200 paths need 200 rows
     ({"init": {"point": [0.5], "csv": "missing.csv"}}, "/init"),
+    ({"init": {"point": [7.5]}}, "/init"),              # outside [0, 1]
+    ({"init": {"point": [-1e-9]}}, "/init"),
+    ({"init": {"csv": "outside.csv"}}, "/init/csv"),
+    ({"init": {"csv": "nan.csv"}}, "/init/csv"),
+    ({"domain": {"lower": [0.0], "upper": [math.inf]}}, "/domain/upper/0"),
 ])
 def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     np.savetxt(tmp_path / "three.csv", np.full((3, 1), 0.5), delimiter=",")
+    for name, bad in (("outside.csv", 1.5), ("nan.csv", math.nan)):
+        np.savetxt(tmp_path / name, np.append(np.full(199, 0.5), bad)[:, None],
+                   delimiter=",")
     cfg = _sde_config(tmp_path, **change)
     code = run(["--json-errors", "simulate-sde", "--config", cfg,
                 "--out", str(tmp_path / "o")])
@@ -563,6 +598,14 @@ def test_deterministic_fp_solve_outputs(tmp_path):
     assert run(["fp-solve", "--config", cfg, "--out", str(out1)]) == 0
     assert run(["fp-solve", "--config", cfg, "--out", str(out2)]) == 0
     assert _sha(out1 / "density.csv") == _sha(out2 / "density.csv")
+
+
+def test_every_config_key_is_documented():
+    # each key of the fp and SDE configs appears in README.md as `key` or "key"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [key for key in (*_FP_SCHEMA, *_SDE_SCHEMA)
+               if not re.search(rf'[`"]{key}\b', readme)]
+    assert missing == []
 
 
 def test_bench_tracer_targets_resolve():
