@@ -196,6 +196,8 @@ def _parse_fp_config(doc, command):
         _check_divides(cfg[span_key], cfg["dt"], span_key)
     if (cfg["sigma"] is None) == (cfg["a_eff"] is None):
         raise ConfigError("/sigma", "give exactly one of 'sigma' or 'a_eff'")
+    if cfg["bc"] != "robin" and "/robin" not in defaulted:
+        raise ConfigError("/robin", f"bc {cfg['bc']!r} does not read robin coefficients")
     if cfg["a0"] is not None and cfg["form"] == "divergence":
         # the flux-form operator has no zero-order term
         raise ConfigError("/a0", "a0 needs form 'nondivergence'")
@@ -603,6 +605,11 @@ def _cmd_selftest(args):
     p0 = fpe_grid.DensityField(grid, np.ones(32))
     p1 = fpe_grid.step_cn(p0, coeffs, fpe_grid.reflecting(), 0.01)
     check("fpe_grid: reflecting CN conserves mass", abs(p1.mass - p0.mass) < 1e-13)
+    prop = fpe_grid.Propagator(grid, coeffs, fpe_grid.absorbing(), 0.01)
+    V, _ = prop.march(p0.values, [prop.operators(0.0, 0, 8)])
+    for _ in range(8):
+        p0 = fpe_grid.step_cn(p0, coeffs, fpe_grid.absorbing(), 0.01)
+    check("fpe_grid: CN march equals the step_cn loop", np.max(np.abs(V - p0.values)) < 1e-12)
 
     pm = period_map.PeriodMap(np.eye(8), T)
     spec = period_map.power_iteration(pm)

@@ -280,10 +280,12 @@ class Propagator:
     (Rannacher start-up): CN maps a stiff grid mode z = dt*lambda -> -inf
     to (1+z/2)/(1-z/2) -> -1 each step, so it would outlive the physical
     modes and drive a density negative; the half steps damp it by about
-    4/z^2.  Operators are assembled for a block of steps from one
-    broadcast coefficient evaluation; each step solves by LAPACK dgtsv.
-    With a0_mean_out, the spatial mean m(t) of a0 is pulled out of each
-    step; the caller applies exp(-m dt) from the phase of each block.
+    4/z^2.  Only M = I - (dt/2)(L - c) is assembled, for a block of steps
+    from one broadcast coefficient evaluation: as the explicit operator is
+    2I - M, each step is one LAPACK dgtsv solve Y = M^-1 (V + (dt/2) g),
+    then V <- 2Y - V for CN and V <- Y for a half step.  With a0_mean_out,
+    the spatial mean m(t) of a0 is pulled out of each step; the caller
+    applies exp(-m dt) from the phase of each block.
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
@@ -296,30 +298,27 @@ class Propagator:
         self.a0_mean_out = a0_mean_out and coeffs.a0 is not None
 
     def _operators(self, times: np.ndarray, step: float, cn: bool):
-        # CN steps and the start-up's half steps share I - (dt/2)(L - c)
         offset = 0.0
         if self.a0_mean_out:
             offset = self.coeffs.a0(t=times[:, None], x=self.grid.centers).mean(axis=1)
         L = assemble_generator(self.grid, self.coeffs, times, self.bc, self.form,
                                a0_offset=offset)
         theta = self.dt / 2
-        lower, diag, upper = theta * L.lower, theta * (L.diag - self.c), theta * L.upper
-        explicit = Tridiag(lower, 1.0 + diag, upper) if cn else None
-        implicit = Tridiag(-lower, 1.0 - diag, -upper)
-        return explicit, implicit, float(np.sum(offset)) * step
+        implicit = Tridiag(-theta * L.lower, 1.0 - theta * (L.diag - self.c), -theta * L.upper)
+        return cn, implicit, float(np.sum(offset)) * step
 
     def operators(self, t0: float, k0: int, k1: int):
-        """Crank-Nicolson operators of steps k0..k1-1 of a march that starts at t0.
+        """Crank-Nicolson steps k0..k1-1 of a march that starts at t0.
 
-        Returns (explicit, implicit, phase): the stacked tridiagonals
-        I + (dt/2)(L - c) and I - (dt/2)(L - c), and the steps' a0 means
-        times dt.
+        Returns (True, implicit, phase): True marks CN steps, implicit
+        stacks the tridiagonals I - (dt/2)(L - c) at the half steps, and
+        phase is the steps' a0 means times dt.
         """
         return self._operators(t0 + (np.arange(k0, k1) + 0.5) * self.dt, self.dt, True)
 
     def blocks(self, n_steps: int, t0: float = 0.0):
         """Operators of n_steps steps from t0: the start-up's two half steps
-        (explicit None), then CN, a block of about BLOCK_ENTRIES at a time."""
+        (marked False), then CN, a block of about BLOCK_ENTRIES at a time."""
         yield self._operators(t0 + (np.arange(2) + 1.0) * (self.dt / 2), self.dt / 2, False)
         size = max(1, BLOCK_ENTRIES // self.grid.n_cells)
         for k0 in range(0, n_steps - 1, size):
@@ -328,32 +327,26 @@ class Propagator:
     def march(self, V, blocks, sources=None, record=()):
         """Advance V through every step of blocks (operators() or blocks(), in order).
 
-        sources(k), if given, is the source g of step k, shaped like V;
-        each half step of a start-up block applies it over dt/2.
+        sources, if given, stacks the source g of each step k, sources[k]
+        shaped like V; a start-up block applies sources[0] over each dt/2.
         Returns (V, states), states mapping each k in record to the state
         after k steps (0 is the initial state; a start-up block is one step).
         """
-        V = np.asarray(V, dtype=float)
-        shape = V.shape
-        V = np.asfortranarray(V.reshape(shape[0], -1))
+        shape = np.shape(V)
+        V = np.asfortranarray(np.reshape(V, (shape[0], -1)), dtype=float)
         states = {0: V.reshape(shape)} if 0 in record else {}
+        if sources is not None:     # scaled by dt/2 once, not once per step
+            sources = (self.dt / 2) * np.reshape(sources, (-1,) + V.shape)
         k = 0
-        for explicit, implicit, _ in blocks:
-            h = self.dt if explicit is not None else self.dt / 2
-            for j in range(implicit.diag.shape[0]):
-                if explicit is None:
-                    rhs = V.copy(order="F")
-                else:
-                    rhs = np.multiply(explicit.diag[j, :, None], V, order="F")
-                    rhs[1:] += explicit.lower[j, 1:, None] * V[:-1]
-                    rhs[:-1] += explicit.upper[j, :-1, None] * V[1:]
-                if sources is not None:
-                    rhs += h * np.reshape(sources(k), rhs.shape)
-                *_, V, info = dgtsv(implicit.lower[j, 1:], implicit.diag[j],
-                                    implicit.upper[j, :-1], rhs, overwrite_b=True)
+        for cn, implicit, _ in blocks:
+            lower, diag, upper = implicit.lower[:, 1:], implicit.diag, implicit.upper[:, :-1]
+            for j in range(diag.shape[0]):
+                rhs = V if sources is None else V + sources[k]
+                *_, Y, info = dgtsv(lower[j], diag[j], upper[j], rhs)     # solves a copy
                 if info:
                     raise SolverFailure(f"singular tridiagonal system (LAPACK info {info})")
-                if explicit is None and j == 0:
+                V = np.subtract(Y + Y, V, order="F") if cn else Y
+                if not cn and j == 0:
                     continue        # the start-up's first half step
                 k += 1
                 if k in record:

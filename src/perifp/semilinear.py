@@ -56,9 +56,9 @@ class OrderedPair:
 class PeriodicLinearSolver:
     """Solver for d_t v + (A(t) + c) v = g(t, x), v(0) = v(T).
 
-    Precomputes the per-step Crank-Nicolson operators and the one-period
-    homogeneous map K_c, then solves (I - K_c) v0 = w where w is the
-    one-period evolution of zero data under the source.
+    Precomputes one period's implicit Crank-Nicolson operators
+    I - (dt/2)(L - c) and the homogeneous one-period map K_c, then solves
+    (I - K_c) v0 = w, w the one-period evolution of zero data under the source.
     """
 
     grid: Grid1D
@@ -93,10 +93,9 @@ class PeriodicLinearSolver:
         (periodicity residual is ||trajectory[-1] - u0||_inf, bounded by
         the linear-solve accuracy).
         """
-        g = source.__getitem__
-        w, _ = self._prop.march(np.zeros(source.shape[1:]), self._period, g)
+        w, _ = self._prop.march(np.zeros(source.shape[1:]), self._period, source)
         u0 = lu_solve(self._lu, w)
-        _, states = self._prop.march(u0, self._period, g,
+        _, states = self._prop.march(u0, self._period, source,
                                      record=range(self.n_steps + 1))
         return u0, np.stack(list(states.values()))
 

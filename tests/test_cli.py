@@ -306,6 +306,8 @@ def test_semilinear_subcommand(tmp_path, capsys):
     ("fp-solve", {"dt": -math.inf}, "/dt"),
     ("semilinear", {"c_shift": math.inf}, "/c_shift"),
     ("fp-solve", {"alpha": "2"}, "/alpha"),
+    ("eigen", {"robin": [5.0, 7.0]}, "/robin"),         # absorbing walls
+    ("fp-solve", {"bc": "reflecting", "robin": [0.0, 0.0]}, "/robin"),
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \

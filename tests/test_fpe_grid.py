@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import EllipticityViolation, QuadratureOverflow
 from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
-                             absorbing, assemble_generator,
+                             Propagator, absorbing, assemble_generator,
                              check_stationarity_condition, neumann, reflecting,
                              robin, solve_ivp, stationary_closed_form, step_cn,
                              step_ie)
@@ -179,6 +179,40 @@ def test_propagator_matches_step_loop_over_periods(form, bc, co):
         assert snap.time_stamp == pytest.approx(k * T)
         assert np.max(np.abs(snap.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
     np.testing.assert_array_equal(p.values, snaps[-1].values)
+
+
+def test_stiff_absorbing_march_matches_step_loop():
+    # dt max|L_ii| / 2 >= 500: the stiff grid modes pass through the
+    # start-up and then the CN factor ~ -1 of every step, where the march's
+    # 2 M^-1 V - V and step_cn's explicit matvec must agree
+    grid = Grid1D(400, 0.0, 1.0)
+    dt, n_steps = T / 256, 32
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
+                        b=CoefficientField.from_string("3*cos(2*pi*t)*(1-2*x)", T))
+    L = assemble_generator(grid, co, (np.arange(n_steps) + 0.5) * dt, absorbing())
+    assert dt * np.max(np.abs(L.diag)) / 2 >= 500
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    V0 = gen.uniform(0.0, 1.0, (400, 2))
+    prop = Propagator(grid, co, absorbing(), dt)
+    V, _ = prop.march(V0, prop.blocks(n_steps))
+    for j in range(2):
+        ref = _startup_loop(DensityField(grid, V0[:, j]), co, absorbing(), dt, n_steps,
+                            "divergence").values
+        assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_reflecting_march_conserves_mass_over_many_steps():
+    # 20 periods of 256 steps in one march; the mass after every period
+    grid = Grid1D(64, 0.0, 1.0)
+    dt, n_steps = T / 256, 5120
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
+                        b=CoefficientField.from_string("3*sin(2*pi*t)*(1-2*x)", T))
+    p0 = DensityField(grid, 1.0 + np.sin(3 * grid.centers), time_stamp=0.0)
+    p, snaps = solve_ivp(p0, co, reflecting(), 0.0, n_steps * dt, dt,
+                         snapshot_times=np.arange(1, 21) * T)
+    assert len(snaps) == 20
+    for snap in snaps:
+        assert abs(snap.mass - p0.mass) <= 1e-12 * p0.mass
 
 
 def test_ellipticity_violation_mid_block_reports_its_time():

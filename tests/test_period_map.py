@@ -134,7 +134,7 @@ def test_evolve_matrix_with_sources_matches_step_loop():
                                 np.full(40, 1.0 + t)])
 
     prop = Propagator(grid, co, absorbing(), dt)
-    V, _ = prop.march(V0, prop.blocks(n_steps), sources)
+    V, _ = prop.march(V0, prop.blocks(n_steps), [sources(k) for k in range(n_steps)])
     for j in range(2):
         ref = _startup_loop(V0[:, j], grid, co, absorbing(), dt, n_steps,
                             lambda k: sources(k)[:, j])
