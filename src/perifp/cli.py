@@ -461,7 +461,7 @@ def _cmd_fp_solve(args):
     snapshot_times = [0.0, cfg["t1"]]
     if args.snapshots:
         snapshot_times = _snapshot_times(args.snapshots, cfg["t1"], cfg["dt"])
-    p, snaps = fpe_grid.solve_ivp(p0, coeffs, bc, 0.0, cfg["t1"], cfg["dt"],
+    p, snaps = fpe_grid.solve_ivp(p0, coeffs, bc, cfg["t1"], cfg["dt"],
                                   form=cfg["form"], snapshot_times=snapshot_times)
     run = _Run(args.out, cfg, defaulted)
     rows = np.column_stack([grid.centers, p.values])
@@ -506,7 +506,7 @@ def _cmd_stationary(args):
         raise ConfigError("/bc", "the stationary closed form needs reflecting walls")
     if cfg["form"] != "divergence":
         raise ConfigError("/form", "the stationary closed form needs form 'divergence'")
-    density = fpe_grid.stationary_closed_form(coeffs, grid, t=0.0)
+    density = fpe_grid.stationary_closed_form(coeffs, grid)
     times = np.linspace(0.0, cfg["period_T"], 9)
     cond = fpe_grid.check_stationarity_condition(coeffs, grid, times)
     run = _Run(args.out, cfg, defaulted)
@@ -606,7 +606,7 @@ def _cmd_selftest(args):
     p1 = fpe_grid.step_cn(p0, coeffs, fpe_grid.reflecting(), 0.01)
     check("fpe_grid: reflecting CN conserves mass", abs(p1.mass - p0.mass) < 1e-13)
     prop = fpe_grid.Propagator(grid, coeffs, fpe_grid.absorbing(), 0.01)
-    V, _ = prop.march(p0.values, [prop.operators(0.0, 0, 8)])
+    V, _ = prop.march(p0.values, [prop.operators(8)])
     for _ in range(8):
         p0 = fpe_grid.step_cn(p0, coeffs, fpe_grid.absorbing(), 0.01)
     check("fpe_grid: CN march equals the step_cn loop", np.max(np.abs(V - p0.values)) < 1e-12)
@@ -701,25 +701,27 @@ def _build_parser():
 def run(argv) -> int:
     # read off argv, so that usage errors honour --json-errors too
     json_errors = "--json-errors" in argv
-    try:
-        args = _build_parser().parse_args(argv)
-        return args.fn(args)
-    except ConfigError as exc:
-        _report_error(json_errors, exc)
-        return 2
-    except PerifpError as exc:
-        _report_error(json_errors, exc)
-        return 1
 
+    def report(doc, text):
+        print(json.dumps(doc) if json_errors else f"perifp: {text}", file=sys.stderr)
 
-def _report_error(json_errors, exc):
-    if json_errors:
-        doc = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, ConfigError):
-            doc["path"] = exc.path
-        print(json.dumps(doc), file=sys.stderr)
-    else:
-        print(f"perifp: {type(exc).__name__}: {exc}", file=sys.stderr)
+    def show_warning(message, category, *_):
+        report({"warning": category.__name__, "message": str(message)},
+               f"warning: {category.__name__}: {message}")
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            args = _build_parser().parse_args(argv)
+            return args.fn(args)
+        except (PerifpError, MemoryError) as exc:
+            # numpy raises a private subclass of MemoryError: report the builtin
+            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            doc = {"error": name, "message": str(exc)}
+            if isinstance(exc, ConfigError):
+                doc["path"] = exc.path
+            report(doc, f"{name}: {exc}")
+            return 2 if isinstance(exc, ConfigError) else 1
 
 
 def main():

@@ -94,8 +94,7 @@ def _tokenize(source: str):
             if not stripped:
                 break
             bad_at = len(source) - len(stripped)
-            raise ExprSyntaxError(bad_at, f"unexpected character {source[bad_at]!r}",
-                                  expected={"number", "identifier", "operator"})
+            raise ExprSyntaxError(bad_at, f"unexpected character {source[bad_at]!r}")
         if m.group("num") is not None:
             tokens.append(("num", m.group("num"), m.start("num")))
         elif m.group("ident") is not None:
@@ -125,14 +124,13 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "op" and text == op:
             return self.advance()
-        raise ExprSyntaxError(pos, f"expected {op!r}, found {text or 'end of input'!r}",
-                              expected={op})
+        raise ExprSyntaxError(pos, f"expected {op!r}, found {text or 'end of input'!r}")
 
     def parse(self) -> Expr:
         node = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
-            raise ExprSyntaxError(pos, f"trailing input {text!r}", expected={"end of input"})
+            raise ExprSyntaxError(pos, f"trailing input {text!r}")
         return node
 
     def expr(self) -> Expr:
@@ -184,13 +182,12 @@ class _Parser:
                 return Const(text)
             if text in VARIABLES:
                 return Var(text)
-            raise UnknownIdentifier(text, pos)
+            raise UnknownIdentifier(text)
         if kind == "op" and text == "(":
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ExprSyntaxError(pos, f"expected a value, found {text or 'end of input'!r}",
-                              expected={"number", "identifier", "("})
+        raise ExprSyntaxError(pos, f"expected a value, found {text or 'end of input'!r}")
 
 
 def parse_expr(source: str) -> Expr:

@@ -6,23 +6,16 @@ class PerifpError(Exception):
 
 
 class ExprSyntaxError(PerifpError):
-    """Raised when an expression string cannot be parsed.
+    """Raised when an expression string cannot be parsed; carries the byte
+    offset of the failure."""
 
-    Carries the byte offset of the failure and the set of token kinds
-    that would have been accepted there.
-    """
-
-    def __init__(self, position, message, expected=()):
+    def __init__(self, position, message):
         self.position = position
-        self.message = message
-        self.expected = frozenset(expected)
         super().__init__(f"at offset {position}: {message}")
 
 
 class UnknownIdentifier(PerifpError):
-    def __init__(self, name, position=None):
-        self.name = name
-        self.position = position
+    def __init__(self, name):
         super().__init__(f"unknown identifier {name!r}")
 
 

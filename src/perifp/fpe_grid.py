@@ -307,22 +307,24 @@ class Propagator:
         implicit = Tridiag(-theta * L.lower, 1.0 - theta * (L.diag - self.c), -theta * L.upper)
         return cn, implicit, float(np.sum(offset)) * step
 
-    def operators(self, t0: float, k0: int, k1: int):
-        """Crank-Nicolson steps k0..k1-1 of a march that starts at t0.
+    def operators(self, n_steps: int):
+        """Crank-Nicolson operators of the first n_steps steps from t = 0, no start-up.
 
         Returns (True, implicit, phase): True marks CN steps, implicit
         stacks the tridiagonals I - (dt/2)(L - c) at the half steps, and
         phase is the steps' a0 means times dt.
         """
-        return self._operators(t0 + (np.arange(k0, k1) + 0.5) * self.dt, self.dt, True)
+        return self._operators((np.arange(n_steps) + 0.5) * self.dt, self.dt, True)
 
-    def blocks(self, n_steps: int, t0: float = 0.0):
-        """Operators of n_steps steps from t0: the start-up's two half steps
+    def blocks(self, n_steps: int):
+        """Operators of n_steps steps from t = 0: the start-up's two half steps
         (marked False), then CN, a block of about BLOCK_ENTRIES at a time."""
-        yield self._operators(t0 + (np.arange(2) + 1.0) * (self.dt / 2), self.dt / 2, False)
+        yield self._operators((np.arange(2) + 1.0) * (self.dt / 2), self.dt / 2, False)
         size = max(1, BLOCK_ENTRIES // self.grid.n_cells)
         for k0 in range(0, n_steps - 1, size):
-            yield self.operators(t0 + self.dt, k0, min(k0 + size, n_steps - 1))
+            # the CN steps after the start-up, offset by its dt
+            times = self.dt + (np.arange(k0, min(k0 + size, n_steps - 1)) + 0.5) * self.dt
+            yield self._operators(times, self.dt, True)
 
     def march(self, V, blocks, sources=None, record=()):
         """Advance V through every step of blocks (operators() or blocks(), in order).
@@ -355,22 +357,21 @@ class Propagator:
 
 
 def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
-              t0: float, t1: float, dt: float, form: str = "divergence",
-              snapshot_times=None):
-    """March from t0 to t1 (Rannacher start-up, then Crank-Nicolson);
+              t1: float, dt: float, form: str = "divergence", snapshot_times=None):
+    """March p0 from t = 0 to t1 (Rannacher start-up, then Crank-Nicolson);
     returns (final DensityField, list of snapshots).
 
     Snapshots are emitted at the requested times (matched to the nearest
     step boundary).
     """
-    n_steps = step_count(t1 - t0, dt)
+    n_steps = step_count(t1, dt)
     snap_steps = set()
     if snapshot_times is not None:
-        snap_steps = {int(round((s - t0) / dt)) for s in snapshot_times}
+        snap_steps = {int(round(s / dt)) for s in snapshot_times}
     prop = Propagator(p0.grid, coeffs, bc, dt, form)
-    p, states = prop.march(p0.values, prop.blocks(n_steps, t0), record=snap_steps)
-    snapshots = [DensityField(p0.grid, v, t0 + k * dt) for k, v in states.items()]
-    return DensityField(p0.grid, p, t0 + n_steps * dt), snapshots
+    p, states = prop.march(p0.values, prop.blocks(n_steps), record=snap_steps)
+    snapshots = [DensityField(p0.grid, v, k * dt) for k, v in states.items()]
+    return DensityField(p0.grid, p, n_steps * dt), snapshots
 
 
 def _a_eff_dx(coeffs: FpCoefficients, t, xs: np.ndarray, dx: float) -> np.ndarray:
@@ -383,18 +384,18 @@ def _a_eff_dx(coeffs: FpCoefficients, t, xs: np.ndarray, dx: float) -> np.ndarra
     return da
 
 
-def stationary_closed_form(coeffs: FpCoefficients, grid: Grid1D,
-                           t: float = 0.0) -> DensityField:
-    """Stationary density q(x) = exp(int (b - a_x)/a dx), normalized to mass 1.
+def stationary_closed_form(coeffs: FpCoefficients, grid: Grid1D) -> DensityField:
+    """Stationary density q(x) = exp(int (b - a_x)/a dx) of the coefficients
+    at t = 0, normalized to mass 1.
 
     Valid for time-independent coefficients or when the stationarity
     condition holds (see check_stationarity_condition).
     """
     xs = grid.centers
-    a = coeffs.a_eff(t=t, x=xs)
-    _check_ellipticity(a, t, xs)
-    b = coeffs.b(t=t, x=xs)
-    integrand = (b - _a_eff_dx(coeffs, t, xs, grid.dx)) / a
+    a = coeffs.a_eff(t=0.0, x=xs)
+    _check_ellipticity(a, 0.0, xs)
+    b = coeffs.b(t=0.0, x=xs)
+    integrand = (b - _a_eff_dx(coeffs, 0.0, xs, grid.dx)) / a
     # cumulative trapezoid from the first cell center; the constant offset
     # drops out in the normalization
     exponent = np.concatenate([[0.0],
@@ -404,7 +405,7 @@ def stationary_closed_form(coeffs: FpCoefficients, grid: Grid1D,
         raise QuadratureOverflow(f"exponent range {exponent.min():.1f} exceeds double range")
     q = np.exp(exponent)
     q /= q.sum() * grid.dx
-    return DensityField(grid, q, time_stamp=t)
+    return DensityField(grid, q)
 
 
 def check_stationarity_condition(coeffs: FpCoefficients, grid: Grid1D,

@@ -57,30 +57,24 @@ class SpectralResult:
 class PeriodOperator:
     """U(T, 0) applied to a vector, or to the columns of a matrix, without forming K.
 
-    Each period of the coefficients (a_eff's declared period, else T) is
-    one Propagator march, Rannacher start-up included.  The operators of
-    one period are assembled once, block by block, and every apply
-    marches them once per period in T.  In the non-divergence form the
-    a0 mean of each step (each half step counting dt/2) is applied as
-    one exact exponential factor.
+    U(T, 0) is one Propagator march over [0, T] from t = 0, Rannacher
+    start-up included: the march fp-solve makes over [0, T].  Its
+    operators are assembled once, block by block, and every apply
+    marches them.  In the non-divergence form the a0 mean of each step
+    (each half step counting dt/2) is applied as one exact exponential
+    factor.
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
                  T: float, dt: float, form: str = "divergence"):
-        period = coeffs.a_eff.period_T or T
-        try:
-            repeats = step_count(T, period)
-        except ValueError:
-            raise ValueError(f"span {T!r} is not a multiple of the period {period!r}") from None
         self._prop = Propagator(grid, coeffs, bc, dt, form,
                                 a0_mean_out=form == "nondivergence")
-        ops = list(self._prop.blocks(step_count(period, dt)))
-        self._ops = ops * repeats
+        self._ops = list(self._prop.blocks(step_count(T, dt)))
         self._scale = math.exp(-sum(phase for *_, phase in self._ops))
         self.T, self.n = T, grid.n_cells
         # dt max|L_ii| / 2, read off the implicit operators I - (dt/2) L
         self.stiffness_ratio = max(float(np.max(np.abs(1.0 - implicit.diag)))
-                                   for _, implicit, _ in ops)
+                                   for _, implicit, _ in self._ops)
 
     def apply(self, V: np.ndarray) -> np.ndarray:
         V, _ = self._prop.march(V, self._ops)

@@ -119,8 +119,8 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
     """Simulate M paths and record the empirical law at 0, T, ..., nT.
 
     init is a point (all paths start there) or an (M, d) array of
-    starting positions.  Snapshot supports are optionally snapped to a
-    grid of resolution snap_resolution at emission.
+    starting positions, each in the closed box.  Snapshot supports are
+    optionally snapped to a grid of resolution snap_resolution at emission.
     """
     if M < 1:
         raise ValueError("need at least one path")
@@ -132,7 +132,8 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
     X = np.broadcast_to(init, (M, d)).copy() if init.ndim <= 1 else init.copy()
     if X.shape != (M, d):
         raise DimensionMismatch(f"init must broadcast to ({M}, {d})")
-    X = sys.domain.project(X)
+    if not np.all((sys.domain.lower <= X) & (X <= sys.domain.upper)):
+        raise ValueError("start points must lie in the box")
 
     sqrt_dt = np.sqrt(dt)
     reflections = np.zeros(M, dtype=np.int64)
@@ -147,7 +148,7 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
     step_index = 0
     for _ in range(n_periods):
         for k in range(steps_per_period):
-            t = (step_index % steps_per_period) * dt
+            t = k * dt
             dW = sqrt_dt * _step_increments(seed, step_index, (M, sys.brownian_dim))
             X, hit = em_reflect_step(X, t, dt, dW, sys)
             reflections += hit

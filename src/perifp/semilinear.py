@@ -75,7 +75,7 @@ class PeriodicLinearSolver:
                                 c=self.c)
         # plain CN, no start-up: a periodic solve starts from the periodic
         # state, and its sources sit at the CN half steps
-        self._period = [self._prop.operators(0.0, 0, self.n_steps)]
+        self._period = [self._prop.operators(self.n_steps)]
         n = self.grid.n_cells
         self.K = self._prop.march(np.eye(n), self._period)[0]
         self.spr = float(np.max(np.abs(np.linalg.eigvals(self.K))))

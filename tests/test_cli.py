@@ -10,6 +10,7 @@ import math
 import re
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,43 @@ def test_empty_csv_is_one_json_error(tmp_path, monkeypatch, capsys, argv, path):
     assert json.loads(err[0])["path"] == path
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys):
+    # 10**15 residuals cannot be allocated, so this fails before any work
+    (tmp_path / "P.csv").write_text("0,1\n1,0\n")
+    (tmp_path / "x0.csv").write_text("1,0\n")
+    argv = ["markov-check", "--matrix", str(tmp_path / "P.csv"),
+            "--init", str(tmp_path / "x0.csv"), "--nmax", str(10**15)]
+    assert run(["--json-errors"] + argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "MemoryError"
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("perifp: MemoryError: Unable to allocate")
+
+
+def test_warnings_are_reported_as_stderr_lines(tmp_path, capsys):
+    # absorbing walls with f(t, x, 0) = 0.1 violate Dirichlet compatibility,
+    # which semilinear only warns about
+    doc = {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 1.0, "drift": "0",
+           "a_eff": "1", "bc": "absorbing", "n_cells": 24, "dt": 1.0 / 64,
+           "source_f": "u*(1-u) + 0.1"}
+    cfg = _write(tmp_path / "sl.json", doc)
+    outputs = []
+    for flags in (["--json-errors"], []):
+        out = tmp_path / f"out{len(outputs)}"
+        assert run(flags + ["semilinear", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        if flags:
+            line = json.loads(err[0])
+            assert line["warning"] == "UserWarning"
+            assert "Dirichlet compatibility is violated" in line["message"]
+        else:
+            assert err[0].startswith("perifp: warning: UserWarning: f(t, 0.0, 0) != 0")
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("nu", ["0,0.5,0.5\n1,0,0.5\n", "0,0.5,1\n"],
                          ids=["assignment", "lp"])
 def test_dbl_huge_coordinate_is_a_capped_distance(tmp_path, capsys, nu):
@@ -635,40 +673,49 @@ _TEST_ONLY_KEEP = {
     "lambda1": "acceptance criterion 9",
     "pretty": "the parser's round-trip property test",
     "verify_upper_lower": "ROADMAP item 4 reports it as a run diagnostic",
+    "EmpiricalMeasure.from_samples": "test_bl_metric's sample-cloud d_BL tests",
+    "Tridiag.column_sums": "test_fpe_grid's column-sum tests of the generator",
+    "Tridiag.to_dense": "test_fpe_grid's stencil tests and test_semilinear's dense solves",
 }
 
 
 def _referenced_names(node):
-    """Identifiers a statement uses, including dotted names in string literals
-    such as bench/tracer.py's TARGETS."""
-    names = set()
+    """Identifiers a node uses, once per use, including dotted names in string
+    literals such as bench/tracer.py's TARGETS."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            yield sub.id
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            yield sub.attr
         elif isinstance(sub, ast.alias):
-            names.add(sub.name)
+            yield sub.name
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
                 and all(part.isidentifier() for part in sub.value.split(".")):
-            names.update(sub.value.split("."))
-    return names
+            yield from sub.value.split(".")
 
 
 def test_every_public_library_name_has_a_program_caller():
-    # a public top-level function or class of the package must be used by
-    # a program (the CLI, another module, scripts/ or bench/), not only by
-    # tests; its own body does not count
+    # a public top-level function or class of the package, and a public
+    # method of a public class, must be used by a program (the CLI, another
+    # module, scripts/ or bench/), not only by tests; its own body does not count
     root = Path(__file__).resolve().parents[1]
     programs = [path for folder in ("src/perifp", "scripts", "bench")
                 for path in sorted((root / folder).glob("*.py"))]
     assert root / "src/perifp/cli.py" in programs
-    statements = [(path, stmt, _referenced_names(stmt)) for path in programs
-                  for stmt in ast.parse(path.read_text()).body]
-    unused = [f"{path.stem}.{stmt.name}" for path, stmt, _ in statements
-              if path.parent.name == "perifp"
-              and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-              and not stmt.name.startswith("_") and stmt.name not in _TEST_ONLY_KEEP
-              and not any(stmt.name in names for _, other, names in statements
-                          if other is not stmt)]
+    trees = {path: ast.parse(path.read_text()) for path in programs}
+    uses = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    defined = []    # (name as in _TEST_ONLY_KEEP, module, definition)
+    for path, tree in trees.items():
+        if path.parent.name != "perifp":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name[0] != "_":
+                defined.append((stmt.name, path.stem, stmt))
+            if isinstance(stmt, ast.ClassDef) and stmt.name[0] != "_":
+                defined += [(f"{stmt.name}.{m.name}", path.stem, m) for m in stmt.body
+                            if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+    assert "Tridiag.matvec" in {name for name, _, _ in defined}
+    unused = [f"{module}.{name}" for name, module, node in defined
+              if name not in _TEST_ONLY_KEEP
+              and uses[node.name] == Counter(_referenced_names(node))[node.name]]
     assert unused == []

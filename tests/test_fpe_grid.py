@@ -91,7 +91,7 @@ def test_heat_equation_decay_absorbing():
     co = FpCoefficients(a_eff=ONE, b=ZERO)
     p0 = DensityField(grid, np.sin(np.pi * grid.centers))
     t1 = 0.05
-    p, _ = solve_ivp(p0, co, absorbing(), 0.0, t1, t1 / 512)
+    p, _ = solve_ivp(p0, co, absorbing(), t1, t1 / 512)
     exact = math.exp(-math.pi**2 * t1) * np.sin(np.pi * grid.centers)
     assert np.max(np.abs(p.values - exact)) / np.max(exact) < 5e-4
 
@@ -103,7 +103,7 @@ def test_cn_second_order_in_time():
     t1 = 0.02
     errs = []
     for n_steps in (8, 16, 32):
-        p, _ = solve_ivp(p0, co, absorbing(), 0.0, t1, t1 / n_steps)
+        p, _ = solve_ivp(p0, co, absorbing(), t1, t1 / n_steps)
         exact = math.exp(-math.pi**2 * t1) * np.sin(np.pi * grid.centers)
         errs.append(np.max(np.abs(p.values - exact)))
     rate1 = math.log2(errs[0] / errs[1])
@@ -128,7 +128,7 @@ def test_implicit_euler_preserves_positivity():
 def test_snapshots_at_requested_times():
     grid = Grid1D(32, 0.0, 1.0)
     co = FpCoefficients(a_eff=ONE, b=ZERO)
-    p, snaps = solve_ivp(_uniform(grid), co, reflecting(), 0.0, 1.0, 1.0 / 16,
+    p, snaps = solve_ivp(_uniform(grid), co, reflecting(), 1.0, 1.0 / 16,
                          snapshot_times=[0.0, 0.5, 1.0])
     assert [s.time_stamp for s in snaps] == pytest.approx([0.0, 0.5, 1.0])
     np.testing.assert_array_equal(snaps[-1].values, p.values)
@@ -168,7 +168,7 @@ def test_propagator_matches_step_loop_over_periods(form, bc, co):
     assert n_steps > block and n_steps % block != 0
     dt = T / 100
     p0 = DensityField(grid, 1.0 + np.sin(3 * grid.centers), time_stamp=0.0)
-    p, snaps = solve_ivp(p0, co, bc, 0.0, 3 * T, dt, form=form,
+    p, snaps = solve_ivp(p0, co, bc, 3 * T, dt, form=form,
                          snapshot_times=[0.0, T, 2 * T, 3 * T])
     ref = p0
     for k, snap in enumerate(snaps):
@@ -208,7 +208,7 @@ def test_reflecting_march_conserves_mass_over_many_steps():
     co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
                         b=CoefficientField.from_string("3*sin(2*pi*t)*(1-2*x)", T))
     p0 = DensityField(grid, 1.0 + np.sin(3 * grid.centers), time_stamp=0.0)
-    p, snaps = solve_ivp(p0, co, reflecting(), 0.0, n_steps * dt, dt,
+    p, snaps = solve_ivp(p0, co, reflecting(), n_steps * dt, dt,
                          snapshot_times=np.arange(1, 21) * T)
     assert len(snaps) == 20
     for snap in snaps:
@@ -223,7 +223,7 @@ def test_ellipticity_violation_mid_block_reports_its_time():
         f"abs(t - {t_bad!r})*100 + x - 0.3", T), b=ZERO)
     assert BLOCK_ENTRIES // grid.n_cells > 64
     with pytest.raises(EllipticityViolation) as marched:
-        solve_ivp(_uniform(grid), co, reflecting(), 0.0, T, T / 64)
+        solve_ivp(_uniform(grid), co, reflecting(), T, T / 64)
     with pytest.raises(EllipticityViolation) as stepped:
         _step_loop(_uniform(grid), co, reflecting(), T / 64, 64, "divergence", step_cn)
     for exc in (marched.value, stepped.value):
@@ -240,7 +240,7 @@ def test_reflecting_mass_invariant_random_drift(seed):
     drift = CoefficientField.from_string(f"({c1!r})*sin(2*pi*t) + ({c2!r})*x", T)
     co = FpCoefficients(a_eff=ONE, b=drift)
     grid = Grid1D(50, 0.0, 1.0)
-    p, _ = solve_ivp(_uniform(grid), co, reflecting(), 0.0, 0.25, 1 / 64)
+    p, _ = solve_ivp(_uniform(grid), co, reflecting(), 0.25, 1 / 64)
     assert abs(p.mass - 1.0) <= 1e-11
 
 
@@ -271,7 +271,7 @@ def test_stationary_is_fixed_point_of_solver():
     grid = Grid1D(200, -2.0, 2.0)
     co = FpCoefficients(a_eff=ONE, b=CoefficientField.from_string("0 - x", T))
     q = stationary_closed_form(co, grid)
-    p, _ = solve_ivp(q, co, reflecting(), 0.0, 1.0, 1 / 256)
+    p, _ = solve_ivp(q, co, reflecting(), 1.0, 1 / 256)
     assert np.max(np.abs(p.values - q.values)) <= 5e-3
 
 

@@ -113,6 +113,15 @@ def test_snapshots_are_probability_measures():
         assert snap.mass == pytest.approx(1.0, abs=1e-12)
 
 
+def test_start_point_outside_the_box_is_rejected():
+    # no silent clamp onto the wall
+    sys_ = _scalar_system()
+    with pytest.raises(ValueError, match="start points must lie in the box"):
+        sample_laws(sys_, [7.5], M=8, n_periods=1, dt=T / 8, seed=0)
+    with pytest.raises(ValueError, match="start points must lie in the box"):
+        sample_laws(sys_, [[0.5]] * 7 + [[-0.1]], M=8, n_periods=1, dt=T / 8, seed=0)
+
+
 def test_dt_must_divide_period():
     sys_ = _scalar_system()
     with pytest.raises(ValueError):
