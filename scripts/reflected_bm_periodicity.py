@@ -33,7 +33,7 @@ def run_case(name, drift_src, sigma, T, paths, periods, burn_in, seed, res):
     coeffs = FpCoefficients(a_eff=CoefficientField.from_string(a_eff, T),
                             b=CoefficientField.from_string(drift_src, T))
     p0 = DensityField(grid, np.ones(200))
-    p, _ = solve_ivp(p0, coeffs, reflecting(), periods * T, T / 256)
+    p, _ = solve_ivp(p0, coeffs, reflecting(), T, periods * T, T / 256)
     gap = dbl(batch.snapshots[-1], density_to_measure(p)).distance
 
     print(f"{name}:")

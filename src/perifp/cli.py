@@ -162,10 +162,10 @@ _FP_SCHEMA = {
     "max_iter": (500, _bounded(_int, 1)),
     "c_shift": (None, _bounded(_num, 0.0)),
 }
-# the span each fp subcommand marches (dt must divide it), and the keys
-# that only some subcommands read; the others reject them
-_FP_SPAN = {"fp-solve": "t1", "eigen": "period_T", "stationary": None,
-            "semilinear": "period_T"}
+# the spans dt must divide in each fp subcommand, and the keys that only
+# some subcommands read; the others reject them
+_FP_SPANS = {"fp-solve": ("t1", "period_T"), "eigen": ("period_T",), "stationary": (),
+             "semilinear": ("period_T",)}
 _FP_READERS = {"tol": ("eigen", "semilinear"), "source_f": ("semilinear",),
                "c_shift": ("semilinear",), "max_iter": ("semilinear",)}
 
@@ -191,8 +191,7 @@ def _parse_fp_config(doc, command):
         cfg["dt"] = cfg["period_T"] / 256
     if cfg["t1"] is None:
         cfg["t1"] = cfg["period_T"]
-    span_key = _FP_SPAN[command]
-    if span_key is not None:
+    for span_key in _FP_SPANS[command]:
         _check_divides(cfg[span_key], cfg["dt"], span_key)
     if (cfg["sigma"] is None) == (cfg["a_eff"] is None):
         raise ConfigError("/sigma", "give exactly one of 'sigma' or 'a_eff'")
@@ -461,7 +460,7 @@ def _cmd_fp_solve(args):
     snapshot_times = [0.0, cfg["t1"]]
     if args.snapshots:
         snapshot_times = _snapshot_times(args.snapshots, cfg["t1"], cfg["dt"])
-    p, snaps = fpe_grid.solve_ivp(p0, coeffs, bc, cfg["t1"], cfg["dt"],
+    p, snaps = fpe_grid.solve_ivp(p0, coeffs, bc, cfg["period_T"], cfg["t1"], cfg["dt"],
                                   form=cfg["form"], snapshot_times=snapshot_times)
     run = _Run(args.out, cfg, defaulted)
     rows = np.column_stack([grid.centers, p.values])
@@ -601,14 +600,16 @@ def _cmd_selftest(args):
           all(np.allclose(s.points, 0.5) for s in batch.snapshots))
 
     grid = fpe_grid.Grid1D(32, 0.0, 1.0)
-    coeffs = fpe_grid.FpCoefficients(a_eff=one, b=zero)
+    coeffs = fpe_grid.FpCoefficients(
+        a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)", T), b=zero)
     p0 = fpe_grid.DensityField(grid, np.ones(32))
     p1 = fpe_grid.step_cn(p0, coeffs, fpe_grid.reflecting(), 0.01)
     check("fpe_grid: reflecting CN conserves mass", abs(p1.mass - p0.mass) < 1e-13)
-    prop = fpe_grid.Propagator(grid, coeffs, fpe_grid.absorbing(), 0.01)
-    V, _ = prop.march(p0.values, [prop.operators(8)])
-    for _ in range(8):
-        p0 = fpe_grid.step_cn(p0, coeffs, fpe_grid.absorbing(), 0.01)
+    # two periods of N = 8 steps: the second reuses the first one's factors
+    prop = fpe_grid.Propagator(grid, coeffs, fpe_grid.absorbing(), T, T / 8)
+    V, _ = prop.march(p0.values, 16, startup=False)
+    for _ in range(16):
+        p0 = fpe_grid.step_cn(p0, coeffs, fpe_grid.absorbing(), T / 8)
     check("fpe_grid: CN march equals the step_cn loop", np.max(np.abs(V - p0.values)) < 1e-12)
 
     pm = period_map.PeriodMap(np.eye(8), T)

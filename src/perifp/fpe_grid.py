@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .coeff_dsl import CoefficientField
 from .errors import EllipticityViolation, QuadratureOverflow, SolverFailure
@@ -276,100 +276,116 @@ def step_count(span: float, dt: float) -> int:
 class Propagator:
     """Marches dV/dt = (L(t) - c) V + g(t) by Crank-Nicolson in steps dt, V of shape (n,) or (n, m).
 
-    blocks() makes the first step two implicit-Euler steps of dt/2
-    (Rannacher start-up): CN maps a stiff grid mode z = dt*lambda -> -inf
-    to (1+z/2)/(1-z/2) -> -1 each step, so it would outlive the physical
-    modes and drive a density negative; the half steps damp it by about
-    4/z^2.  Only M = I - (dt/2)(L - c) is assembled, for a block of steps
-    from one broadcast coefficient evaluation: as the explicit operator is
-    2I - M, each step is one LAPACK dgtsv solve Y = M^-1 (V + (dt/2) g),
-    then V <- 2Y - V for CN and V <- Y for a half step.  With a0_mean_out,
-    the spatial mean m(t) of a0 is pulled out of each step; the caller
-    applies exp(-m dt) from the phase of each block.
+    The coefficients repeat with period T, so do the implicit operators
+    M = I - (dt/2)(L - c) of the steps: CN step k (from t = k dt) uses the
+    phase k mod N, M at (k mod N + 0.5) dt with N = T/dt.  Each M is LU
+    factored once by LAPACK dgttrf, assembled a block of about
+    BLOCK_ENTRIES at a time the first time a march reaches it, and kept;
+    as the explicit operator is 2I - M, a step is one dgttrs
+    back-substitution Y = M^-1 (V + (dt/2) g), then V <- 2Y - V.
+
+    march(startup=True) makes the first step two implicit-Euler steps of
+    dt/2 (Rannacher start-up), V <- Y for each: CN maps a stiff grid mode
+    z = dt*lambda -> -inf to (1+z/2)/(1-z/2) -> -1 each step, so it would
+    outlive the physical modes and drive a density negative; the half
+    steps damp it by about 4/z^2.  With a0_mean_out, the spatial mean m(t)
+    of a0 is pulled out of each operator and kept beside its factors in
+    startup and phases; the caller applies exp(-m dt).
+    stiffness_ratio is dt max|L_ii - c| / 2 over the operators factored.
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
-                 dt: float, form: str = "divergence", c: float = 0.0,
+                 T: float, dt: float, form: str = "divergence", c: float = 0.0,
                  a0_mean_out: bool = False):
-        if not dt > 0:
-            raise ValueError("dt must be positive")
+        self.n_phases = step_count(T, dt)
+        # the factors repeat only if every coefficient repeats within T
+        periods = [f.period_T for f in (coeffs.a_eff, coeffs.b, coeffs.a0) if f is not None]
+        if not all(p and abs(T / p - round(T / p)) <= 1e-9 * T / p for p in periods):
+            raise ValueError(f"coefficient periods {periods!r} must divide T = {T!r}")
         self.grid, self.coeffs, self.bc, self.dt = grid, coeffs, bc, dt
         self.form, self.c = form, c
         self.a0_mean_out = a0_mean_out and coeffs.a0 is not None
+        self.startup, self.phases = [], []    # (LU factors, a0 mean) per operator
+        self.stiffness_ratio = 0.0
 
-    def _operators(self, times: np.ndarray, step: float, cn: bool):
-        offset = 0.0
+    def _factor(self, times: np.ndarray) -> list:
+        offset = np.zeros(len(times))
         if self.a0_mean_out:
             offset = self.coeffs.a0(t=times[:, None], x=self.grid.centers).mean(axis=1)
         L = assemble_generator(self.grid, self.coeffs, times, self.bc, self.form,
                                a0_offset=offset)
         theta = self.dt / 2
-        implicit = Tridiag(-theta * L.lower, 1.0 - theta * (L.diag - self.c), -theta * L.upper)
-        return cn, implicit, float(np.sum(offset)) * step
+        diag = 1.0 - theta * (L.diag - self.c)
+        self.stiffness_ratio = max(self.stiffness_ratio, float(np.max(np.abs(1.0 - diag))))
+        factors = []
+        for lower, d, upper, m in zip(-theta * L.lower[:, 1:], diag, -theta * L.upper[:, :-1],
+                                      offset.tolist()):
+            *lu, info = dgttrf(lower, d, upper, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            if info:
+                raise SolverFailure(f"singular tridiagonal system (LAPACK info {info})")
+            factors.append((lu, m))
+        return factors
 
-    def operators(self, n_steps: int):
-        """Crank-Nicolson operators of the first n_steps steps from t = 0, no start-up.
-
-        Returns (True, implicit, phase): True marks CN steps, implicit
-        stacks the tridiagonals I - (dt/2)(L - c) at the half steps, and
-        phase is the steps' a0 means times dt.
-        """
-        return self._operators((np.arange(n_steps) + 0.5) * self.dt, self.dt, True)
-
-    def blocks(self, n_steps: int):
-        """Operators of n_steps steps from t = 0: the start-up's two half steps
-        (marked False), then CN, a block of about BLOCK_ENTRIES at a time."""
-        yield self._operators((np.arange(2) + 1.0) * (self.dt / 2), self.dt / 2, False)
+    def build(self, n_steps: int, startup: bool = True):
+        """Factor, once, the operators a march of n_steps from t = 0 reaches."""
+        if startup and not self.startup:
+            self.startup = self._factor(np.array([0.5, 1.0]) * self.dt)
+        reach = min(n_steps, self.n_phases)
         size = max(1, BLOCK_ENTRIES // self.grid.n_cells)
-        for k0 in range(0, n_steps - 1, size):
-            # the CN steps after the start-up, offset by its dt
-            times = self.dt + (np.arange(k0, min(k0 + size, n_steps - 1)) + 0.5) * self.dt
-            yield self._operators(times, self.dt, True)
+        while len(self.phases) < reach:
+            k0 = len(self.phases)
+            self.phases += self._factor((np.arange(k0, min(k0 + size, reach)) + 0.5) * self.dt)
 
-    def march(self, V, blocks, sources=None, record=()):
-        """Advance V through every step of blocks (operators() or blocks(), in order).
+    def march(self, V, n_steps: int, startup: bool = True, sources=None, record=()):
+        """Advance V by n_steps steps from t = 0, the first one the start-up if startup.
 
         sources, if given, stacks the source g of each step k, sources[k]
-        shaped like V; a start-up block applies sources[0] over each dt/2.
+        shaped like V; the start-up applies sources[0] over each dt/2.
         Returns (V, states), states mapping each k in record to the state
-        after k steps (0 is the initial state; a start-up block is one step).
+        after k steps (0 is the initial state).
         """
+        self.build(n_steps, startup)
         shape = np.shape(V)
         V = np.asfortranarray(np.reshape(V, (shape[0], -1)), dtype=float)
         states = {0: V.reshape(shape)} if 0 in record else {}
-        if sources is not None:     # scaled by dt/2 once, not once per step
+        if sources is not None:     # scaled by dt/2 once, each sources[k] column-major like V
             sources = (self.dt / 2) * np.reshape(sources, (-1,) + V.shape)
-        k = 0
-        for cn, implicit, _ in blocks:
-            lower, diag, upper = implicit.lower[:, 1:], implicit.diag, implicit.upper[:, :-1]
-            for j in range(diag.shape[0]):
-                rhs = V if sources is None else V + sources[k]
-                *_, Y, info = dgtsv(lower[j], diag[j], upper[j], rhs)     # solves a copy
-                if info:
-                    raise SolverFailure(f"singular tridiagonal system (LAPACK info {info})")
-                V = np.subtract(Y + Y, V, order="F") if cn else Y
-                if not cn and j == 0:
-                    continue        # the start-up's first half step
-                k += 1
-                if k in record:
-                    states[k] = V.reshape(shape)
+            sources = np.ascontiguousarray(sources.transpose(0, 2, 1)).transpose(0, 2, 1)
+        # dgttrs copies V; it solves V + (dt/2) g, a new column-major array, in place
+        fresh = sources is not None
+        phases, n_phases = self.phases, self.n_phases
+        for k in range(n_steps):
+            rhs = V if sources is None else V + sources[k]
+            if startup and k == 0:
+                V, _ = dgttrs(*self.startup[0][0], rhs, overwrite_b=fresh)
+                rhs = V if sources is None else V + sources[0]
+                V, _ = dgttrs(*self.startup[1][0], rhs, overwrite_b=fresh)
+            else:
+                Y, _ = dgttrs(*phases[k % n_phases][0], rhs, overwrite_b=fresh)
+                Y += Y
+                Y -= V
+                V = Y
+            if k + 1 in record:
+                states[k + 1] = V.reshape(shape)
         return V.reshape(shape), states
 
 
-def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
+def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition, T: float,
               t1: float, dt: float, form: str = "divergence", snapshot_times=None):
-    """March p0 from t = 0 to t1 (Rannacher start-up, then Crank-Nicolson);
-    returns (final DensityField, list of snapshots).
+    """March p0 with T-periodic coefficients from t = 0 to t1 (Rannacher
+    start-up, then Crank-Nicolson); returns (final DensityField, list of snapshots).
 
-    Snapshots are emitted at the requested times (matched to the nearest
-    step boundary).
+    Snapshots are emitted at the requested times in [0, t1] (matched to
+    the nearest step boundary); a time outside raises ValueError.
     """
     n_steps = step_count(t1, dt)
     snap_steps = set()
     if snapshot_times is not None:
+        if any(not 0.0 <= s <= t1 for s in snapshot_times):
+            raise ValueError(f"snapshot times must lie in [0, t1 = {t1!r}]")
         snap_steps = {int(round(s / dt)) for s in snapshot_times}
-    prop = Propagator(p0.grid, coeffs, bc, dt, form)
-    p, states = prop.march(p0.values, prop.blocks(n_steps), record=snap_steps)
+    prop = Propagator(p0.grid, coeffs, bc, T, dt, form)
+    p, states = prop.march(p0.values, n_steps, record=snap_steps)
     snapshots = [DensityField(p0.grid, v, k * dt) for k, v in states.items()]
     return DensityField(p0.grid, p, n_steps * dt), snapshots
 

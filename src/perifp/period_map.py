@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveRadius, NotConverged, SignIndefinite
-from .fpe_grid import BoundaryCondition, FpCoefficients, Grid1D, Propagator, step_count
+from .fpe_grid import BoundaryCondition, FpCoefficients, Grid1D, Propagator
 
 DECAY_FLOOR = 1e-280
 # a principal eigenvector entry below -SIGN_SLACK * (largest entry) is a
@@ -59,25 +59,24 @@ class PeriodOperator:
 
     U(T, 0) is one Propagator march over [0, T] from t = 0, Rannacher
     start-up included: the march fp-solve makes over [0, T].  Its
-    operators are assembled once, block by block, and every apply
-    marches them.  In the non-divergence form the a0 mean of each step
-    (each half step counting dt/2) is applied as one exact exponential
-    factor.
+    operators are factored once and every apply back-substitutes them.
+    In the non-divergence form the a0 mean of each step (each half step
+    counting dt/2) is applied as one exact exponential factor.
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
                  T: float, dt: float, form: str = "divergence"):
-        self._prop = Propagator(grid, coeffs, bc, dt, form,
+        self._prop = Propagator(grid, coeffs, bc, T, dt, form,
                                 a0_mean_out=form == "nondivergence")
-        self._ops = list(self._prop.blocks(step_count(T, dt)))
-        self._scale = math.exp(-sum(phase for *_, phase in self._ops))
+        self._prop.build(self._prop.n_phases)
+        # the start-up covers step 0, so phase 0 is not marched in one period
+        self._scale = math.exp(-(dt / 2) * sum(m for _, m in self._prop.startup)
+                               - dt * sum(m for _, m in self._prop.phases[1:]))
         self.T, self.n = T, grid.n_cells
-        # dt max|L_ii| / 2, read off the implicit operators I - (dt/2) L
-        self.stiffness_ratio = max(float(np.max(np.abs(1.0 - implicit.diag)))
-                                   for _, implicit, _ in self._ops)
+        self.stiffness_ratio = self._prop.stiffness_ratio
 
     def apply(self, V: np.ndarray) -> np.ndarray:
-        V, _ = self._prop.march(V, self._ops)
+        V, _ = self._prop.march(V, self._prop.n_phases)
         V *= self._scale
         return V
 

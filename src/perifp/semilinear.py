@@ -56,9 +56,10 @@ class OrderedPair:
 class PeriodicLinearSolver:
     """Solver for d_t v + (A(t) + c) v = g(t, x), v(0) = v(T).
 
-    Precomputes one period's implicit Crank-Nicolson operators
-    I - (dt/2)(L - c) and the homogeneous one-period map K_c, then solves
-    (I - K_c) v0 = w, w the one-period evolution of zero data under the source.
+    Marches plain Crank-Nicolson from the periodic state, so with no
+    start-up, its sources at the half steps.  Builds the homogeneous
+    one-period map K_c, then solves (I - K_c) v0 = w, w the one-period
+    evolution of zero data under the source.
     """
 
     grid: Grid1D
@@ -70,14 +71,11 @@ class PeriodicLinearSolver:
     form: str = "nondivergence"
 
     def __post_init__(self):
-        self.n_steps = step_count(self.T, self.dt)
-        self._prop = Propagator(self.grid, self.coeffs, self.bc, self.dt, self.form,
+        self._prop = Propagator(self.grid, self.coeffs, self.bc, self.T, self.dt, self.form,
                                 c=self.c)
-        # plain CN, no start-up: a periodic solve starts from the periodic
-        # state, and its sources sit at the CN half steps
-        self._period = [self._prop.operators(self.n_steps)]
+        self.n_steps = self._prop.n_phases
         n = self.grid.n_cells
-        self.K = self._prop.march(np.eye(n), self._period)[0]
+        self.K = self._prop.march(np.eye(n), self.n_steps, startup=False)[0]
         self.spr = float(np.max(np.abs(np.linalg.eigvals(self.K))))
         if self.spr >= 1.0 - SPR_SINGULAR_MARGIN:
             raise SingularSystem(
@@ -93,9 +91,9 @@ class PeriodicLinearSolver:
         (periodicity residual is ||trajectory[-1] - u0||_inf, bounded by
         the linear-solve accuracy).
         """
-        w, _ = self._prop.march(np.zeros(source.shape[1:]), self._period, source)
+        w, _ = self._prop.march(np.zeros(source.shape[1:]), self.n_steps, False, source)
         u0 = lu_solve(self._lu, w)
-        _, states = self._prop.march(u0, self._period, source,
+        _, states = self._prop.march(u0, self.n_steps, False, source,
                                      record=range(self.n_steps + 1))
         return u0, np.stack(list(states.values()))
 

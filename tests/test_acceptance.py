@@ -209,7 +209,7 @@ def test_criterion_07_stationary_closed_form():
 
     grid2 = fpe_grid.Grid1D(200, -2.0, 2.0)
     q2 = fpe_grid.stationary_closed_form(co, grid2)
-    p, _ = fpe_grid.solve_ivp(q2, co, fpe_grid.reflecting(), T, T / 256)
+    p, _ = fpe_grid.solve_ivp(q2, co, fpe_grid.reflecting(), T, T, T / 256)
     drift_err = float(np.max(np.abs(p.values - q2.values)))
     elapsed = time.monotonic() - t0
     ok = point_err <= 1e-6 and drift_err <= 5e-3 and elapsed < 10.0
@@ -326,7 +326,7 @@ def test_criterion_10_reflected_sde_periodicity():
         a_eff=CoefficientField.from_string("0.125", T),
         b=CoefficientField.from_string(drift_src, T))
     p0 = fpe_grid.DensityField(grid, np.ones(200))
-    p, _ = fpe_grid.solve_ivp(p0, co_ou, fpe_grid.reflecting(), 20 * T,
+    p, _ = fpe_grid.solve_ivp(p0, co_ou, fpe_grid.reflecting(), T, 20 * T,
                               T / 256)
     d_ou = bl_metric.dbl(batch_ou.snapshots[-1],
                          sde_reflect.density_to_measure(p)).distance

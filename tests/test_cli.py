@@ -309,6 +309,7 @@ def test_semilinear_subcommand(tmp_path, capsys):
     ("fp-solve", {"alpha": "2"}, "/alpha"),
     ("eigen", {"robin": [5.0, 7.0]}, "/robin"),         # absorbing walls
     ("fp-solve", {"bc": "reflecting", "robin": [0.0, 0.0]}, "/robin"),
+    ("fp-solve", {"period_T": 0.1, "t1": 0.3, "dt": 0.03}, "/dt"),  # divides t1, not T
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \

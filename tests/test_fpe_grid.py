@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgttrf
 
+from perifp import fpe_grid
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import EllipticityViolation, QuadratureOverflow
 from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
@@ -13,6 +15,7 @@ from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D
                              check_stationarity_condition, neumann, reflecting,
                              robin, solve_ivp, stationary_closed_form, step_cn,
                              step_ie)
+from perifp.period_map import PeriodOperator, power_iteration
 
 T = 1.0
 ONE = CoefficientField.from_string("1", T)
@@ -91,7 +94,7 @@ def test_heat_equation_decay_absorbing():
     co = FpCoefficients(a_eff=ONE, b=ZERO)
     p0 = DensityField(grid, np.sin(np.pi * grid.centers))
     t1 = 0.05
-    p, _ = solve_ivp(p0, co, absorbing(), t1, t1 / 512)
+    p, _ = solve_ivp(p0, co, absorbing(), T, t1, t1 / 512)
     exact = math.exp(-math.pi**2 * t1) * np.sin(np.pi * grid.centers)
     assert np.max(np.abs(p.values - exact)) / np.max(exact) < 5e-4
 
@@ -103,7 +106,7 @@ def test_cn_second_order_in_time():
     t1 = 0.02
     errs = []
     for n_steps in (8, 16, 32):
-        p, _ = solve_ivp(p0, co, absorbing(), t1, t1 / n_steps)
+        p, _ = solve_ivp(p0, co, absorbing(), T, t1, t1 / n_steps)
         exact = math.exp(-math.pi**2 * t1) * np.sin(np.pi * grid.centers)
         errs.append(np.max(np.abs(p.values - exact)))
     rate1 = math.log2(errs[0] / errs[1])
@@ -128,10 +131,19 @@ def test_implicit_euler_preserves_positivity():
 def test_snapshots_at_requested_times():
     grid = Grid1D(32, 0.0, 1.0)
     co = FpCoefficients(a_eff=ONE, b=ZERO)
-    p, snaps = solve_ivp(_uniform(grid), co, reflecting(), 1.0, 1.0 / 16,
+    p, snaps = solve_ivp(_uniform(grid), co, reflecting(), T, 1.0, 1.0 / 16,
                          snapshot_times=[0.0, 0.5, 1.0])
     assert [s.time_stamp for s in snaps] == pytest.approx([0.0, 0.5, 1.0])
     np.testing.assert_array_equal(snaps[-1].values, p.values)
+
+
+def test_snapshot_times_outside_the_march_are_rejected():
+    grid = Grid1D(32, 0.0, 1.0)
+    co = FpCoefficients(a_eff=ONE, b=ZERO)
+    for times in ([0.25, 0.9, -0.1], [0.75], [-1e-9]):
+        with pytest.raises(ValueError, match="snapshot times"):
+            solve_ivp(_uniform(grid), co, reflecting(), T, 0.5, 1.0 / 16,
+                      snapshot_times=times)
 
 
 def _step_loop(p, co, bc, dt, n_steps, form, stepper):
@@ -159,16 +171,15 @@ def _startup_loop(p, co, bc, dt, n_steps, form):
                     b=CoefficientField.from_string("0.5*cos(2*pi*t)", T),
                     a0=CoefficientField.from_string("1 + 0.6*sin(2*pi*t)", T))),
 ])
-def test_propagator_matches_step_loop_over_periods(form, bc, co):
-    # three periods of 100 steps: 300 steps, not a multiple of the block length;
-    # the march starts with two implicit-Euler half steps, then CN
+def test_propagator_matches_step_loop_over_periods(monkeypatch, form, bc, co):
+    # three periods of 100 steps, each period four blocks of factors
+    # (30 + 30 + 30 + 10); the march starts with two implicit-Euler half
+    # steps, then CN
+    monkeypatch.setattr(fpe_grid, "BLOCK_ENTRIES", 30 * 64)
     grid = Grid1D(64, 0.0, 1.0)
-    block = BLOCK_ENTRIES // grid.n_cells
-    n_steps = 300
-    assert n_steps > block and n_steps % block != 0
     dt = T / 100
     p0 = DensityField(grid, 1.0 + np.sin(3 * grid.centers), time_stamp=0.0)
-    p, snaps = solve_ivp(p0, co, bc, 3 * T, dt, form=form,
+    p, snaps = solve_ivp(p0, co, bc, T, 3 * T, dt, form=form,
                          snapshot_times=[0.0, T, 2 * T, 3 * T])
     ref = p0
     for k, snap in enumerate(snaps):
@@ -193,12 +204,49 @@ def test_stiff_absorbing_march_matches_step_loop():
     assert dt * np.max(np.abs(L.diag)) / 2 >= 500
     gen = np.random.Generator(np.random.Philox(key=np.uint64(3)))
     V0 = gen.uniform(0.0, 1.0, (400, 2))
-    prop = Propagator(grid, co, absorbing(), dt)
-    V, _ = prop.march(V0, prop.blocks(n_steps))
+    prop = Propagator(grid, co, absorbing(), T, dt)
+    V, _ = prop.march(V0, n_steps)
     for j in range(2):
         ref = _startup_loop(DensityField(grid, V0[:, j]), co, absorbing(), dt, n_steps,
                             "divergence").values
         assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_marches_factor_each_operator_of_one_period_once(monkeypatch):
+    # N = 64 steps per period: the start-up's two half steps and the N
+    # phases are factored once, however many periods are marched
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(fpe_grid, "dgttrf", counted)
+    grid = Grid1D(32, 0.0, 1.0)
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
+                        b=CoefficientField.from_string("3*sin(2*pi*t)*(1-2*x)", T))
+    solve_ivp(_uniform(grid), co, reflecting(), T, 10 * T, T / 64)     # ten periods
+    assert len(calls) == 64 + 2
+    calls.clear()
+    spec = power_iteration(PeriodOperator(grid, co, absorbing(), T, T / 64), tol=1e-12)
+    assert spec.iterations >= 4
+    assert len(calls) == 64 + 2
+
+
+def test_propagator_needs_coefficient_periods_that_divide_T():
+    grid = Grid1D(32, 0.0, 1.0)
+    for bad in (CoefficientField.from_string("1 + 0.5*sin(2*pi*t/0.3)", 0.3),
+                CoefficientField.from_string("1", None),
+                CoefficientField.from_string("1", 2 * T)):
+        with pytest.raises(ValueError, match="must divide T"):
+            Propagator(grid, FpCoefficients(a_eff=bad, b=ZERO), reflecting(), T, T / 64)
+        with pytest.raises(ValueError, match="must divide T"):
+            Propagator(grid, FpCoefficients(a_eff=ONE, b=ZERO, a0=bad), reflecting(), T,
+                       T / 64, form="nondivergence")
+    # a constant declared with period T/2, a drift with period T/4
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1", T / 2),
+                        b=CoefficientField.from_string("sin(8*pi*t)", T / 4))
+    assert Propagator(grid, co, reflecting(), T, T / 64).n_phases == 64
 
 
 def test_reflecting_march_conserves_mass_over_many_steps():
@@ -208,7 +256,7 @@ def test_reflecting_march_conserves_mass_over_many_steps():
     co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
                         b=CoefficientField.from_string("3*sin(2*pi*t)*(1-2*x)", T))
     p0 = DensityField(grid, 1.0 + np.sin(3 * grid.centers), time_stamp=0.0)
-    p, snaps = solve_ivp(p0, co, reflecting(), n_steps * dt, dt,
+    p, snaps = solve_ivp(p0, co, reflecting(), T, n_steps * dt, dt,
                          snapshot_times=np.arange(1, 21) * T)
     assert len(snaps) == 20
     for snap in snaps:
@@ -223,7 +271,7 @@ def test_ellipticity_violation_mid_block_reports_its_time():
         f"abs(t - {t_bad!r})*100 + x - 0.3", T), b=ZERO)
     assert BLOCK_ENTRIES // grid.n_cells > 64
     with pytest.raises(EllipticityViolation) as marched:
-        solve_ivp(_uniform(grid), co, reflecting(), T, T / 64)
+        solve_ivp(_uniform(grid), co, reflecting(), T, T, T / 64)
     with pytest.raises(EllipticityViolation) as stepped:
         _step_loop(_uniform(grid), co, reflecting(), T / 64, 64, "divergence", step_cn)
     for exc in (marched.value, stepped.value):
@@ -240,7 +288,7 @@ def test_reflecting_mass_invariant_random_drift(seed):
     drift = CoefficientField.from_string(f"({c1!r})*sin(2*pi*t) + ({c2!r})*x", T)
     co = FpCoefficients(a_eff=ONE, b=drift)
     grid = Grid1D(50, 0.0, 1.0)
-    p, _ = solve_ivp(_uniform(grid), co, reflecting(), 0.25, 1 / 64)
+    p, _ = solve_ivp(_uniform(grid), co, reflecting(), T, 0.25, 1 / 64)
     assert abs(p.mass - 1.0) <= 1e-11
 
 
@@ -271,7 +319,7 @@ def test_stationary_is_fixed_point_of_solver():
     grid = Grid1D(200, -2.0, 2.0)
     co = FpCoefficients(a_eff=ONE, b=CoefficientField.from_string("0 - x", T))
     q = stationary_closed_form(co, grid)
-    p, _ = solve_ivp(q, co, reflecting(), 1.0, 1 / 256)
+    p, _ = solve_ivp(q, co, reflecting(), T, 1.0, 1 / 256)
     assert np.max(np.abs(p.values - q.values)) <= 5e-3
 
 

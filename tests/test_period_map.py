@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from perifp import fpe_grid
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import NonPositiveRadius, SignIndefinite
 from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
@@ -105,29 +106,36 @@ def test_period_map_is_the_march_over_its_span():
     co = FpCoefficients(a_eff=CoefficientField.from_string("1", T / 2), b=drift)
     dt = T / 64
     K = build_period_map(grid, co, reflecting(), 2 * T, dt).K
-    prop = Propagator(grid, co, reflecting(), dt)
-    V, _ = prop.march(np.eye(40), prop.blocks(128))
+    prop = Propagator(grid, co, reflecting(), 2 * T, dt)
+    V, _ = prop.march(np.eye(40), 128)
     assert np.max(np.abs(K - V)) <= 1e-12
 
 
-def _startup_loop(values, grid, co, bc, dt, n_steps, source):
-    """Two implicit-Euler half steps, each with the first step's source, then CN."""
+def _startup_loop(values, grid, co, bc, dt, n_steps, source, startup):
+    """Two implicit-Euler half steps, each with the first step's source, then
+    CN; CN throughout without the start-up."""
     p = DensityField(grid, values, time_stamp=0.0)
-    for _ in range(2):
+    for _ in range(2 if startup else 0):
         p = step_ie(p, co, bc, dt / 2, source=source(0))
-    for k in range(1, n_steps):
+    for k in range(1 if startup else 0, n_steps):
         p = step_cn(p, co, bc, dt, source=source(k))
     return p.values
 
 
-def test_evolve_matrix_with_sources_matches_step_loop():
-    # five periods of 64 steps: 320 steps, not a multiple of the block length
+@pytest.mark.parametrize("drift, startup", [
+    ("sin(2*pi*t/0.1)*(1-2*x)", True),
+    ("sin(2*pi*t/0.1)*(1-2*x)", False),
+    # cell Peclet number b dx / (2 a) >= 1.875 at n = 40: dgttrf swaps rows
+    ("200 + 50*sin(2*pi*t/0.1)", True),
+    ("200 + 50*sin(2*pi*t/0.1)", False),
+], ids=["startup", "plain", "peclet-startup", "peclet-plain"])
+def test_evolve_matrix_with_sources_matches_step_loop(monkeypatch, drift, startup):
+    # five periods of 64 steps, each period three blocks of factors
+    # (25 + 25 + 14): every later period marches the first one's factors
+    monkeypatch.setattr(fpe_grid, "BLOCK_ENTRIES", 25 * 40)
     grid = Grid1D(40, 0.0, 1.0)
     n_steps, dt = 320, T / 64
-    block = BLOCK_ENTRIES // grid.n_cells
-    assert n_steps > block and n_steps % block != 0
-    drift = CoefficientField.from_string("sin(2*pi*t/0.1)*(1-2*x)", T)
-    co = FpCoefficients(a_eff=ONE, b=drift)
+    co = FpCoefficients(a_eff=ONE, b=CoefficientField.from_string(drift, T))
     xs = grid.centers
     gen = np.random.Generator(np.random.Philox(key=np.uint64(7)))
     V0 = gen.uniform(0.0, 1.0, (40, 2))
@@ -137,11 +145,14 @@ def test_evolve_matrix_with_sources_matches_step_loop():
         return np.column_stack([np.sin(np.pi * xs) * np.cos(20 * np.pi * t),
                                 np.full(40, 1.0 + t)])
 
-    prop = Propagator(grid, co, absorbing(), dt)
-    V, _ = prop.march(V0, prop.blocks(n_steps), [sources(k) for k in range(n_steps)])
+    prop = Propagator(grid, co, absorbing(), T, dt)
+    V, _ = prop.march(V0, n_steps, startup, [sources(k) for k in range(n_steps)])
+    assert len(prop.phases) == 64
+    swapped = any(np.any(lu[4] != np.arange(1, 41)) for lu, _ in prop.phases)
+    assert swapped == drift.startswith("200")
     for j in range(2):
         ref = _startup_loop(V0[:, j], grid, co, absorbing(), dt, n_steps,
-                            lambda k: sources(k)[:, j])
+                            lambda k: sources(k)[:, j], startup)
         assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
