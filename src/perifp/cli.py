@@ -626,6 +626,19 @@ def _cmd_selftest(args):
         prob, semilinear.OrderedPair(zero_field, zero_field), dt=T / 32, tol=1e-10)
     check("semilinear: f = 0 gives the zero solution",
           float(np.max(np.abs(res.trajectory))) < 1e-12)
+    # a time-periodic logistic source on Neumann walls: the limit is the
+    # x-independent periodic solution of the ODE
+    grid = fpe_grid.Grid1D(8, 0.0, 1.0)
+    prob = semilinear.SemilinearProblem(
+        coeffs=fpe_grid.FpCoefficients(a_eff=one, b=zero),
+        f=CoefficientField.from_string("u*(1 + 0.5*sin(2*pi*t) - u)", T),
+        bc=fpe_grid.neumann(), T=T, grid=grid)
+    pair = semilinear.OrderedPair(*(fpe_grid.DensityField(grid, np.full(8, v))
+                                    for v in (0.05, 2.0)))
+    traj = semilinear.monotone_iterate(prob, pair, dt=T / 32, tol=1e-9).trajectory
+    check("semilinear: logistic limit is periodic and flat in x",
+          float(np.max(np.abs(traj[-1] - traj[0]))) <= 1e-9
+          and float(np.max(np.ptp(traj, axis=1))) <= 1e-9)
 
     return 0 if all(checks) else 1
 

@@ -375,15 +375,16 @@ def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition, T
     """March p0 with T-periodic coefficients from t = 0 to t1 (Rannacher
     start-up, then Crank-Nicolson); returns (final DensityField, list of snapshots).
 
-    Snapshots are emitted at the requested times in [0, t1] (matched to
-    the nearest step boundary); a time outside raises ValueError.
+    Snapshots are emitted at the requested times, each a step boundary
+    k dt in [0, t1]; any other time raises ValueError.
     """
     n_steps = step_count(t1, dt)
     snap_steps = set()
     if snapshot_times is not None:
         if any(not 0.0 <= s <= t1 for s in snapshot_times):
             raise ValueError(f"snapshot times must lie in [0, t1 = {t1!r}]")
-        snap_steps = {int(round(s / dt)) for s in snapshot_times}
+        # step_count raises ValueError for a time that dt does not divide
+        snap_steps = {step_count(s, dt) if s > 0 else 0 for s in snapshot_times}
     prop = Propagator(p0.grid, coeffs, bc, T, dt, form)
     p, states = prop.march(p0.values, n_steps, record=snap_steps)
     snapshots = [DensityField(p0.grid, v, k * dt) for k, v in states.items()]

@@ -146,6 +146,17 @@ def test_snapshot_times_outside_the_march_are_rejected():
                       snapshot_times=times)
 
 
+def test_snapshot_times_between_steps_are_rejected():
+    # 0.03 lies between the steps 0 and 1/16; it used to be rounded to 0,
+    # and 0.3 to 0.3125, without a word
+    grid = Grid1D(32, 0.0, 1.0)
+    co = FpCoefficients(a_eff=ONE, b=ZERO)
+    for times in ([0.0, 0.03, 0.3], [0.3], [0.5 - 1e-6]):
+        with pytest.raises(ValueError, match="must divide"):
+            solve_ivp(_uniform(grid), co, reflecting(), T, 0.5, 1.0 / 16,
+                      snapshot_times=times)
+
+
 def _step_loop(p, co, bc, dt, n_steps, form, stepper):
     for _ in range(n_steps):
         p = stepper(p, co, bc, dt, form=form)

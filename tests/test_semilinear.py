@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import MonotonicityViolation, SingularSystem
 from perifp.fpe_grid import (DensityField, FpCoefficients, Grid1D, absorbing,
-                             assemble_generator, neumann, step_cn)
+                             assemble_generator, neumann, step_cn, step_count)
 from perifp.semilinear import (OrderedPair, PeriodicLinearSolver,
                                SemilinearProblem, estimate_c, monotone_iterate,
                                verify_upper_lower)
@@ -212,6 +212,70 @@ def test_logistic_periodic_forcing_matches_shooting_oracle():
     assert res.periodicity_residual <= 1e-9
 
 
+def _dense_periodic_cn(problem, dt, c):
+    """Exact periodic CN solve of d_t v + (A(t) + c) v = g from dense matrices:
+    v(0) = (I - K_c)^-1 w, K_c the homogeneous one-period map and w the
+    one-period march of zero data.  Returns solve(g at the half steps) ->
+    trajectory over one period."""
+    grid = problem.grid
+    n, n_steps = grid.n_cells, step_count(problem.T, dt)
+    eye = np.eye(n)
+    steps = []     # v -> S v + R g for each CN step
+    for k in range(n_steps):
+        L = assemble_generator(grid, problem.coeffs, (k + 0.5) * dt, problem.bc,
+                               problem.form).to_dense() - c * eye
+        M = eye - dt / 2 * L
+        steps.append((np.linalg.solve(M, eye + dt / 2 * L), dt * np.linalg.inv(M)))
+    K = eye
+    for S, _ in steps:
+        K = S @ K
+
+    def march(v, source):
+        traj = [v]
+        for (S, R), g in zip(steps, source):
+            traj.append(S @ traj[-1] + R @ g)
+        return np.stack(traj)
+
+    return lambda source: march(np.linalg.solve(eye - K, march(np.zeros(n), source)[-1]),
+                                source)
+
+
+def _half_step_source(problem, traj, c, dt):
+    u_half = (traj[:-1] + traj[1:]) / 2
+    t_half = ((np.arange(len(u_half)) + 0.5) * dt)[:, None]
+    return problem.f(t=t_half, x=problem.grid.centers, u=u_half) + c * u_half
+
+
+@pytest.mark.parametrize("source_f, lower, upper", [
+    ("1 + sin(2*pi*t)*x", 0.0, 4.0),            # u-independent: one dense solve
+    ("u*(3 + sin(2*pi*t) - u)", 0.05, 4.0),
+], ids=["linear", "logistic"])
+def test_converged_trajectory_is_the_dense_periodic_cn_solution(source_f, lower, upper):
+    # the fixed point of the iteration is the periodic CN trajectory, which
+    # a Picard iteration of exact periodic solves built here from dense
+    # generators, run to roundoff, also reaches
+    grid = Grid1D(24, 0.0, 1.0)
+    dt, tol = T / 64, 1e-9
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
+                        b=CoefficientField.from_string("cos(2*pi*t)", T),
+                        a0=CoefficientField.from_string("0.5 + x", T))
+    prob = SemilinearProblem(coeffs=co, f=CoefficientField.from_string(source_f, T),
+                             bc=neumann(), T=T, grid=grid)
+    pair = OrderedPair(_const_field(grid, lower), _const_field(grid, upper))
+    for kind in ("lower", "upper"):
+        assert verify_upper_lower(getattr(pair, kind), prob, kind, dt)["certified"]
+    res = monotone_iterate(prob, pair, dt=dt, tol=tol)
+    solve = _dense_periodic_cn(prob, dt, res.c)
+    oracle = np.tile(pair.upper.values, (65, 1))
+    for _ in range(1000):
+        new = solve(_half_step_source(prob, oracle, res.c, dt))
+        step, oracle = np.max(np.abs(new - oracle)), new
+        if step <= 1e-13:
+            break
+    assert step <= 1e-13
+    assert np.max(np.abs(res.trajectory - oracle)) <= tol
+
+
 def test_monotonicity_violation_when_c_too_small():
     grid = Grid1D(32, 0.0, 1.0)
     prob = SemilinearProblem(coeffs=HEAT,
@@ -229,13 +293,19 @@ def test_ordered_pair_validation():
 
 
 def test_dirichlet_compatibility_warning():
+    # f = 1 on absorbing walls: f(t, x, 0) != 0 at the walls.  The pair is a
+    # certified one; the constant 1 is no upper solution (u_t + Au - f = -1)
     grid = Grid1D(16, 0.0, 1.0)
     prob = SemilinearProblem(coeffs=HEAT,
                              f=CoefficientField.from_string("1 + 0*u", T),
                              bc=absorbing(), T=T, grid=grid)
-    pair = OrderedPair(_const_field(grid, 0.0), _const_field(grid, 1.0))
+    x = grid.centers
+    pair = OrderedPair(_const_field(grid, 0.0), DensityField(grid, x * (1 - x)))
+    for kind in ("lower", "upper"):
+        assert verify_upper_lower(getattr(pair, kind), prob, kind, T / 16)["certified"]
     with pytest.warns(UserWarning, match="compatibility"):
-        monotone_iterate(prob, pair, dt=T / 16, tol=1e-8)
+        res = monotone_iterate(prob, pair, dt=T / 16, tol=1e-8)
+    assert res.gap <= 1e-8
 
 
 # ---------------------------------------------------------------------------
