@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import linear_sum_assignment
 from .errors import DimensionMismatch, SolverFailure
 
 
@@ -94,11 +95,17 @@ def coarsen(measure: EmpiricalMeasure, resolution: float) -> EmpiricalMeasure:
 
 
 def _merge(points: np.ndarray, weights: np.ndarray):
-    """The distinct rows of points, sorted, each with the summed weight of its copies."""
-    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
-    w = np.zeros(len(uniq))
-    np.add.at(w, inverse.ravel(), weights)
-    return uniq, w
+    """The distinct rows of points, sorted, each with the summed weight of its copies.
+
+    The sort is stable, so each row's copies are summed in their input order.
+    """
+    order = np.lexsort(points.T[::-1])           # the first column is the primary key
+    rows = points[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    w = np.zeros(np.count_nonzero(first))
+    np.add.at(w, np.cumsum(first) - 1, weights[order])
+    return rows[first], w
 
 
 def _merge_support(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
@@ -126,7 +133,7 @@ def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
         if len(w) == len(nu.weights) and np.all(w == w[0]) and np.all(nu.weights == w[0]):
             return _dbl_assignment(mu.points, nu.points, float(w[0]), support)
         return _dbl_lp(support, c)
-    h = _chain_witness(support[:, 0], c)   # np.unique sorted the support
+    h = _chain_witness(support[:, 0], c)   # _merge sorted the support
     return BLResult(distance=float(c @ h), witness=h, support=support, status="optimal")
 
 
@@ -186,8 +193,6 @@ def _dbl_assignment(x: np.ndarray, y: np.ndarray, w: float,
     hence c.h = d.  Shifting h by its midrange moves it into [-1, 1]
     without changing c.h, since both measures have the same mass.
     """
-    from scipy.optimize import linear_sum_assignment
-
     n = len(x)
     C = _truncated_distances(x, y)
     _, sigma = linear_sum_assignment(C)

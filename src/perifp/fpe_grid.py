@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
+from ._kernels import dgtsv, dgttrf, dgttrs
 from .coeff_dsl import CoefficientField
 from .errors import EllipticityViolation, QuadratureOverflow, SolverFailure
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
+from ._kernels import dgetrf, dgetrs
 from .coeff_dsl import CoefficientField
-from .errors import (MonotonicityViolation, NotConverged, SingularSystem)
+from .errors import MonotonicityViolation, NotConverged, SingularSystem, SolverFailure
 from .fpe_grid import (BoundaryCondition, DensityField, FpCoefficients, Grid1D,
                        Propagator, assemble_generator, step_count)
 
@@ -59,7 +59,8 @@ class PeriodicLinearSolver:
     Marches plain Crank-Nicolson from the periodic state, so with no
     start-up, its sources at the half steps.  Builds the homogeneous
     one-period map K_c, then solves (I - K_c) v0 = w, w the one-period
-    evolution of zero data under the source.
+    evolution of zero data under the source, by LAPACK's LU (dgetrf and
+    dgetrs).
     """
 
     grid: Grid1D
@@ -81,7 +82,9 @@ class PeriodicLinearSolver:
             raise SingularSystem(
                 f"homogeneous period map has spr {self.spr:.8f} >= 1; "
                 "periodic problem not uniquely solvable")
-        self._lu = lu_factor(np.eye(n) - self.K)
+        *self._lu, info = dgetrf(np.eye(n) - self.K, overwrite_a=1)
+        if info != 0:
+            raise SolverFailure(f"LU factorization of I - K_c failed: dgetrf info {info}")
 
     def solve(self, source: np.ndarray):
         """source: (n_steps, n) half-step values of g, or (n_steps, n, m) for m
@@ -92,7 +95,9 @@ class PeriodicLinearSolver:
         the linear-solve accuracy).
         """
         w, _ = self._prop.march(np.zeros(source.shape[1:]), self.n_steps, False, source)
-        u0 = lu_solve(self._lu, w)
+        u0, info = dgetrs(*self._lu, w)
+        if info != 0:
+            raise SolverFailure(f"LU solve with I - K_c failed: dgetrs info {info}")
         _, states = self._prop.march(u0, self.n_steps, False, source,
                                      record=range(self.n_steps + 1))
         return u0, np.stack(list(states.values()))

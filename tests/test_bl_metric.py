@@ -220,6 +220,27 @@ def test_coarsen_bounded_perturbation():
     assert dbl(mu, nu).distance <= 2 * 0.05 + 1e-9
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_merge_matches_unique_reference(d):
+    # the stable sort must give np.unique's rows and, summing each row's
+    # copies in input order, bit-for-bit the same weights
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(31 + d)))
+    for trial in range(20):
+        x = np.round(gen.normal(0.0, 1.0, (int(gen.integers(1, 80)), d)) * 4) / 4
+        y = np.vstack([x[: len(x) // 2], gen.uniform(-1, 1, (5, d))])   # shared with mu
+        x[gen.integers(0, len(x), len(x) // 3)] = x[0]                   # repeated rows
+        x[gen.integers(0, len(x), 3)] = -0.0                             # -0.0 next to 0.0
+        y[-1] = 0.0
+        mu = EmpiricalMeasure(x, gen.uniform(0.0, 1.0, len(x)))
+        nu = EmpiricalMeasure(y, gen.uniform(0.0, 1.0, len(y)))
+        support, c = _merge_support(mu, nu)
+        uniq, inverse = np.unique(np.vstack([x, y]), axis=0, return_inverse=True)
+        ref = np.zeros(len(uniq))
+        np.add.at(ref, inverse.ravel(), np.concatenate([mu.weights, -nu.weights]))
+        np.testing.assert_array_equal(support, uniq)
+        assert c.tobytes() == ref.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_distance_symmetric_property(seed):

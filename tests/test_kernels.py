@@ -1,0 +1,75 @@
+"""The compiled scipy kernels: loaded without scipy's packages, shared with them."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import perifp
+from perifp import _kernels
+
+SRC = str(Path(perifp.__file__).resolve().parents[1])
+
+
+def _fresh(code: str):
+    """Run code in a fresh interpreter with perifp importable; return its JSON stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+LOADED = ("json.dumps({m: m in sys.modules for m in "
+          "('scipy.linalg', 'scipy.optimize', 'scipy.sparse')})")
+
+
+def test_cli_import_skips_scipy_packages():
+    assert _fresh(f"import json, sys\nimport perifp.cli\nprint({LOADED})") == {
+        "scipy.linalg": False, "scipy.optimize": False, "scipy.sparse": False}
+
+
+def test_equal_weight_d2_dbl_skips_scipy_optimize():
+    code = f"""import json, sys
+import numpy as np
+from perifp.bl_metric import EmpiricalMeasure, dbl
+x = np.linspace(0.0, 1.0, 12).reshape(6, 2)
+res = dbl(EmpiricalMeasure.from_samples(x), EmpiricalMeasure.from_samples(x[::-1] + 0.1))
+assert res.status == "optimal" and res.distance > 0
+print({LOADED})"""
+    assert _fresh(code)["scipy.optimize"] is False
+
+
+def test_unequal_d2_pair_solves_through_linprog():
+    code = f"""import json, sys
+import numpy as np
+from perifp.bl_metric import EmpiricalMeasure, dbl
+x = np.linspace(0.0, 1.0, 12).reshape(6, 2)
+res = dbl(EmpiricalMeasure.from_samples(x), EmpiricalMeasure.from_samples(x[:5] + 0.1))
+assert res.status == "optimal" and res.distance > 0
+print({LOADED})"""
+    assert _fresh(code)["scipy.optimize"] is True
+
+
+@pytest.mark.parametrize("first", ["perifp", "scipy"])
+def test_kernels_are_scipys_own_objects(first):
+    imports = ["import perifp.cli", "import scipy.linalg.lapack, scipy.optimize"]
+    if first == "scipy":
+        imports.reverse()
+    code = "\n".join(["import json"] + imports + [
+        "from perifp import bl_metric, fpe_grid, semilinear",
+        "print(json.dumps([fpe_grid.dgttrf is scipy.linalg.lapack.dgttrf,",
+        "                  semilinear.dgetrf is scipy.linalg.lapack.dgetrf,",
+        "                  bl_metric.linear_sum_assignment is "
+        "scipy.optimize.linear_sum_assignment]))"])
+    assert _fresh(code) == [True, True, True]
+
+
+def test_missing_kernel_is_an_import_error_naming_it():
+    with pytest.raises(ImportError, match="scipy.linalg._nowhere not found"):
+        _kernels._kernels("scipy.linalg", "_nowhere", "dgetrf")
+    with pytest.raises(ImportError, match="scipy.linalg._flapack has no dnothing"):
+        _kernels._kernels("scipy.linalg", "_flapack", "dgetrf dnothing")

@@ -1,14 +1,16 @@
 """Periodic semilinear problems: linear Poincare solves and monotone iteration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq
 
+from perifp import semilinear
 from perifp.coeff_dsl import CoefficientField
-from perifp.errors import MonotonicityViolation, SingularSystem
+from perifp.errors import MonotonicityViolation, SingularSystem, SolverFailure
 from perifp.fpe_grid import (DensityField, FpCoefficients, Grid1D, absorbing,
                              assemble_generator, neumann, step_cn, step_count)
 from perifp.semilinear import (OrderedPair, PeriodicLinearSolver,
@@ -277,13 +279,33 @@ def test_converged_trajectory_is_the_dense_periodic_cn_solution(source_f, lower,
 
 
 def test_monotonicity_violation_when_c_too_small():
+    # f_u = 1 - 2u spans [-3, 0.9] on the bracket [0.05, 2]; with c = 0.5 the
+    # shifted source f + c u is not monotone there, while the periodic
+    # linear problem is still well posed (spr(K_c) = e^{-cT} on Neumann walls)
     grid = Grid1D(32, 0.0, 1.0)
     prob = SemilinearProblem(coeffs=HEAT,
                              f=CoefficientField.from_string("u*(1-u)", T),
                              bc=neumann(), T=T, grid=grid)
     pair = OrderedPair(_const_field(grid, 0.05), _const_field(grid, 2.0))
-    with pytest.raises((MonotonicityViolation, SingularSystem)):
-        monotone_iterate(prob, pair, dt=T / 32, c=0.0, tol=1e-9)
+    with pytest.raises(MonotonicityViolation):
+        monotone_iterate(prob, pair, dt=T / 32, c=0.5, tol=1e-9)
+    # with c = sup|f_u| the same pair converges
+    assert monotone_iterate(prob, pair, dt=T / 32, c=3.0, tol=1e-9).gap <= 1e-9
+
+
+def test_singular_lu_is_a_solver_failure(monkeypatch):
+    # dgetrf reports an exactly zero pivot: fail, do not warn and solve on
+    real = semilinear.dgetrf
+
+    def singular(a, **kwargs):
+        lu, piv, _ = real(a, **kwargs)
+        return lu, piv, 3
+
+    monkeypatch.setattr(semilinear, "dgetrf", singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure, match="dgetrf info 3"):
+            PeriodicLinearSolver(Grid1D(16, 0.0, 1.0), HEAT, absorbing(), T, T / 16, c=1.0)
 
 
 def test_ordered_pair_validation():
