@@ -606,8 +606,8 @@ def _cmd_selftest(args):
     p1 = fpe_grid.step_cn(p0, coeffs, fpe_grid.reflecting(), 0.01)
     check("fpe_grid: reflecting CN conserves mass", abs(p1.mass - p0.mass) < 1e-13)
     # two periods of N = 8 steps: the second reuses the first one's factors
-    prop = fpe_grid.Propagator(grid, coeffs, fpe_grid.absorbing(), T, T / 8)
-    V, _ = prop.march(p0.values, 16, startup=False)
+    prop = fpe_grid.Propagator(grid, coeffs, fpe_grid.absorbing(), T, T / 8, startup=False)
+    V, _ = prop.march(p0.values, 16)
     for _ in range(16):
         p0 = fpe_grid.step_cn(p0, coeffs, fpe_grid.absorbing(), T / 8)
     check("fpe_grid: CN march equals the step_cn loop", np.max(np.abs(V - p0.values)) < 1e-12)

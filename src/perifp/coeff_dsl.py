@@ -33,6 +33,9 @@ from .errors import EvalError, ExprSyntaxError, UnknownIdentifier
 VARIABLES = ("t", "x", "u")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh")
+# operands nest one level per parenthesis, call, unary minus, power and
+# chained + - * / operator: bounds the parser's recursion and the AST depth
+MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -134,31 +138,43 @@ class _Parser:
         return node
 
     def expr(self) -> Expr:
+        depth = self.depth
         node = self.term()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
+                self.depth += 1     # the chain so far is the left operand
                 node = Bin(text, node, self.term())
             else:
+                self.depth = depth
                 return node
 
     def term(self) -> Expr:
+        depth = self.depth
         node = self.unary()
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
+                self.depth += 1
                 node = Bin(text, node, self.unary())
             else:
+                self.depth = depth
                 return node
 
     def unary(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(pos, f"nested deeper than {MAX_DEPTH} levels")
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()

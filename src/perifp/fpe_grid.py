@@ -19,7 +19,8 @@ import numpy as np
 
 from ._kernels import dgtsv, dgttrf, dgttrs
 from .coeff_dsl import CoefficientField
-from .errors import EllipticityViolation, QuadratureOverflow, SolverFailure
+from .errors import (EllipticityViolation, NonFiniteState, QuadratureOverflow,
+                     SolverFailure)
 
 ELLIPTICITY_FLOOR = 1e-12
 EXP_OVERFLOW = 700.0
@@ -278,37 +279,43 @@ class Propagator:
 
     The coefficients repeat with period T, so do the implicit operators
     M = I - (dt/2)(L - c) of the steps: CN step k (from t = k dt) uses the
-    phase k mod N, M at (k mod N + 0.5) dt with N = T/dt.  Each M is LU
-    factored once by LAPACK dgttrf, assembled a block of about
-    BLOCK_ENTRIES at a time the first time a march reaches it, and kept;
-    as the explicit operator is 2I - M, a step is one dgttrs
-    back-substitution Y = M^-1 (V + (dt/2) g), then V <- 2Y - V.
+    phase k mod N, M at (k mod N + 0.5) dt with N = T/dt.  The constructor
+    assembles them a block of about BLOCK_ENTRIES at a time and LU factors
+    each once (LAPACK dgttrf) into phases; as the explicit operator is
+    2I - M, a step is one dgttrs back-substitution Y = M^-1 (V + (dt/2) g),
+    then V <- 2Y - V.
 
-    march(startup=True) makes the first step two implicit-Euler steps of
-    dt/2 (Rannacher start-up), V <- Y for each: CN maps a stiff grid mode
+    With startup, every march makes its first step two implicit-Euler steps
+    of dt/2 (Rannacher start-up), V <- Y for each: CN maps a stiff grid mode
     z = dt*lambda -> -inf to (1+z/2)/(1-z/2) -> -1 each step, so it would
-    outlive the physical modes and drive a density negative; the half
-    steps damp it by about 4/z^2.  With a0_mean_out, the spatial mean m(t)
-    of a0 is pulled out of each operator and kept beside its factors in
-    startup and phases; the caller applies exp(-m dt).
-    stiffness_ratio is dt max|L_ii - c| / 2 over the operators factored.
+    outlive the physical modes and drive a density negative; the half steps
+    damp it by about 4/z^2.  The first is phase 0; the second, at t = dt,
+    is one more operator after the N phases.  With a0_mean_out, the spatial
+    mean of each operator's a0 is pulled out into a0_means; the caller
+    applies exp(-m dt).  stiffness_ratio is dt max|L_ii - c| / 2 over phases.
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
                  T: float, dt: float, form: str = "divergence", c: float = 0.0,
-                 a0_mean_out: bool = False):
+                 a0_mean_out: bool = False, startup: bool = True):
         self.n_phases = step_count(T, dt)
         # the factors repeat only if every coefficient repeats within T
         periods = [f.period_T for f in (coeffs.a_eff, coeffs.b, coeffs.a0) if f is not None]
         if not all(p and abs(T / p - round(T / p)) <= 1e-9 * T / p for p in periods):
             raise ValueError(f"coefficient periods {periods!r} must divide T = {T!r}")
         self.grid, self.coeffs, self.bc, self.dt = grid, coeffs, bc, dt
-        self.form, self.c = form, c
+        self.form, self.c, self.startup = form, c, startup
         self.a0_mean_out = a0_mean_out and coeffs.a0 is not None
-        self.startup, self.phases = [], []    # (LU factors, a0 mean) per operator
-        self.stiffness_ratio = 0.0
+        times = np.append((np.arange(self.n_phases) + 0.5) * dt, [dt] * startup)
+        size = max(1, BLOCK_ENTRIES // grid.n_cells)
+        self.phases = []
+        means, ratios = zip(*(self._factor(times[k0:k0 + size])
+                              for k0 in range(0, len(times), size)))
+        self.a0_means, self.stiffness_ratio = np.concatenate(means), max(ratios)
 
-    def _factor(self, times: np.ndarray) -> list:
+    def _factor(self, times: np.ndarray):
+        """Append the LU factors of the operators at times to phases; returns
+        their a0 means and stiffness ratio."""
         offset = np.zeros(len(times))
         if self.a0_mean_out:
             offset = self.coeffs.a0(t=times[:, None], x=self.grid.centers).mean(axis=1)
@@ -316,35 +323,22 @@ class Propagator:
                                a0_offset=offset)
         theta = self.dt / 2
         diag = 1.0 - theta * (L.diag - self.c)
-        self.stiffness_ratio = max(self.stiffness_ratio, float(np.max(np.abs(1.0 - diag))))
-        factors = []
-        for lower, d, upper, m in zip(-theta * L.lower[:, 1:], diag, -theta * L.upper[:, :-1],
-                                      offset.tolist()):
+        ratio = float(np.max(np.abs(1.0 - diag)))
+        for lower, d, upper in zip(-theta * L.lower[:, 1:], diag, -theta * L.upper[:, :-1]):
             *lu, info = dgttrf(lower, d, upper, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info:
                 raise SolverFailure(f"singular tridiagonal system (LAPACK info {info})")
-            factors.append((lu, m))
-        return factors
+            self.phases.append(lu)
+        return offset, ratio
 
-    def build(self, n_steps: int, startup: bool = True):
-        """Factor, once, the operators a march of n_steps from t = 0 reaches."""
-        if startup and not self.startup:
-            self.startup = self._factor(np.array([0.5, 1.0]) * self.dt)
-        reach = min(n_steps, self.n_phases)
-        size = max(1, BLOCK_ENTRIES // self.grid.n_cells)
-        while len(self.phases) < reach:
-            k0 = len(self.phases)
-            self.phases += self._factor((np.arange(k0, min(k0 + size, reach)) + 0.5) * self.dt)
-
-    def march(self, V, n_steps: int, startup: bool = True, sources=None, record=()):
+    def march(self, V, n_steps: int, sources=None, record=()):
         """Advance V by n_steps steps from t = 0, the first one the start-up if startup.
 
         sources, if given, stacks the source g of each step k, sources[k]
         shaped like V; the start-up applies sources[0] over each dt/2.
         Returns (V, states), states mapping each k in record to the state
-        after k steps (0 is the initial state).
+        after k steps (0 is the initial state); NonFiniteState if V is not finite.
         """
-        self.build(n_steps, startup)
         shape = np.shape(V)
         V = np.asfortranarray(np.reshape(V, (shape[0], -1)), dtype=float)
         states = {0: V.reshape(shape)} if 0 in record else {}
@@ -356,17 +350,18 @@ class Propagator:
         phases, n_phases = self.phases, self.n_phases
         for k in range(n_steps):
             rhs = V if sources is None else V + sources[k]
-            if startup and k == 0:
-                V, _ = dgttrs(*self.startup[0][0], rhs, overwrite_b=fresh)
-                rhs = V if sources is None else V + sources[0]
-                V, _ = dgttrs(*self.startup[1][0], rhs, overwrite_b=fresh)
+            Y, _ = dgttrs(*phases[k % n_phases], rhs, overwrite_b=fresh)
+            if k == 0 and self.startup:
+                rhs = Y if sources is None else Y + sources[0]
+                V, _ = dgttrs(*phases[n_phases], rhs, overwrite_b=fresh)
             else:
-                Y, _ = dgttrs(*phases[k % n_phases][0], rhs, overwrite_b=fresh)
                 Y += Y
                 Y -= V
                 V = Y
             if k + 1 in record:
                 states[k + 1] = V.reshape(shape)
+        if not np.all(np.isfinite(V)):
+            raise NonFiniteState(f"march state is not finite after {n_steps} steps")
         return V.reshape(shape), states
 
 
@@ -413,6 +408,8 @@ def stationary_closed_form(coeffs: FpCoefficients, grid: Grid1D) -> DensityField
     _check_ellipticity(a, 0.0, xs)
     b = coeffs.b(t=0.0, x=xs)
     integrand = (b - _a_eff_dx(coeffs, 0.0, xs, grid.dx)) / a
+    if not np.all(np.isfinite(integrand)):
+        raise QuadratureOverflow("(b - a_x)/a is not finite on the grid")
     # cumulative trapezoid from the first cell center; the constant offset
     # drops out in the normalization
     exponent = np.concatenate([[0.0],

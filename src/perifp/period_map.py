@@ -68,10 +68,9 @@ class PeriodOperator:
                  T: float, dt: float, form: str = "divergence"):
         self._prop = Propagator(grid, coeffs, bc, T, dt, form,
                                 a0_mean_out=form == "nondivergence")
-        self._prop.build(self._prop.n_phases)
-        # the start-up covers step 0, so phase 0 is not marched in one period
-        self._scale = math.exp(-(dt / 2) * sum(m for _, m in self._prop.startup)
-                               - dt * sum(m for _, m in self._prop.phases[1:]))
+        # the start-up's half steps (phase 0, then t = dt) cover step 0
+        m, N = self._prop.a0_means.tolist(), self._prop.n_phases
+        self._scale = math.exp(-(dt / 2) * (m[0] + m[N]) - dt * sum(m[1:N]))
         self.T, self.n = T, grid.n_cells
         self.stiffness_ratio = self._prop.stiffness_ratio
 

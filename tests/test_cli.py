@@ -426,6 +426,38 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("perifp: MemoryError: Unable to allocate")
 
 
+_TINY_FP = {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 0.1, "n_cells": 16,
+            "drift": "0", "sigma": "1"}
+
+
+@pytest.mark.parametrize("command, change, error", [
+    ("fp-solve", {"drift": "exp(1000*x)"}, "NonFiniteState"),
+    ("fp-solve", {"form": "nondivergence", "a0": "-1e5*x", "t1": 1}, "NonFiniteState"),
+    ("eigen", {"form": "nondivergence", "a0": "-1e4*x"}, "NonFiniteState"),
+    ("semilinear", {"period_T": 1, "n_cells": 8, "dt": 1 / 32, "bc": "neumann",
+                    "sigma": None, "a_eff": "1", "source_f": "u*(1-u)*exp(700*u)"},
+     "NonFiniteState"),
+    ("stationary", {"drift": "exp(800*x)", "bc": "reflecting"}, "QuadratureOverflow"),
+], ids=["fp-drift-overflow", "fp-a0-growth", "eigen-a0-growth", "semilinear-overflow",
+        "stationary-overflow"])
+def test_non_finite_numbers_are_one_typed_error(tmp_path, capsys, command, change, error):
+    # no exit 0 with NaN output, no traceback, no 20000 power iterations on NaN
+    cfg = _write(tmp_path / "c.json", {**_TINY_FP, **change})
+    assert run(["--json-errors", command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [line["error"] for line in lines if "error" in line] == [error]
+
+
+@pytest.mark.parametrize("drift", ["(" * 300 + "x" + ")" * 300, "+".join(["x"] * 1500)],
+                         ids=["parentheses", "long-sum"])
+def test_too_deep_expression_is_a_config_error(tmp_path, capsys, drift):
+    cfg = _write(tmp_path / "c.json", {**_TINY_FP, "drift": drift})
+    assert run(["--json-errors", "fp-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["path"]) == ("ConfigError", "/drift")
+    assert "nested deeper than 100 levels" in err["message"]
+
+
 def test_warnings_are_reported_as_stderr_lines(tmp_path, capsys):
     # absorbing walls with f(t, x, 0) = 0.1 violate Dirichlet compatibility,
     # which semilinear only warns about

@@ -60,6 +60,26 @@ def test_empty_and_unbalanced():
             parse_expr(bad)
 
 
+@pytest.mark.parametrize("source, position", [
+    ("(" * 300 + "x" + ")" * 300, 100),      # the 101st parenthesis
+    ("-" * 1200 + "x", 100),
+    ("+".join(["x"] * 1500), 200),            # the operand after the 100th '+'
+], ids=["parentheses", "unary-minus", "long-sum"])
+def test_nesting_past_the_depth_bound_is_a_syntax_error(source, position):
+    # no RecursionError in the parser, nor later in eval_expr
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels") as exc:
+        parse_expr(source)
+    assert exc.value.position == position
+
+
+def test_nesting_below_the_depth_bound_parses_and_evaluates():
+    nest = parse_expr("(" * 64 + "x" + ")" * 64)
+    assert eval_expr(nest, {"x": 0.25}) == 0.25
+    total = parse_expr("+".join(["x"] * 64))
+    assert eval_expr(total, {"x": 0.25}) == 16.0
+    assert parse_expr(pretty(total)) == total
+
+
 def test_constants_and_functions():
     assert eval_expr(parse_expr("pi"), {}) == pytest.approx(math.pi)
     assert eval_expr(parse_expr("e"), {}) == pytest.approx(math.e)

@@ -16,6 +16,7 @@ from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D
                              robin, solve_ivp, stationary_closed_form, step_cn,
                              step_ie)
 from perifp.period_map import PeriodOperator, power_iteration
+from perifp.semilinear import PeriodicLinearSolver
 
 T = 1.0
 ONE = CoefficientField.from_string("1", T)
@@ -224,8 +225,9 @@ def test_stiff_absorbing_march_matches_step_loop():
 
 
 def test_marches_factor_each_operator_of_one_period_once(monkeypatch):
-    # N = 64 steps per period: the start-up's two half steps and the N
-    # phases are factored once, however many periods are marched
+    # N = 64 steps per period: the N phases and the start-up's second half
+    # step are factored once, however many periods are marched; the first
+    # half step is phase 0, and a march without the start-up factors N
     calls = []
 
     def counted(*args, **kwargs):
@@ -237,11 +239,15 @@ def test_marches_factor_each_operator_of_one_period_once(monkeypatch):
     co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
                         b=CoefficientField.from_string("3*sin(2*pi*t)*(1-2*x)", T))
     solve_ivp(_uniform(grid), co, reflecting(), T, 10 * T, T / 64)     # ten periods
-    assert len(calls) == 64 + 2
+    assert len(calls) == 64 + 1
     calls.clear()
     spec = power_iteration(PeriodOperator(grid, co, absorbing(), T, T / 64), tol=1e-12)
     assert spec.iterations >= 4
-    assert len(calls) == 64 + 2
+    assert len(calls) == 64 + 1
+    calls.clear()
+    solver = PeriodicLinearSolver(grid, co, neumann(), T, T / 64, c=1.0, form="nondivergence")
+    solver.solve(np.ones((64, 32)))
+    assert len(calls) == 64
 
 
 def test_propagator_needs_coefficient_periods_that_divide_T():
@@ -289,6 +295,17 @@ def test_ellipticity_violation_mid_block_reports_its_time():
         assert exc.t == pytest.approx(t_bad, abs=1e-15)
         assert exc.x == grid.centers[0]
     assert marched.value.value == pytest.approx(stepped.value.value, abs=1e-13)
+
+
+def test_whole_period_is_factored_before_a_shorter_march():
+    # a_eff = 1 - 2t turns non-positive at t = T/2, after t1 = T/4: the
+    # operators of all N phases are factored when the Propagator is built,
+    # so a march over part of a period still checks the whole period
+    grid = Grid1D(32, 0.0, 1.0)
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1 - 2*t", T), b=ZERO)
+    with pytest.raises(EllipticityViolation) as exc:
+        solve_ivp(_uniform(grid), co, reflecting(), T, T / 4, T / 64)
+    assert exc.value.t == 32.5 / 64
 
 
 @settings(max_examples=20, deadline=None)

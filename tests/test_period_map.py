@@ -130,8 +130,8 @@ def _startup_loop(values, grid, co, bc, dt, n_steps, source, startup):
     ("200 + 50*sin(2*pi*t/0.1)", False),
 ], ids=["startup", "plain", "peclet-startup", "peclet-plain"])
 def test_evolve_matrix_with_sources_matches_step_loop(monkeypatch, drift, startup):
-    # five periods of 64 steps, each period three blocks of factors
-    # (25 + 25 + 14): every later period marches the first one's factors
+    # five periods of 64 steps, one table of three blocks of factors
+    # (25 + 25 + 14, + 1 for the start-up's t = dt): every period marches it
     monkeypatch.setattr(fpe_grid, "BLOCK_ENTRIES", 25 * 40)
     grid = Grid1D(40, 0.0, 1.0)
     n_steps, dt = 320, T / 64
@@ -145,10 +145,10 @@ def test_evolve_matrix_with_sources_matches_step_loop(monkeypatch, drift, startu
         return np.column_stack([np.sin(np.pi * xs) * np.cos(20 * np.pi * t),
                                 np.full(40, 1.0 + t)])
 
-    prop = Propagator(grid, co, absorbing(), T, dt)
-    V, _ = prop.march(V0, n_steps, startup, [sources(k) for k in range(n_steps)])
-    assert len(prop.phases) == 64
-    swapped = any(np.any(lu[4] != np.arange(1, 41)) for lu, _ in prop.phases)
+    prop = Propagator(grid, co, absorbing(), T, dt, startup=startup)
+    V, _ = prop.march(V0, n_steps, [sources(k) for k in range(n_steps)])
+    assert len(prop.phases) == 64 + startup
+    swapped = any(np.any(lu[4] != np.arange(1, 41)) for lu in prop.phases)
     assert swapped == drift.startswith("200")
     for j in range(2):
         ref = _startup_loop(V0[:, j], grid, co, absorbing(), dt, n_steps,

@@ -12,7 +12,7 @@ from perifp import semilinear
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import MonotonicityViolation, SingularSystem, SolverFailure
 from perifp.fpe_grid import (DensityField, FpCoefficients, Grid1D, absorbing,
-                             assemble_generator, neumann, step_cn, step_count)
+                             assemble_generator, neumann, robin, step_cn, step_count)
 from perifp.semilinear import (OrderedPair, PeriodicLinearSolver,
                                SemilinearProblem, estimate_c, monotone_iterate,
                                verify_upper_lower)
@@ -360,3 +360,23 @@ def test_verify_rejects_wrong_side():
                              bc=neumann(), T=T, grid=grid)
     rep = verify_upper_lower(_const_field(grid, 0.1), prob, "upper", dt=T / 16)
     assert not rep["certified"]
+
+
+@pytest.mark.parametrize("bc, source_f, lower, upper", [
+    (neumann(), "u*(1 + 0.5*sin(2*pi*t) - u)", 0.05, 2.0),
+    (robin(1.0, 2.0), "u*(1-u) + 0.1", 0.0, 2.0),
+    (absorbing(), "(1 + 0.5*sin(2*pi*t))*x*(1-x)*(1 - u*u)", 0.0, 1.0),
+], ids=["neumann", "robin", "absorbing"])
+def test_converged_trajectory_is_its_own_certificate(bc, source_f, lower, upper):
+    # the certificate is the solver's discrete inequality, walls included:
+    # the converged periodic CN trajectory has zero slack on both sides
+    grid = Grid1D(24, 0.0, 1.0)
+    dt = T / 64
+    prob = SemilinearProblem(coeffs=HEAT, f=CoefficientField.from_string(source_f, T),
+                             bc=bc, T=T, grid=grid)
+    pair = OrderedPair(_const_field(grid, lower), _const_field(grid, upper))
+    traj = monotone_iterate(prob, pair, dt=dt, tol=1e-10).trajectory
+    for kind in ("upper", "lower"):
+        rep = verify_upper_lower(traj, prob, kind, dt)
+        assert abs(rep["interior_slack"]) <= 1e-8
+        assert abs(rep["endpoint_slack"]) <= 1e-12
