@@ -154,19 +154,18 @@ def _check_ellipticity(a_vals: np.ndarray, t, xs: np.ndarray):
 
 
 def assemble_generator(grid: Grid1D, coeffs: FpCoefficients, t, bc: BoundaryCondition,
-                       form: str = "divergence", a0_offset=0.0) -> Tridiag:
+                       form: str = "divergence") -> Tridiag:
     """Spatial generator L(t) with dp/dt = L(t) p.
 
     For an array of times t each coefficient is evaluated in one broadcast
     call over the (t, x) block, giving one stacked generator per time.
     form='divergence' discretizes the Fokker-Planck flux form;
-    form='nondivergence' discretizes u_t = a u_xx - b u_x - a0 u, with
-    a0_offset (a scalar, or one value per time) subtracted from a0.
+    form='nondivergence' discretizes u_t = a u_xx - b u_x - a0 u.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
-    if form == "divergence" and bc.kind == "robin":
-        raise ValueError("robin boundaries are only supported in non-divergence form")
+    if form == "divergence" and (bc.kind == "robin" or coeffs.a0 is not None):
+        raise ValueError("robin boundaries and a0 are only supported in non-divergence form")
     dx, xc = grid.dx, grid.centers
     t = np.asarray(t, dtype=float)
     tt = t[..., None]
@@ -177,7 +176,6 @@ def assemble_generator(grid: Grid1D, coeffs: FpCoefficients, t, bc: BoundaryCond
 
     b = coeffs.b(t=tt, x=xc)
     a0 = 0.0 if coeffs.a0 is None else coeffs.a0(t=tt, x=xc)
-    a0 = a0 - np.asarray(a0_offset, dtype=float)[..., None]
 
     lower = a / dx**2 + b / (2 * dx)
     upper = a / dx**2 - b / (2 * dx)
@@ -223,13 +221,11 @@ def _assemble_divergence(grid: Grid1D, coeffs: FpCoefficients, tt: np.ndarray,
 
     # reflecting: boundary fluxes exactly zero
     if bc.kind == "absorbing":
-        # antisymmetric ghost: p_g = -p_adjacent, density zero at the wall;
-        # the drift term vanishes there since (p_g + p)/2 = 0
-        xc = grid.centers
-        a_gl = coeffs.a_eff(t=tt, x=xc[0] - dx)[..., 0]
-        a_gr = coeffs.a_eff(t=tt, x=xc[-1] + dx)[..., 0]
-        diag[..., 0] -= (a[..., 0] + a_gl) / dx**2   # -F_0/dx with F_0 = (a_0+a_g) p_0/dx
-        diag[..., -1] -= (a[..., -1] + a_gr) / dx**2
+        # ghost antisymmetric in a p: (a p)_g = -(a p)_adjacent, density zero
+        # at the wall, a_eff read only inside the domain; the drift term is
+        # dropped, as (p_g + p)/2 = O(dx^2) there
+        diag[..., 0] -= 2 * a[..., 0] / dx**2     # -F_0/dx with F_0 = 2 a_0 p_0/dx
+        diag[..., -1] -= 2 * a[..., -1] / dx**2
     return Tridiag(lower, diag, upper)
 
 
@@ -256,7 +252,7 @@ def step_cn(p: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
 
 def step_ie(p: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
             dt: float, form: str = "divergence", source=None) -> DensityField:
-    """One implicit-Euler step; two of dt/2 are the start-up of a march."""
+    """One implicit-Euler step; coefficients evaluated at its end."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     L = assemble_generator(p.grid, coeffs, p.time_stamp + dt, bc, form)
@@ -278,58 +274,50 @@ class Propagator:
     """Marches dV/dt = (L(t) - c) V + g(t) by Crank-Nicolson in steps dt, V of shape (n,) or (n, m).
 
     The coefficients repeat with period T, so do the implicit operators
-    M = I - (dt/2)(L - c) of the steps: CN step k (from t = k dt) uses the
-    phase k mod N, M at (k mod N + 0.5) dt with N = T/dt.  The constructor
-    assembles them a block of about BLOCK_ENTRIES at a time and LU factors
-    each once (LAPACK dgttrf) into phases; as the explicit operator is
-    2I - M, a step is one dgttrs back-substitution Y = M^-1 (V + (dt/2) g),
-    then V <- 2Y - V.
+    M_k = I - (dt/2)(L - c_k) of the steps, c a scalar or one shift per
+    phase: CN step k (from t = k dt) uses the phase k mod N, M at
+    (k mod N + 0.5) dt with N = T/dt.  The constructor assembles the N
+    operators a block of about BLOCK_ENTRIES at a time and LU factors each
+    once (LAPACK dgttrf) into phases; as the explicit operator is 2I - M, a
+    step is one dgttrs back-substitution Y = M^-1 (V + (dt/2) g), V <- 2Y - V.
 
-    With startup, every march makes its first step two implicit-Euler steps
-    of dt/2 (Rannacher start-up), V <- Y for each: CN maps a stiff grid mode
-    z = dt*lambda -> -inf to (1+z/2)/(1-z/2) -> -1 each step, so it would
-    outlive the physical modes and drive a density negative; the half steps
-    damp it by about 4/z^2.  The first is phase 0; the second, at t = dt,
-    is one more operator after the N phases.  With a0_mean_out, the spatial
-    mean of each operator's a0 is pulled out into a0_means; the caller
-    applies exp(-m dt).  stiffness_ratio is dt max|L_ii - c| / 2 over phases.
+    With startup, every march makes its first step two implicit-Euler half
+    steps with phase 0, V <- M_0^-1 (V + (dt/2) g_0) twice (Rannacher
+    start-up): CN maps a stiff grid mode z = dt*lambda -> -inf to
+    (1+z/2)/(1-z/2) -> -1 each step, so it would outlive the physical modes
+    and drive a density negative; the half steps damp it by (1-z/2)^-2.
+    stiffness_ratio is dt max|L_ii - c| / 2 over phases.
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
-                 T: float, dt: float, form: str = "divergence", c: float = 0.0,
-                 a0_mean_out: bool = False, startup: bool = True):
+                 T: float, dt: float, form: str = "divergence", c=0.0, startup: bool = True):
         self.n_phases = step_count(T, dt)
         # the factors repeat only if every coefficient repeats within T
         periods = [f.period_T for f in (coeffs.a_eff, coeffs.b, coeffs.a0) if f is not None]
         if not all(p and abs(T / p - round(T / p)) <= 1e-9 * T / p for p in periods):
             raise ValueError(f"coefficient periods {periods!r} must divide T = {T!r}")
         self.grid, self.coeffs, self.bc, self.dt = grid, coeffs, bc, dt
-        self.form, self.c, self.startup = form, c, startup
-        self.a0_mean_out = a0_mean_out and coeffs.a0 is not None
-        times = np.append((np.arange(self.n_phases) + 0.5) * dt, [dt] * startup)
+        self.form, self.startup = form, startup
+        times = (np.arange(self.n_phases) + 0.5) * dt
+        shifts = np.broadcast_to(np.asarray(c, dtype=float), times.shape)[:, None]
         size = max(1, BLOCK_ENTRIES // grid.n_cells)
         self.phases = []
-        means, ratios = zip(*(self._factor(times[k0:k0 + size])
-                              for k0 in range(0, len(times), size)))
-        self.a0_means, self.stiffness_ratio = np.concatenate(means), max(ratios)
+        self.stiffness_ratio = max(self._factor(times[k0:k0 + size], shifts[k0:k0 + size])
+                                   for k0 in range(0, len(times), size))
 
-    def _factor(self, times: np.ndarray):
-        """Append the LU factors of the operators at times to phases; returns
-        their a0 means and stiffness ratio."""
-        offset = np.zeros(len(times))
-        if self.a0_mean_out:
-            offset = self.coeffs.a0(t=times[:, None], x=self.grid.centers).mean(axis=1)
-        L = assemble_generator(self.grid, self.coeffs, times, self.bc, self.form,
-                               a0_offset=offset)
+    def _factor(self, times: np.ndarray, c: np.ndarray) -> float:
+        """Append the LU factors of the operators at times, shifted by c (one
+        row per time), to phases; returns their stiffness ratio."""
+        L = assemble_generator(self.grid, self.coeffs, times, self.bc, self.form)
         theta = self.dt / 2
-        diag = 1.0 - theta * (L.diag - self.c)
+        diag = 1.0 - theta * (L.diag - c)
         ratio = float(np.max(np.abs(1.0 - diag)))
         for lower, d, upper in zip(-theta * L.lower[:, 1:], diag, -theta * L.upper[:, :-1]):
             *lu, info = dgttrf(lower, d, upper, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info:
                 raise SolverFailure(f"singular tridiagonal system (LAPACK info {info})")
             self.phases.append(lu)
-        return offset, ratio
+        return ratio
 
     def march(self, V, n_steps: int, sources=None, record=()):
         """Advance V by n_steps steps from t = 0, the first one the start-up if startup.
@@ -353,7 +341,7 @@ class Propagator:
             Y, _ = dgttrs(*phases[k % n_phases], rhs, overwrite_b=fresh)
             if k == 0 and self.startup:
                 rhs = Y if sources is None else Y + sources[0]
-                V, _ = dgttrs(*phases[n_phases], rhs, overwrite_b=fresh)
+                V, _ = dgttrs(*phases[0], rhs, overwrite_b=fresh)
             else:
                 Y += Y
                 Y -= V
@@ -430,7 +418,7 @@ def check_stationarity_condition(coeffs: FpCoefficients, grid: Grid1D,
     Time derivatives by central differences with step 1e-5; the spatial
     integral by the composite trapezoid rule over all n cell centers,
     dx * (f_0/2 + f_1 + ... + f_{n-2} + f_{n-1}/2), the two end values
-    weighted 1/2.
+    weighted 1/2.  QuadratureOverflow if a residual is not finite.
     """
     dt_fd = 1e-5
     xs, dx = grid.centers, grid.dx
@@ -449,5 +437,8 @@ def check_stationarity_condition(coeffs: FpCoefficients, grid: Grid1D,
     a_xt = (axp - axm) / (2 * dt_fd)
     integrand = (a * (b_t - a_xt) - a_t * (b - ax)) / a**2
     residuals = dx * (integrand.sum(axis=1) - (integrand[:, 0] + integrand[:, -1]) / 2)
+    if not np.all(np.isfinite(residuals)):
+        raise QuadratureOverflow("stationarity residual is not finite at t = "
+                                 f"{float(times[np.argmin(np.isfinite(residuals))])!r}")
     return {"times": times, "residuals": residuals,
             "max_abs_residual": float(np.max(np.abs(residuals)))}

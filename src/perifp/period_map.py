@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveRadius, NotConverged, SignIndefinite
-from .fpe_grid import BoundaryCondition, FpCoefficients, Grid1D, Propagator
+from .errors import NonPositiveRadius, NotConverged, QuadratureOverflow, SignIndefinite
+from .fpe_grid import (BLOCK_ENTRIES, BoundaryCondition, FpCoefficients, Grid1D, Propagator,
+                       step_count)
 
 DECAY_FLOOR = 1e-280
 # a principal eigenvector entry below -SIGN_SLACK * (largest entry) is a
@@ -31,6 +32,7 @@ SIGN_SLACK = 1e-8
 class PeriodMap:
     K: np.ndarray
     T: float
+    log_scale = 0.0     # apply is U(T, 0) itself
 
     @property
     def n(self) -> int:
@@ -60,24 +62,34 @@ class PeriodOperator:
     U(T, 0) is one Propagator march over [0, T] from t = 0, Rannacher
     start-up included: the march fp-solve makes over [0, T].  Its
     operators are factored once and every apply back-substitutes them.
-    In the non-divergence form the a0 mean of each step (each half step
-    counting dt/2) is applied as one exact exponential factor.
+    In the non-divergence form its shift is c = -m, m_k the spatial mean of
+    a0 at phase k: U(T, 0) = exp(log_scale) apply with log_scale = -dt sum m_k
+    (midpoint rule), a factor kept out of the march, where it could overflow.
     """
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
                  T: float, dt: float, form: str = "divergence"):
-        self._prop = Propagator(grid, coeffs, bc, T, dt, form,
-                                a0_mean_out=form == "nondivergence")
-        # the start-up's half steps (phase 0, then t = dt) cover step 0
-        m, N = self._prop.a0_means.tolist(), self._prop.n_phases
-        self._scale = math.exp(-(dt / 2) * (m[0] + m[N]) - dt * sum(m[1:N]))
-        self.T, self.n = T, grid.n_cells
-        self.stiffness_ratio = self._prop.stiffness_ratio
+        m = 0.0
+        if form == "nondivergence" and coeffs.a0 is not None:
+            times = (np.arange(step_count(T, dt)) + 0.5) * dt
+            size = max(1, BLOCK_ENTRIES // grid.n_cells)
+            m = np.concatenate([coeffs.a0(t=t[:, None], x=grid.centers).mean(axis=1)
+                                for t in np.split(times, range(size, len(times), size))])
+        self._prop = Propagator(grid, coeffs, bc, T, dt, form, c=-m)
+        self.log_scale = -dt * float(np.sum(m))
+        self.T, self.n, self.stiffness_ratio = T, grid.n_cells, self._prop.stiffness_ratio
 
     def apply(self, V: np.ndarray) -> np.ndarray:
-        V, _ = self._prop.march(V, self._prop.n_phases)
-        V *= self._scale
-        return V
+        return self._prop.march(V, self._prop.n_phases)[0]
+
+
+def _rescaled(x, log_scale: float):
+    """x exp(log_scale); QuadratureOverflow if that is above the double range."""
+    with np.errstate(over="ignore"):
+        x = x * np.exp(log_scale)
+    if not np.all(np.isfinite(x)):
+        raise QuadratureOverflow(f"the period factor exp({log_scale:.6g}) is out of range")
+    return x
 
 
 def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
@@ -85,32 +97,29 @@ def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition
     """K = U(T,0) by evolving the n unit cell densities over one period.
 
     The columns march the operators of PeriodOperator, Rannacher start-up
-    included.  For the non-divergence form the spatial mean of the
-    zero-order term is pulled out of each step and applied as an exact
-    exponential factor at the end, so a constant added to a0 scales K by
-    exactly e^{-c T} (up to a single exp rounding).
+    included, and K is their end state times exp(log_scale), the factor of
+    the a0 means, so a constant c added to a0 scales K by e^{-c T}.
     """
     op = PeriodOperator(grid, coeffs, bc, T, dt, form)
-    return PeriodMap(K=op.apply(np.eye(grid.n_cells)), T=T)
+    return PeriodMap(K=_rescaled(op.apply(np.eye(grid.n_cells)), op.log_scale), T=T)
 
 
 def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
     """Dominant eigenpair by power iteration from the uniform density.
 
     pm is a dense PeriodMap or a matrix-free PeriodOperator: each
-    iteration applies one period.  The eigenvector is sign-fixed so its
-    max-magnitude entry is positive; the Rayleigh quotient supplies the
-    eigenvalue estimate.  The result is checked against Krein-Rutman:
-    the principal eigenfunction of a period map is sign-definite, so an
-    eigenvector with entries of both signs is a spurious (stiff) grid
-    mode.  The error names the stiffness ratio of a PeriodOperator.
+    iteration applies one period.  It stops at max|apply(v) - r v| <= tol |r|,
+    r the Rayleigh quotient, and reports r exp(log_scale) and mu = -(log r +
+    log_scale)/T.  The eigenvector is sign-fixed so its max-magnitude entry
+    is positive.  The result is checked against Krein-Rutman: the principal
+    eigenfunction of a period map is sign-definite, so an eigenvector with
+    entries of both signs is a spurious (stiff) grid mode.  The error names
+    the stiffness ratio of a PeriodOperator.
     """
     max_iter = 20000
     n = pm.n
     v = np.full(n, 1.0 / n)
     v /= np.linalg.norm(v)
-    r = 0.0
-    residual = np.inf
     for it in range(1, max_iter + 1):
         w = pm.apply(v)
         r = float(v @ w)
@@ -119,7 +128,7 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
         if norm == 0.0:
             raise NonPositiveRadius("period map annihilated the start vector")
         v = w / norm
-        if residual <= tol:
+        if residual <= tol * abs(r):
             break
     else:
         raise NotConverged(max_iter, residual)
@@ -127,8 +136,8 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
         v = -v
     if r <= 0:
         raise NonPositiveRadius(f"computed spectral radius {r!r} is not positive")
-    spec = SpectralResult(r=r, mu=-math.log(r) / pm.T, eigvec=v, iterations=it,
-                          residual=residual)
+    spec = SpectralResult(r=float(_rescaled(r, pm.log_scale)), eigvec=v, iterations=it,
+                          mu=-(math.log(r) + pm.log_scale) / pm.T, residual=residual)
     if spec.min_over_max < -SIGN_SLACK:
         raise SignIndefinite(spec.min_over_max, getattr(pm, "stiffness_ratio", None))
     return spec

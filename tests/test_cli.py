@@ -448,6 +448,36 @@ def test_non_finite_numbers_are_one_typed_error(tmp_path, capsys, command, chang
     assert [line["error"] for line in lines if "error" in line] == [error]
 
 
+def test_stationarity_residual_overflow_is_one_typed_error(tmp_path, capsys):
+    # the drift is finite at t = 0, where the closed form reads it, and
+    # overflows at later sample times of the stationarity condition
+    cfg = _write(tmp_path / "c.json", {**_TINY_FP, "bc": "reflecting",
+                                       "drift": "exp(800*x*(1 - cos(2*pi*t/0.1)))"})
+    assert run(["--json-errors", "stationary", "--config", cfg,
+                "--out", str(tmp_path / "o")]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [line["error"] for line in lines if "error" in line] == ["QuadratureOverflow"]
+
+
+def test_eigen_with_a_large_a0_keeps_its_scale(tmp_path, capsys):
+    # the a0 mean's factor exp(-8000 T) underflows and exp(8000 T)
+    # overflows; lambda_1 is the a0 = 0 value plus 8000 either way
+    mus = []
+    for a0 in ("0", "8000"):
+        cfg = _write(tmp_path / "c.json", {**_TINY_FP, "n_cells": 32, "sigma": "sqrt(2)",
+                                           "bc": "absorbing", "form": "nondivergence",
+                                           "a0": a0})
+        assert run(["eigen", "--config", cfg, "--out", str(tmp_path / a0)]) == 0
+        mus.append(json.loads(capsys.readouterr().out)["mu"])
+    assert mus[1] - mus[0] == pytest.approx(8000, rel=1e-12)
+    cfg = _write(tmp_path / "c.json", {**_TINY_FP, "n_cells": 32, "sigma": "sqrt(2)",
+                                       "bc": "absorbing", "form": "nondivergence",
+                                       "a0": "-8000"})
+    assert run(["--json-errors", "eigen", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "QuadratureOverflow"
+
+
 @pytest.mark.parametrize("drift", ["(" * 300 + "x" + ")" * 300, "+".join(["x"] * 1500)],
                          ids=["parentheses", "long-sum"])
 def test_too_deep_expression_is_a_config_error(tmp_path, capsys, drift):

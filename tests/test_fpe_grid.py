@@ -60,6 +60,51 @@ def test_absorbing_column_sums_negative_at_walls():
     assert np.max(np.abs(s[1:-1])) <= 1e-13
 
 
+def test_absorbing_divergence_reads_a_eff_inside_the_domain_only():
+    # the ghost is antisymmetric in a p, so no a_eff value outside [x_left,
+    # x_right] is needed: a_eff = 0.1 + sqrt(x) is not defined left of 0
+    xs_read = []
+
+    def a_eff(t, x):
+        xs_read.append(np.ravel(x))
+        return 0.1 + np.sqrt(x) + 0.0 * t
+
+    grid = Grid1D(25, 0.0, 1.0)
+    co = FpCoefficients(a_eff=a_eff, b=CoefficientField.from_string("sin(2*pi*t)", T))
+    sums = assemble_generator(grid, co, 0.25, absorbing()).column_sums()
+    xs = np.concatenate(xs_read)
+    assert grid.x_left <= xs.min() and xs.max() <= grid.x_right
+    # the wall cells lose 2 a/dx^2 through the wall
+    a = a_eff(0.25, grid.centers)
+    assert sums[0] == pytest.approx(-2 * a[0] / grid.dx**2, rel=1e-14)
+    assert sums[-1] == pytest.approx(-2 * a[-1] / grid.dx**2, rel=1e-14)
+
+
+def test_absorbing_divergence_eigenvalue_is_second_order():
+    # principal eigenvalue of the generator against n = 800: the error falls
+    # about 4x per doubling of n
+    co = FpCoefficients(a_eff=CoefficientField.from_string("0.1 + sqrt(x)", T), b=ZERO)
+
+    def lam(n):
+        L = assemble_generator(Grid1D(n, 0.0, 1.0), co, 0.0, absorbing()).to_dense()
+        return -np.max(np.linalg.eigvals(L).real)
+
+    ref = lam(800)
+    errors = [abs(lam(n) - ref) for n in (25, 50, 100)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_zero_order_term_needs_nondivergence_form():
+    grid = Grid1D(16, 0.0, 1.0)
+    co = FpCoefficients(a_eff=ONE, b=ZERO, a0=CoefficientField.from_string("100", T))
+    with pytest.raises(ValueError, match="non-divergence"):
+        assemble_generator(grid, co, 0.0, reflecting())
+    with pytest.raises(ValueError, match="non-divergence"):
+        PeriodOperator(grid, co, reflecting(), T, T / 16)
+    assemble_generator(grid, co, 0.0, reflecting(), form="nondivergence")
+
+
 def test_ellipticity_violation_raised():
     bad = FpCoefficients(a_eff=CoefficientField.from_string("x - 0.5", T), b=ZERO)
     with pytest.raises(EllipticityViolation):
@@ -165,9 +210,12 @@ def _step_loop(p, co, bc, dt, n_steps, form, stepper):
 
 
 def _startup_loop(p, co, bc, dt, n_steps, form):
-    """The march as single steps: two implicit-Euler half steps, then CN."""
+    """The march as single steps: two implicit-Euler half steps, both with
+    the operator at the first step's midpoint t0 + dt/2, then CN."""
+    t0 = p.time_stamp
     for _ in range(2):
-        p = step_ie(p, co, bc, dt / 2, form=form)
+        p = step_ie(DensityField(p.grid, p.values, t0), co, bc, dt / 2, form=form)
+    p = DensityField(p.grid, p.values, t0 + dt)
     return _step_loop(p, co, bc, dt, n_steps - 1, form, step_cn)
 
 
@@ -225,9 +273,9 @@ def test_stiff_absorbing_march_matches_step_loop():
 
 
 def test_marches_factor_each_operator_of_one_period_once(monkeypatch):
-    # N = 64 steps per period: the N phases and the start-up's second half
-    # step are factored once, however many periods are marched; the first
-    # half step is phase 0, and a march without the start-up factors N
+    # N = 64 steps per period: the N phases are factored once, however many
+    # periods are marched, with or without the start-up (both of its half
+    # steps are phase 0)
     calls = []
 
     def counted(*args, **kwargs):
@@ -239,11 +287,11 @@ def test_marches_factor_each_operator_of_one_period_once(monkeypatch):
     co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
                         b=CoefficientField.from_string("3*sin(2*pi*t)*(1-2*x)", T))
     solve_ivp(_uniform(grid), co, reflecting(), T, 10 * T, T / 64)     # ten periods
-    assert len(calls) == 64 + 1
+    assert len(calls) == 64
     calls.clear()
     spec = power_iteration(PeriodOperator(grid, co, absorbing(), T, T / 64), tol=1e-12)
     assert spec.iterations >= 4
-    assert len(calls) == 64 + 1
+    assert len(calls) == 64
     calls.clear()
     solver = PeriodicLinearSolver(grid, co, neumann(), T, T / 64, c=1.0, form="nondivergence")
     solver.solve(np.ones((64, 32)))
@@ -378,6 +426,16 @@ def test_condition_zero_for_common_time_factor():
         b=CoefficientField.from_string(f"{alpha}*(0 - x)", T))
     out = check_stationarity_condition(co, grid, np.linspace(0, 1, 9))
     assert out["max_abs_residual"] <= 1e-6
+
+
+def test_condition_residual_that_overflows_is_an_error():
+    # finite at t = 0, overflowing at later sample times: no NaN residuals
+    grid = Grid1D(16, 0.0, 1.0)
+    co = FpCoefficients(a_eff=HALF, b=CoefficientField.from_string(
+        "exp(800*x*(1 - cos(2*pi*t)))", T))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(QuadratureOverflow, match="not finite at t = 0.25"):
+        check_stationarity_condition(co, grid, np.linspace(0, 1, 9))
 
 
 def test_condition_detects_genuine_time_dependence():

@@ -112,11 +112,12 @@ def test_period_map_is_the_march_over_its_span():
 
 
 def _startup_loop(values, grid, co, bc, dt, n_steps, source, startup):
-    """Two implicit-Euler half steps, each with the first step's source, then
-    CN; CN throughout without the start-up."""
+    """Two implicit-Euler half steps, each with the first step's source and
+    its operator at t = dt/2, then CN; CN throughout without the start-up."""
     p = DensityField(grid, values, time_stamp=0.0)
     for _ in range(2 if startup else 0):
-        p = step_ie(p, co, bc, dt / 2, source=source(0))
+        p = step_ie(DensityField(grid, p.values, 0.0), co, bc, dt / 2, source=source(0))
+    p = DensityField(grid, p.values, dt if startup else 0.0)
     for k in range(1 if startup else 0, n_steps):
         p = step_cn(p, co, bc, dt, source=source(k))
     return p.values
@@ -131,7 +132,7 @@ def _startup_loop(values, grid, co, bc, dt, n_steps, source, startup):
 ], ids=["startup", "plain", "peclet-startup", "peclet-plain"])
 def test_evolve_matrix_with_sources_matches_step_loop(monkeypatch, drift, startup):
     # five periods of 64 steps, one table of three blocks of factors
-    # (25 + 25 + 14, + 1 for the start-up's t = dt): every period marches it
+    # (25 + 25 + 14): every period marches it, the start-up included
     monkeypatch.setattr(fpe_grid, "BLOCK_ENTRIES", 25 * 40)
     grid = Grid1D(40, 0.0, 1.0)
     n_steps, dt = 320, T / 64
@@ -147,7 +148,7 @@ def test_evolve_matrix_with_sources_matches_step_loop(monkeypatch, drift, startu
 
     prop = Propagator(grid, co, absorbing(), T, dt, startup=startup)
     V, _ = prop.march(V0, n_steps, [sources(k) for k in range(n_steps)])
-    assert len(prop.phases) == 64 + startup
+    assert len(prop.phases) == 64
     swapped = any(np.any(lu[4] != np.arange(1, 41)) for lu in prop.phases)
     assert swapped == drift.startswith("200")
     for j in range(2):
@@ -173,19 +174,16 @@ def test_evolve_matrix_a0_extraction_matches_step_loop():
     def s(t):
         return 1 + 0.5 * math.sin(2 * math.pi * t / T)
 
-    phase = 0.0
-    for k in range(n_steps):
-        if k == 0:
-            phase += 1.5 * (s((k + 0.5) * dt) + s((k + 1) * dt)) * dt / 2
-        else:
-            phase += 1.5 * s((k + 0.5) * dt) * dt
+    phase = sum(1.5 * s((k + 0.5) * dt) * dt for k in range(n_steps))
     K = build_period_map(grid, co, absorbing(), 2 * T, dt, form="nondivergence").K
     for j in (0, 21, 40):
         p = DensityField(grid, np.eye(64)[:, j], time_stamp=0.0)
         for k in range(n_steps):
             if k == 0:
                 for _ in range(2):
-                    p = step_ie(p, mean_free, absorbing(), dt / 2, form="nondivergence")
+                    p = step_ie(DensityField(grid, p.values, 0.0), mean_free, absorbing(),
+                                dt / 2, form="nondivergence")
+                p = DensityField(grid, p.values, dt)
             else:
                 p = step_cn(p, mean_free, absorbing(), dt, form="nondivergence")
         ref = math.exp(-phase) * p.values
@@ -231,6 +229,36 @@ def test_matrix_free_spectrum_matches_dense_eig(coeffs, bc, form):
     r_dense, v_dense = _dominant_eig(build_period_map(grid, coeffs, bc, T, T / 128, form).K)
     assert spec.r == pytest.approx(r_dense, rel=1e-9)
     assert np.max(np.abs(spec.eigvec - v_dense)) <= 1e-9
+
+
+def test_power_iteration_is_scale_invariant():
+    # lambda_1(a0 + kappa) = lambda_1(a0) + kappa: the a0 mean stays out of
+    # the march and the residual test is relative to r, so a shift of a0
+    # neither stops the iteration early nor keeps it from converging
+    grid = Grid1D(64, 0.0, 1.0)
+    specs = []
+    for kappa in (0, 300, -300):
+        co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*x", T),
+                            b=CoefficientField.from_string("3*sin(2*pi*t/0.1)", T),
+                            a0=CoefficientField.from_string(f"2*x + ({kappa})", T))
+        specs.append(power_iteration(PeriodOperator(grid, co, absorbing(), T, T / 64,
+                                                    form="nondivergence")))
+    for kappa, spec in zip((300, -300), specs[1:]):
+        assert spec.mu - specs[0].mu == pytest.approx(kappa, rel=1e-10)
+        assert spec.r == pytest.approx(specs[0].r * math.exp(-kappa * T), rel=1e-9, abs=0)
+        assert spec.iterations == specs[0].iterations
+
+
+def test_fast_decay_spectrum_matches_dense_eig():
+    # r ~ 1e-16: an absolute residual test stopped after one iteration,
+    # 2.1 away from the dense mu
+    grid = Grid1D(64, 0.0, 1.0)
+    co = FpCoefficients(a_eff=CoefficientField.from_string("30*(1 + 0.5*x)", T),
+                        b=CoefficientField.from_string("3*sin(2*pi*t/0.1)", T))
+    spec = power_iteration(PeriodOperator(grid, co, absorbing(), T, T / 1024))
+    r_dense, _ = _dominant_eig(build_period_map(grid, co, absorbing(), T, T / 1024).K)
+    assert r_dense < 1e-15
+    assert spec.r == pytest.approx(r_dense, rel=1e-9, abs=0)
 
 
 def test_startup_removes_the_stiff_cn_mode():
