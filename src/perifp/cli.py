@@ -483,13 +483,14 @@ def _cmd_eigen(args):
                                    form=cfg["form"])
     spec = period_map.power_iteration(op, tol=cfg["tol"])
     run = _Run(args.out, cfg, defaulted)
-    doc_out = {"r": spec.r, "mu": spec.mu, "lambda1": spec.mu,
+    doc_out = {"r": spec.r, "log_r": spec.log_r, "mu": spec.mu, "lambda1": spec.mu,
                "residual": spec.residual, "iterations": spec.iterations,
                "bc": bc.kind, "form": cfg["form"]}
     run.write_text("spectral.json", json.dumps(doc_out, indent=2))
     run.write_csv("eigvec.csv", np.column_stack([grid.centers, spec.eigvec]),
                   header="x,v")
-    run.headline.update({"r": spec.r, "mu": spec.mu, "periods_applied": spec.iterations,
+    run.headline.update({"r": spec.r, "log_r": spec.log_r, "mu": spec.mu,
+                         "periods_applied": spec.iterations,
                          "stiffness_ratio": op.stiffness_ratio,
                          "eigvec_min_over_max": spec.min_over_max})
     run.finish()

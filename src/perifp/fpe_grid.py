@@ -274,12 +274,13 @@ class Propagator:
     """Marches dV/dt = (L(t) - c) V + g(t) by Crank-Nicolson in steps dt, V of shape (n,) or (n, m).
 
     The coefficients repeat with period T, so do the implicit operators
-    M_k = I - (dt/2)(L - c_k) of the steps, c a scalar or one shift per
-    phase: CN step k (from t = k dt) uses the phase k mod N, M at
-    (k mod N + 0.5) dt with N = T/dt.  The constructor assembles the N
-    operators a block of about BLOCK_ENTRIES at a time and LU factors each
-    once (LAPACK dgttrf) into phases; as the explicit operator is 2I - M, a
-    step is one dgttrs back-substitution Y = M^-1 (V + (dt/2) g), V <- 2Y - V.
+    M_k = I - (dt/2)(L - c_k) of the steps, c a scalar, one shift per
+    phase or an (N, n) field with one per phase and cell: CN step k (from
+    t = k dt) uses the phase k mod N, M at (k mod N + 0.5) dt with N = T/dt.
+    The constructor assembles the N operators a block of about
+    BLOCK_ENTRIES at a time and LU factors each once (LAPACK dgttrf) into
+    phases; as the explicit operator is 2I - M, a step is one dgttrs
+    back-substitution Y = M^-1 (V + (dt/2) g), V <- 2Y - V.
 
     With startup, every march makes its first step two implicit-Euler half
     steps with phase 0, V <- M_0^-1 (V + (dt/2) g_0) twice (Rannacher
@@ -299,7 +300,9 @@ class Propagator:
         self.grid, self.coeffs, self.bc, self.dt = grid, coeffs, bc, dt
         self.form, self.startup = form, startup
         times = (np.arange(self.n_phases) + 0.5) * dt
-        shifts = np.broadcast_to(np.asarray(c, dtype=float), times.shape)[:, None]
+        c = np.asarray(c, dtype=float)
+        shifts = np.broadcast_to(c.reshape(c.shape + (1,) * (2 - c.ndim)),
+                                 (self.n_phases, grid.n_cells))
         size = max(1, BLOCK_ENTRIES // grid.n_cells)
         self.phases = []
         self.stiffness_ratio = max(self._factor(times[k0:k0 + size], shifts[k0:k0 + size])
@@ -307,7 +310,7 @@ class Propagator:
 
     def _factor(self, times: np.ndarray, c: np.ndarray) -> float:
         """Append the LU factors of the operators at times, shifted by c (one
-        row per time), to phases; returns their stiffness ratio."""
+        row of cell values per time), to phases; returns their stiffness ratio."""
         L = assemble_generator(self.grid, self.coeffs, times, self.bc, self.form)
         theta = self.dt / 2
         diag = 1.0 - theta * (L.diag - c)

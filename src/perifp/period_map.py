@@ -45,6 +45,7 @@ class PeriodMap:
 @dataclass(frozen=True)
 class SpectralResult:
     r: float
+    log_r: float        # log r, finite where r leaves the double range
     mu: float
     eigvec: np.ndarray
     iterations: int
@@ -109,9 +110,9 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
 
     pm is a dense PeriodMap or a matrix-free PeriodOperator: each
     iteration applies one period.  It stops at max|apply(v) - r v| <= tol |r|,
-    r the Rayleigh quotient, and reports r exp(log_scale) and mu = -(log r +
-    log_scale)/T.  The eigenvector is sign-fixed so its max-magnitude entry
-    is positive.  The result is checked against Krein-Rutman: the principal
+    r the Rayleigh quotient, and reports r exp(log_scale), log_r = log r +
+    log_scale and mu = -log_r/T.  The eigenvector is sign-fixed so its
+    max-magnitude entry is positive.  The result is checked against Krein-Rutman: the principal
     eigenfunction of a period map is sign-definite, so an eigenvector with
     entries of both signs is a spurious (stiff) grid mode.  The error names
     the stiffness ratio of a PeriodOperator.
@@ -136,8 +137,9 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
         v = -v
     if r <= 0:
         raise NonPositiveRadius(f"computed spectral radius {r!r} is not positive")
-    spec = SpectralResult(r=float(_rescaled(r, pm.log_scale)), eigvec=v, iterations=it,
-                          mu=-(math.log(r) + pm.log_scale) / pm.T, residual=residual)
+    log_r = math.log(r) + pm.log_scale
+    spec = SpectralResult(r=float(_rescaled(r, pm.log_scale)), log_r=log_r, mu=-log_r / pm.T,
+                          eigvec=v, iterations=it, residual=residual)
     if spec.min_over_max < -SIGN_SLACK:
         raise SignIndefinite(spec.min_over_max, getattr(pm, "stiffness_ratio", None))
     return spec

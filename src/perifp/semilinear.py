@@ -4,21 +4,26 @@ Problem: d_t u + A(t) u = f(t, x, u) with T-periodic data, where A(t)
 is the (non-divergence or divergence) elliptic part assembled by
 fpe_grid, so the marching form is du/dt = L(t) u + f.
 
-The constructive scheme is the classical c-shift iteration: given an
-iterate u^k, solve the linear periodic problem
+The constructive scheme is the shifted iteration: given an iterate
+u^k, solve the linear periodic problem
 
-    d_t v + (A(t) + c) v = f(t, x, u^k) + c u^k
+    d_t v + (A(t) + q) v = f(t, x, u^k) + q u^k
 
-with c >= sup |df/du|.  Starting from an upper solution the iterates
-decrease, from a lower solution they increase, and both limits squeeze
-the periodic solution; the limit gap certifies uniqueness empirically.
+with q >= -df/du between the lower and the upper iterate, so that
+f + q u is nondecreasing there.  Starting from an upper solution the
+iterates decrease, from a lower solution they increase, and both limits
+squeeze the periodic solution; the limit gap certifies uniqueness
+empirically.  A given scalar q = c keeps one shift throughout; the
+default shift is a field q(t, x) read off the current bracket, which
+shrinks with it toward the Newton slope -df/du(u*), so the iteration
+becomes generalized quasilinearization (Lakshmikantham & Vatsala 1998).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,6 +35,8 @@ from .fpe_grid import (BoundaryCondition, DensityField, FpCoefficients, Grid1D,
 
 SPR_SINGULAR_MARGIN = 1e-8
 MONOTONE_SLACK = 1e-10
+# u-levels between the iterates at which estimate_c samples -df/du
+U_LEVELS = 17
 
 
 @dataclass(frozen=True)
@@ -56,11 +63,12 @@ class OrderedPair:
 class PeriodicLinearSolver:
     """Solver for d_t v + (A(t) + c) v = g(t, x), v(0) = v(T).
 
-    Marches plain Crank-Nicolson from the periodic state, so with no
-    start-up, its sources at the half steps.  Builds the homogeneous
-    one-period map K_c, then solves (I - K_c) v0 = w, w the one-period
-    evolution of zero data under the source, by LAPACK's LU (dgetrf and
-    dgetrs).
+    c is a scalar or an (N, n) field of half-step values.  Marches plain
+    Crank-Nicolson from the periodic state, so with no start-up, its
+    sources at the half steps.  Builds the homogeneous one-period map K_c
+    by marching the n unit columns, then solves (I - K_c) v0 = w, w the
+    one-period evolution of zero data under the source, by LAPACK's LU
+    (dgetrf and dgetrs).
     """
 
     grid: Grid1D
@@ -68,7 +76,7 @@ class PeriodicLinearSolver:
     bc: BoundaryCondition
     T: float
     dt: float
-    c: float = 0.0
+    c: Union[float, np.ndarray] = 0.0
     form: str = "nondivergence"
 
     def __post_init__(self):
@@ -102,30 +110,40 @@ class PeriodicLinearSolver:
         return u0, np.stack(list(states.values()))
 
 
-def estimate_c(problem: SemilinearProblem, u_min: float, u_max: float) -> float:
-    """1.5 sup |df/du|, by central differences on a 32-time, 32-level
-    (t, x, u) sample lattice over the grid centers."""
-    margin, n_t, n_u = 1.5, 32, 32
-    ts = np.linspace(0.0, problem.T, n_t, endpoint=False)[:, None, None]
-    us = np.linspace(u_min, u_max, n_u)[:, None]
+def estimate_c(problem: SemilinearProblem, lower, upper, dt: float) -> np.ndarray:
+    """Shift field q = max(0, sup of -df/du over [lower, upper]) at the half steps.
+
+    lower and upper are the bracket's half-step values, broadcastable to
+    (N, n) with N = T/dt; returns the (N, n) field.  -df/du is taken by
+    central differences on U_LEVELS evenly spaced u-levels from lower to
+    upper, both ends included.
+    """
+    n_steps = step_count(problem.T, dt)
+    ts = ((np.arange(n_steps) + 0.5) * dt)[:, None]
     xs = problem.grid.centers
-    h = max(1e-6, 1e-6 * (abs(u_max) + abs(u_min)))
-    fp = problem.f(t=ts, x=xs, u=us + h)
-    fm = problem.f(t=ts, x=xs, u=us - h)
-    return margin * (float(np.max(np.abs(fp - fm))) / (2 * h))
+    h = max(1e-6, 1e-6 * (float(np.max(np.abs(lower))) + float(np.max(np.abs(upper)))))
+    q = np.zeros((n_steps, problem.grid.n_cells))
+    for s in np.linspace(0.0, 1.0, U_LEVELS):
+        u = lower + s * (upper - lower)
+        fp = problem.f(t=ts, x=xs, u=u + h)
+        fm = problem.f(t=ts, x=xs, u=u - h)
+        np.maximum(q, (fm - fp) / (2 * h), out=q)
+    return q
 
 
 def _source_from_trajectory(problem: SemilinearProblem, traj: np.ndarray,
-                            c: float, dt: float) -> np.ndarray:
+                            c, dt: float) -> np.ndarray:
     """g[k] = f(t_half, x, u_half) + c u_half with u_half = (u_k + u_{k+1})/2.
 
     traj is (n_steps + 1, n), or (n_steps + 1, n, m) for m trajectories;
-    f is evaluated in one broadcast call over the whole (t, x, column) block.
+    c is a scalar or an (n_steps, n) field shared by the columns.  f is
+    evaluated in one broadcast call over the whole (t, x, column) block.
     """
     u_half = (traj[:-1] + traj[1:]) / 2
     columns = (1,) * (traj.ndim - 2)
     t_half = ((np.arange(len(u_half)) + 0.5) * dt).reshape((-1, 1) + columns)
     xs = problem.grid.centers.reshape((-1,) + columns)
+    c = np.reshape(c, np.shape(c) + columns)
     return problem.f(t=t_half, x=xs, u=u_half) + c * u_half
 
 
@@ -137,40 +155,52 @@ class MonotoneResult:
     deltas_upper: list
     deltas_lower: list
     periodicity_residual: float
-    c: float
+    c: float                         # the largest shift of the last build
+    builds: int                      # PeriodicLinearSolver builds
 
 
 def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
                      c: Optional[float] = None, tol: float = 1e-8,
                      max_iter: int = 500) -> MonotoneResult:
-    """Monotone iteration between ordered lower and upper solutions."""
+    """Monotone iteration between ordered lower and upper solutions.
+
+    A given c >= sup |df/du| over the bracket is the one scalar shift of
+    every iteration.  Otherwise the shift is estimate_c's field over the
+    current bracket.  The bracket only shrinks, so a field stays valid;
+    the solver is rebuilt for the current bracket once the columns
+    marched since its build reach n_cells, the number a build marches
+    (each iteration marches its two columns twice).
+    """
     lo0, up0 = pair.lower.values, pair.upper.values
-    if c is None:
-        c = estimate_c(problem, float(lo0.min()), float(up0.max()))
-    if c < 0:
+    if c is not None and c < 0:
         raise ValueError("c must be nonnegative")
     if problem.bc.kind == "absorbing":
         _warn_boundary_compatibility(problem)
-    solver = PeriodicLinearSolver(problem.grid, problem.coeffs, problem.bc,
-                                  problem.T, dt, c=c, form=problem.form)
-    n_steps = solver.n_steps
+    n_steps, n_cells = step_count(problem.T, dt), problem.grid.n_cells
 
     # column 0 marches the upper iterates, column 1 the lower ones
     traj = np.tile(np.stack([up0, lo0], axis=1), (n_steps + 1, 1, 1))
     deltas_up, deltas_lo = [], []
+    builds, marched = 0, 0
     for it in range(1, max_iter + 1):
-        new = solver.solve(_source_from_trajectory(problem, traj, c, dt))[1]
+        if builds == 0 or (c is None and marched >= n_cells):
+            u_half = (traj[:-1] + traj[1:]) / 2
+            shift = c if c is not None else estimate_c(problem, u_half[..., 1],
+                                                       u_half[..., 0], dt)
+            solver = PeriodicLinearSolver(problem.grid, problem.coeffs, problem.bc,
+                                          problem.T, dt, c=shift, form=problem.form)
+            builds, marched = builds + 1, 0
+        new = solver.solve(_source_from_trajectory(problem, traj, shift, dt))[1]
+        marched += 2 * traj.shape[2]
         new_up, new_lo = new[..., 0], new[..., 1]
         if it > 1:
             # after the first correction the sequences must be monotone
             if np.any(new_up > traj[..., 0] + MONOTONE_SLACK):
-                raise MonotonicityViolation(
-                    "upper iterates increased; c is too small")
+                raise _violation(problem, pair, dt, "upper iterates increased")
             if np.any(new_lo < traj[..., 1] - MONOTONE_SLACK):
-                raise MonotonicityViolation(
-                    "lower iterates decreased; c is too small")
+                raise _violation(problem, pair, dt, "lower iterates decreased")
         if np.any(new_lo > new_up + MONOTONE_SLACK):
-            raise MonotonicityViolation("iterates crossed; c is too small")
+            raise _violation(problem, pair, dt, "iterates crossed")
         d_up, d_lo = np.max(np.abs(new - traj), axis=(0, 1)).tolist()
         deltas_up.append(d_up)
         deltas_lo.append(d_lo)
@@ -188,7 +218,22 @@ def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
     return MonotoneResult(
         trajectory=traj_up, gap=gap, iterations=it,
         deltas_upper=deltas_up, deltas_lower=deltas_lo,
-        periodicity_residual=residual, c=c)
+        periodicity_residual=residual, c=float(np.max(shift)), builds=builds)
+
+
+def _violation(problem: SemilinearProblem, pair: OrderedPair, dt: float,
+               what: str) -> MonotonicityViolation:
+    """The error for a non-monotone step.  It names the first candidate of
+    the pair that is no lower or upper solution, with its slack, and
+    otherwise the shift."""
+    for kind in ("lower", "upper"):
+        report = verify_upper_lower(getattr(pair, kind), problem, kind, dt)
+        if not report["certified"]:
+            slack = min(report["interior_slack"], report["endpoint_slack"])
+            return MonotonicityViolation(
+                f"{what}: the {kind} candidate is not a {kind} solution "
+                f"(slack {slack:.3g})")
+    return MonotonicityViolation(f"{what}; c is too small")
 
 
 def _warn_boundary_compatibility(problem: SemilinearProblem):

@@ -265,6 +265,38 @@ def test_semilinear_subcommand(tmp_path, capsys):
     assert "iteration_trace.json" in manifest["outputs"]
 
 
+@pytest.mark.parametrize("dt, source_f", [
+    (1.0 / 64, "u*((1 + 0.45*sin(2*pi*t)) - u)"),
+    (1.0 / 32, "u*(0.9 - u)"),
+], ids=["logistic", "const"])
+def test_semilinear_bench_configs_converge_in_tens_of_iterations(tmp_path, capsys, dt,
+                                                                 source_f):
+    # the configs of the benchmark's sl-logistic-24 and sl-const-24 jobs
+    doc = {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 1.0, "n_cells": 24,
+           "dt": dt, "drift": "0", "a_eff": "1", "bc": "neumann", "source_f": source_f,
+           "tol": 1e-9}
+    out = tmp_path / "out"
+    assert run(["semilinear", "--config", _write(tmp_path / "sl.json", doc),
+                "--out", str(out)]) == 0
+    trace = json.loads((out / "iteration_trace.json").read_text())
+    assert trace["iterations"] <= 30 and trace["gap"] <= 1e-9
+
+
+def test_semilinear_violation_names_the_lower_candidate(tmp_path, capsys):
+    # absorbing logistic: the auto pair's lower candidate 1e-3 * phi is no
+    # lower solution, as lambda_1 = pi^2 > 1 = f_u(0)
+    doc = {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 1.0, "n_cells": 24,
+           "dt": 1.0 / 64, "drift": "0", "a_eff": "1", "bc": "absorbing",
+           "source_f": "u*(1-u)"}
+    assert run(["--json-errors", "semilinear", "--config", _write(tmp_path / "sl.json", doc),
+                "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MonotonicityViolation"
+    head, slack = re.fullmatch(r"(.*) \(slack (\S+)\)", err["message"]).groups()
+    assert head.endswith("the lower candidate is not a lower solution")
+    assert float(slack) == pytest.approx(-8.9e-3, abs=1e-4)
+
+
 @pytest.mark.parametrize("command, change, path", [
     ("fp-solve", {"integrator": "CN"}, "/integrator"),     # unknown keys
     ("eigen", {"integrator": "euler"}, "/integrator"),
@@ -468,8 +500,15 @@ def test_eigen_with_a_large_a0_keeps_its_scale(tmp_path, capsys):
                                            "bc": "absorbing", "form": "nondivergence",
                                            "a0": a0})
         assert run(["eigen", "--config", cfg, "--out", str(tmp_path / a0)]) == 0
-        mus.append(json.loads(capsys.readouterr().out)["mu"])
+        doc = json.loads(capsys.readouterr().out)
+        mus.append(doc["mu"])
+        # log r stays readable where r underflows to 0
+        assert doc["log_r"] == pytest.approx(-doc["mu"] * 0.1, rel=1e-14)
+        assert json.loads((tmp_path / a0 / "spectral.json").read_text()) == doc
+        headline = json.loads((tmp_path / a0 / "manifest.json").read_text())["headline"]
+        assert headline["log_r"] == doc["log_r"]
     assert mus[1] - mus[0] == pytest.approx(8000, rel=1e-12)
+    assert doc["r"] == 0.0 and doc["log_r"] == pytest.approx(-800.99, abs=0.01)
     cfg = _write(tmp_path / "c.json", {**_TINY_FP, "n_cells": 32, "sigma": "sqrt(2)",
                                        "bc": "absorbing", "form": "nondivergence",
                                        "a0": "-8000"})
@@ -735,7 +774,6 @@ _TEST_ONLY_KEEP = {
     "decay_check": "acceptance criterion 5",
     "lambda1": "acceptance criterion 9",
     "pretty": "the parser's round-trip property test",
-    "verify_upper_lower": "ROADMAP item 4 reports it as a run diagnostic",
     "EmpiricalMeasure.from_samples": "test_bl_metric's sample-cloud d_BL tests",
     "Tridiag.column_sums": "test_fpe_grid's column-sum tests of the generator",
     "Tridiag.to_dense": "test_fpe_grid's stencil tests and test_semilinear's dense solves",

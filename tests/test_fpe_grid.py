@@ -272,6 +272,43 @@ def test_stiff_absorbing_march_matches_step_loop():
         assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+_SHIFTED_CO = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)*x", T),
+                             b=CoefficientField.from_string("cos(2*pi*t)", T),
+                             a0=CoefficientField.from_string("0.5 + x", T))
+
+
+@pytest.mark.parametrize("bc", [neumann(), robin(1.0, 2.0)], ids=["neumann", "robin"])
+def test_shift_field_matches_dense_step_loop(monkeypatch, bc):
+    # an (N, n) shift field q: CN step k uses the generator L(t_k) - diag(q_k),
+    # over one and a half periods, factored in blocks of 10 phases
+    monkeypatch.setattr(fpe_grid, "BLOCK_ENTRIES", 10 * 24)
+    grid = Grid1D(24, 0.0, 1.0)
+    n_steps, dt = 32, T / 32
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(5)))
+    q = gen.uniform(0.0, 4.0, (n_steps, 24))
+    g = gen.uniform(-1.0, 1.0, (48, 24, 2))
+    V0 = gen.uniform(0.0, 1.0, (24, 2))
+    prop = Propagator(grid, _SHIFTED_CO, bc, T, dt, "nondivergence", c=q, startup=False)
+    V, _ = prop.march(V0, 48, g)
+    eye, ref = np.eye(24), V0
+    for k in range(48):
+        A = assemble_generator(grid, _SHIFTED_CO, (k % n_steps + 0.5) * dt, bc,
+                               "nondivergence").to_dense() - np.diag(q[k % n_steps])
+        ref = np.linalg.solve(eye - dt / 2 * A, (eye + dt / 2 * A) @ ref + dt * g[k])
+    assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_scalar_phase_and_field_shifts_march_alike():
+    # one shift given as a scalar, per phase or per cell builds the same factors
+    grid = Grid1D(24, 0.0, 1.0)
+    V0 = np.linspace(0.0, 1.0, 24)
+    marches = [Propagator(grid, _SHIFTED_CO, neumann(), T, T / 16, "nondivergence",
+                          c=c).march(V0, 20)[0]
+               for c in (1.5, np.full(16, 1.5), np.full((16, 24), 1.5))]
+    for V in marches[1:]:
+        np.testing.assert_array_equal(V, marches[0])
+
+
 def test_marches_factor_each_operator_of_one_period_once(monkeypatch):
     # N = 64 steps per period: the N phases are factored once, however many
     # periods are marched, with or without the start-up (both of its half

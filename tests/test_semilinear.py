@@ -148,9 +148,16 @@ def test_estimate_c_logistic():
     prob = SemilinearProblem(coeffs=HEAT,
                              f=CoefficientField.from_string("u*(1-u)", T),
                              bc=neumann(), T=T, grid=grid)
-    # |df/du| = |1 - 2u| peaks at 3 on [0, 2]; margin 1.5 gives 4.5
-    c = estimate_c(prob, 0.0, 2.0)
-    assert c == pytest.approx(4.5, rel=1e-3)
+    # -df/du = 2u - 1 peaks at 3 on [0, 2], at every half step and cell
+    q = estimate_c(prob, 0.0, 2.0, T / 8)
+    assert q.shape == (8, 16)
+    np.testing.assert_allclose(q, 3.0, rtol=1e-8)
+    # the field follows the bracket and is floored at 0: on [0, 0.25]
+    # -df/du is at most -0.5
+    lower = np.zeros((8, 16))
+    upper = np.tile(np.linspace(0.25, 2.0, 16), (8, 1))
+    np.testing.assert_allclose(estimate_c(prob, lower, upper, T / 8),
+                               np.maximum(2 * upper - 1, 0.0), rtol=1e-8, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +294,7 @@ def test_monotonicity_violation_when_c_too_small():
                              f=CoefficientField.from_string("u*(1-u)", T),
                              bc=neumann(), T=T, grid=grid)
     pair = OrderedPair(_const_field(grid, 0.05), _const_field(grid, 2.0))
-    with pytest.raises(MonotonicityViolation):
+    with pytest.raises(MonotonicityViolation, match="c is too small"):
         monotone_iterate(prob, pair, dt=T / 32, c=0.5, tol=1e-9)
     # with c = sup|f_u| the same pair converges
     assert monotone_iterate(prob, pair, dt=T / 32, c=3.0, tol=1e-9).gap <= 1e-9
@@ -362,21 +369,46 @@ def test_verify_rejects_wrong_side():
     assert not rep["certified"]
 
 
-@pytest.mark.parametrize("bc, source_f, lower, upper", [
-    (neumann(), "u*(1 + 0.5*sin(2*pi*t) - u)", 0.05, 2.0),
-    (robin(1.0, 2.0), "u*(1-u) + 0.1", 0.0, 2.0),
-    (absorbing(), "(1 + 0.5*sin(2*pi*t))*x*(1-x)*(1 - u*u)", 0.0, 1.0),
+@pytest.mark.parametrize("bc, source_f, lower, upper, c", [
+    (neumann(), "u*(1 + 0.5*sin(2*pi*t) - u)", 0.05, 2.0, 5.0),
+    (robin(1.0, 2.0), "u*(1-u) + 0.1", 0.0, 2.0, 4.5),
+    (absorbing(), "(1 + 0.5*sin(2*pi*t))*x*(1-x)*(1 - u*u)", 0.0, 1.0, 1.5),
 ], ids=["neumann", "robin", "absorbing"])
-def test_converged_trajectory_is_its_own_certificate(bc, source_f, lower, upper):
+def test_converged_trajectory_is_its_own_certificate(bc, source_f, lower, upper, c):
     # the certificate is the solver's discrete inequality, walls included:
-    # the converged periodic CN trajectory has zero slack on both sides
+    # the converged periodic CN trajectory has zero slack on both sides.
+    # A fixed shift c = 1.5 sup |df/du| over the bracket reaches the same
+    # solution as the default shift field, in more iterations
     grid = Grid1D(24, 0.0, 1.0)
-    dt = T / 64
+    dt, tol = T / 64, 1e-10
     prob = SemilinearProblem(coeffs=HEAT, f=CoefficientField.from_string(source_f, T),
                              bc=bc, T=T, grid=grid)
     pair = OrderedPair(_const_field(grid, lower), _const_field(grid, upper))
-    traj = monotone_iterate(prob, pair, dt=dt, tol=1e-10).trajectory
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # the absorbing case's compatibility warning
+        res = monotone_iterate(prob, pair, dt=dt, tol=tol)
+        fixed = monotone_iterate(prob, pair, dt=dt, c=c, tol=tol)
     for kind in ("upper", "lower"):
-        rep = verify_upper_lower(traj, prob, kind, dt)
+        rep = verify_upper_lower(res.trajectory, prob, kind, dt)
         assert abs(rep["interior_slack"]) <= 1e-8
         assert abs(rep["endpoint_slack"]) <= 1e-12
+    assert (fixed.builds, fixed.c) == (1, c)
+    assert np.max(np.abs(res.trajectory - fixed.trajectory)) <= tol
+    assert res.iterations < fixed.iterations
+
+
+def test_shift_field_reruns_are_bit_identical():
+    # the refactor rule is deterministic: every 24 / 4 = 6 iterations at n = 24
+    grid = Grid1D(24, 0.0, 1.0)
+    prob = SemilinearProblem(
+        coeffs=HEAT, f=CoefficientField.from_string("u*((1 + 0.45*sin(2*pi*t)) - u)", T),
+        bc=neumann(), T=T, grid=grid)
+    pair = OrderedPair(_const_field(grid, 1e-3), _const_field(grid, 2.0))
+    first, second = (monotone_iterate(prob, pair, dt=T / 64, tol=1e-9) for _ in range(2))
+    np.testing.assert_array_equal(first.trajectory, second.trajectory)
+    assert (first.iterations, first.builds, first.c, first.deltas_upper, first.deltas_lower) \
+        == (second.iterations, second.builds, second.c, second.deltas_upper,
+            second.deltas_lower)
+    assert first.iterations <= 30
+    assert first.builds == -(-first.iterations // 6)
+
