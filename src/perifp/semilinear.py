@@ -1,22 +1,20 @@
 """Time-periodic semilinear problems by monotone upper/lower iteration.
 
-Problem: d_t u + A(t) u = f(t, x, u) with T-periodic data, where A(t)
-is the (non-divergence or divergence) elliptic part assembled by
-fpe_grid, so the marching form is du/dt = L(t) u + f.
-
-The constructive scheme is the shifted iteration: given an iterate
-u^k, solve the linear periodic problem
+Problem: d_t u + A(t) u = f(t, x, u) with T-periodic data, A(t) the
+(non-divergence or divergence) elliptic part assembled by fpe_grid, so
+the marching form is du/dt = L(t) u + f.  Given an iterate u^k, the
+shifted iteration solves the linear periodic problem
 
     d_t v + (A(t) + q) v = f(t, x, u^k) + q u^k
 
 with q >= -df/du between the lower and the upper iterate, so that
-f + q u is nondecreasing there.  Starting from an upper solution the
-iterates decrease, from a lower solution they increase, and both limits
-squeeze the periodic solution; the limit gap certifies uniqueness
-empirically.  A given scalar q = c keeps one shift throughout; the
-default shift is a field q(t, x) read off the current bracket, which
-shrinks with it toward the Newton slope -df/du(u*), so the iteration
-becomes generalized quasilinearization (Lakshmikantham & Vatsala 1998).
+f + q u is nondecreasing there.  From an upper solution the iterates
+decrease, from a lower one they increase, and both limits squeeze the
+periodic solution; the limit gap certifies uniqueness empirically.  A
+given scalar q = c keeps one shift throughout; the default shift is a
+field q(t, x) read off the current bracket, which shrinks with it toward
+the Newton slope -df/du(u*): generalized quasilinearization
+(Lakshmikantham & Vatsala 1998).
 """
 
 from __future__ import annotations
@@ -27,16 +25,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import dgetrf, dgetrs
 from .coeff_dsl import CoefficientField
-from .errors import MonotonicityViolation, NotConverged, SingularSystem, SolverFailure
-from .fpe_grid import (BoundaryCondition, DensityField, FpCoefficients, Grid1D,
-                       Propagator, assemble_generator, step_count)
+from .errors import MonotonicityViolation, NotConverged, SingularSystem
+from .fpe_grid import (BLOCK_ENTRIES, BoundaryCondition, DensityField, FpCoefficients,
+                       Grid1D, Propagator, assemble_generator, step_count)
 
-SPR_SINGULAR_MARGIN = 1e-8
+KRYLOV_TOL, KRYLOV_RCOND = 1e-13, 1e-8
 MONOTONE_SLACK = 1e-10
-# u-levels between the iterates at which estimate_c samples -df/du
-U_LEVELS = 17
+U_LEVELS = 17          # u-levels between the iterates at which estimate_c samples -df/du
 
 
 @dataclass(frozen=True)
@@ -65,11 +61,9 @@ class PeriodicLinearSolver:
 
     c is a scalar or an (N, n) field of half-step values.  Marches plain
     Crank-Nicolson from the periodic state, so with no start-up, its
-    sources at the half steps.  Builds the homogeneous one-period map K_c
-    by marching the n unit columns, then solves (I - K_c) v0 = w, w the
-    one-period evolution of zero data under the source, by LAPACK's LU
-    (dgetrf and dgetrs).
-    """
+    sources at the half steps.  gmres solves (I - K_c) v0 = w, K_c the
+    homogeneous one-period map (one march per product, never formed) and
+    w the one-period march of zero data under the source."""
 
     grid: Grid1D
     coeffs: FpCoefficients
@@ -83,31 +77,47 @@ class PeriodicLinearSolver:
         self._prop = Propagator(self.grid, self.coeffs, self.bc, self.T, self.dt, self.form,
                                 c=self.c, startup=False)
         self.n_steps = self._prop.n_phases
-        n = self.grid.n_cells
-        self.K = self._prop.march(np.eye(n), self.n_steps)[0]
-        self.spr = float(np.max(np.abs(np.linalg.eigvals(self.K))))
-        if self.spr >= 1.0 - SPR_SINGULAR_MARGIN:
-            raise SingularSystem(
-                f"homogeneous period map has spr {self.spr:.8f} >= 1; "
-                "periodic problem not uniquely solvable")
-        *self._lu, info = dgetrf(np.eye(n) - self.K, overwrite_a=1)
-        if info != 0:
-            raise SolverFailure(f"LU factorization of I - K_c failed: dgetrf info {info}")
 
-    def solve(self, source: np.ndarray):
-        """source: (n_steps, n) half-step values of g, or (n_steps, n, m) for m
-        problems at once.  Returns (u0, trajectory).
-
-        trajectory[0] = u0 and trajectory[-1] is the recomputed end state
-        (periodicity residual is ||trajectory[-1] - u0||_inf, bounded by
-        the linear-solve accuracy).
-        """
-        w, _ = self._prop.march(np.zeros(source.shape[1:]), self.n_steps, source)
-        u0, info = dgetrs(*self._lu, w)
-        if info != 0:
-            raise SolverFailure(f"LU solve with I - K_c failed: dgetrs info {info}")
-        _, states = self._prop.march(u0, self.n_steps, source, record=range(self.n_steps + 1))
+    def solve(self, source: np.ndarray, guess: Optional[np.ndarray] = None):
+        """Solves from the state guess (zero if None) for source, the (n_steps, n)
+        half-step values of g or (n_steps, n, m) for m problems.  Returns (u0,
+        trajectory); the periodicity residual ||trajectory[-1] - u0|| is gmres's,
+        KRYLOV_TOL of the larger of the guess's residual and end state."""
+        march, g = self._prop.march, np.zeros(source.shape[1:]) if guess is None else guess
+        end = march(g, self.n_steps, source)[0]     # w - (I - K_c) g = end - g
+        u0 = g + gmres(lambda v: v - march(v, self.n_steps)[0], end - g,
+                       scale=float(np.linalg.norm(end)))
+        _, states = march(u0, self.n_steps, source, record=range(self.n_steps + 1))
         return u0, np.stack(list(states.values()))
+
+
+def gmres(apply, b: np.ndarray, scale: float = 0.0) -> np.ndarray:
+    """x with ||apply(x) - b|| <= KRYLOV_TOL max(||b||, scale), apply linear on arrays
+    shaped like b: GMRES from x = 0 (Saad & Schultz 1986), no restart, Arnoldi
+    by modified Gram-Schmidt, least squares without the singular values below
+    KRYLOV_RCOND of the largest (they would fit roundoff).  SingularSystem if
+    the residual stays above the bound after b.size products or breakdown."""
+    beta = float(np.linalg.norm(b))
+    atol = KRYLOV_TOL * max(beta, scale)
+    if beta <= atol:
+        return np.zeros_like(b)
+    basis, H, rhs = [b.ravel() / beta], np.zeros((1, 0)), np.r_[beta, np.zeros(b.size)]
+    for k in range(b.size):
+        w = np.ravel(apply(basis[k].reshape(b.shape)))
+        H = np.pad(H, ((0, 1), (0, 1)))
+        for i, q in enumerate(basis):
+            H[i, k] = q @ w
+            w -= H[i, k] * q
+        H[k + 1, k] = np.linalg.norm(w)
+        y = np.linalg.lstsq(H, rhs[:k + 2], rcond=KRYLOV_RCOND)[0]
+        residual = float(np.linalg.norm(H @ y - rhs[:k + 2]))
+        if residual <= atol:
+            return (np.stack(basis, axis=1) @ y).reshape(b.shape)
+        if H[k + 1, k] == 0.0:
+            break
+        basis.append(w / H[k + 1, k])
+    raise SingularSystem(f"periodic problem not uniquely solvable: the Krylov residual "
+                         f"stays at {residual / beta:.3g} of b after {k + 1} products")
 
 
 def estimate_c(problem: SemilinearProblem, lower, upper, dt: float) -> np.ndarray:
@@ -116,18 +126,19 @@ def estimate_c(problem: SemilinearProblem, lower, upper, dt: float) -> np.ndarra
     lower and upper are the bracket's half-step values, broadcastable to
     (N, n) with N = T/dt; returns the (N, n) field.  -df/du is taken by
     central differences on U_LEVELS evenly spaced u-levels from lower to
-    upper, both ends included.
+    upper, both ends included, stacked into calls of f on BLOCK_ENTRIES values.
     """
     n_steps = step_count(problem.T, dt)
     ts = ((np.arange(n_steps) + 0.5) * dt)[:, None]
     xs = problem.grid.centers
     h = max(1e-6, 1e-6 * (float(np.max(np.abs(lower))) + float(np.max(np.abs(upper)))))
+    s = np.linspace(0.0, 1.0, U_LEVELS)[:, None, None]
     q = np.zeros((n_steps, problem.grid.n_cells))
-    for s in np.linspace(0.0, 1.0, U_LEVELS):
-        u = lower + s * (upper - lower)
-        fp = problem.f(t=ts, x=xs, u=u + h)
-        fm = problem.f(t=ts, x=xs, u=u - h)
-        np.maximum(q, (fm - fp) / (2 * h), out=q)
+    per_call = max(1, BLOCK_ENTRIES // q.size)     # u-levels per call of f
+    for k in range(0, U_LEVELS, per_call):
+        u = lower + s[k:k + per_call] * (upper - lower)
+        slopes = (problem.f(t=ts, x=xs, u=u - h) - problem.f(t=ts, x=xs, u=u + h)) / (2 * h)
+        np.maximum(q, np.max(slopes, axis=0), out=q)
     return q
 
 
@@ -155,8 +166,7 @@ class MonotoneResult:
     deltas_upper: list
     deltas_lower: list
     periodicity_residual: float
-    c: float                         # the largest shift of the last build
-    builds: int                      # PeriodicLinearSolver builds
+    c: float                         # the largest shift of the last iteration
 
 
 def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
@@ -165,33 +175,26 @@ def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
     """Monotone iteration between ordered lower and upper solutions.
 
     A given c >= sup |df/du| over the bracket is the one scalar shift of
-    every iteration.  Otherwise the shift is estimate_c's field over the
-    current bracket.  The bracket only shrinks, so a field stays valid;
-    the solver is rebuilt for the current bracket once the columns
-    marched since its build reach n_cells, the number a build marches
-    (each iteration marches its two columns twice).
+    every iteration, with one solver.  Otherwise every iteration shifts by
+    estimate_c's field over the current bracket, with a solver for it.
+    Each periodic solve starts from the previous iterate's periodic state.
     """
-    lo0, up0 = pair.lower.values, pair.upper.values
     if c is not None and c < 0:
         raise ValueError("c must be nonnegative")
     if problem.bc.kind == "absorbing":
         _warn_boundary_compatibility(problem)
-    n_steps, n_cells = step_count(problem.T, dt), problem.grid.n_cells
 
     # column 0 marches the upper iterates, column 1 the lower ones
-    traj = np.tile(np.stack([up0, lo0], axis=1), (n_steps + 1, 1, 1))
+    traj = np.tile(np.stack([pair.upper.values, pair.lower.values], axis=1),
+                   (step_count(problem.T, dt) + 1, 1, 1))
     deltas_up, deltas_lo = [], []
-    builds, marched = 0, 0
     for it in range(1, max_iter + 1):
-        if builds == 0 or (c is None and marched >= n_cells):
+        if it == 1 or c is None:
             u_half = (traj[:-1] + traj[1:]) / 2
-            shift = c if c is not None else estimate_c(problem, u_half[..., 1],
-                                                       u_half[..., 0], dt)
+            shift = c if c is not None else estimate_c(problem, u_half[..., 1], u_half[..., 0], dt)
             solver = PeriodicLinearSolver(problem.grid, problem.coeffs, problem.bc,
                                           problem.T, dt, c=shift, form=problem.form)
-            builds, marched = builds + 1, 0
-        new = solver.solve(_source_from_trajectory(problem, traj, shift, dt))[1]
-        marched += 2 * traj.shape[2]
+        new = solver.solve(_source_from_trajectory(problem, traj, shift, dt), traj[0])[1]
         new_up, new_lo = new[..., 0], new[..., 1]
         if it > 1:
             # after the first correction the sequences must be monotone
@@ -215,10 +218,9 @@ def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
 
     traj_up = np.ascontiguousarray(traj[..., 0])
     residual = float(np.max(np.abs(traj_up[-1] - traj_up[0])))
-    return MonotoneResult(
-        trajectory=traj_up, gap=gap, iterations=it,
-        deltas_upper=deltas_up, deltas_lower=deltas_lo,
-        periodicity_residual=residual, c=float(np.max(shift)), builds=builds)
+    return MonotoneResult(trajectory=traj_up, gap=gap, iterations=it, deltas_upper=deltas_up,
+                          deltas_lower=deltas_lo, periodicity_residual=residual,
+                          c=float(np.max(shift)))
 
 
 def _violation(problem: SemilinearProblem, pair: OrderedPair, dt: float,
@@ -237,8 +239,7 @@ def _violation(problem: SemilinearProblem, pair: OrderedPair, dt: float,
 
 
 def _warn_boundary_compatibility(problem: SemilinearProblem):
-    # Dirichlet case needs f(t, x, 0) = 0 on the boundary; only warn,
-    # since no remedy is prescribed when it fails.
+    """Warns, as no remedy is prescribed, unless f(t, x, 0) = 0 on absorbing walls."""
     ts = np.linspace(0.0, problem.T, 8, endpoint=False)
     for xb in (problem.grid.x_left, problem.grid.x_right):
         worst = float(np.max(np.abs(problem.f(t=ts, x=xb, u=0.0))))

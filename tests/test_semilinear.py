@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from perifp import semilinear
 from perifp.coeff_dsl import CoefficientField
-from perifp.errors import MonotonicityViolation, SingularSystem, SolverFailure
+from perifp.errors import MonotonicityViolation, SingularSystem
 from perifp.fpe_grid import (DensityField, FpCoefficients, Grid1D, absorbing,
                              assemble_generator, neumann, robin, step_cn, step_count)
 from perifp.semilinear import (OrderedPair, PeriodicLinearSolver,
@@ -40,16 +40,19 @@ def test_poincare_zero_source_gives_zero():
     assert resid < 1e-14
 
 
-def test_spr_is_exact_where_cn_stiff_modes_dominate():
+def test_solve_is_exact_where_cn_stiff_modes_dominate():
     # at n = 40, dt = T/15 the largest eigenvalues of K_c are negative CN
-    # stiff modes (about -0.908): power iteration from the uniform start
-    # returned one and took its sign for a non-positive radius
+    # stiff modes (about -0.908); the Krylov solve must still reach the
+    # dense solve of (I - K_c) v0 = w
     co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*x", T),
                         b=CoefficientField.from_string("0.5*cos(2*pi*t)", T))
-    solver = PeriodicLinearSolver(Grid1D(40, 0.0, 1.0), co, absorbing(), T, T / 15, c=1.0)
-    assert solver.spr == float(np.max(np.abs(np.linalg.eigvals(solver.K))))
-    assert solver.spr < 1.0
-    u0, traj = solver.solve(np.ones((15, 40)))
+    grid = Grid1D(40, 0.0, 1.0)
+    solver = PeriodicLinearSolver(grid, co, absorbing(), T, T / 15, c=1.0)
+    source = np.ones((15, 40))
+    u0, traj = solver.solve(source)
+    dense = _dense_periodic_cn(SemilinearProblem(co, ZERO, absorbing(), T, grid,
+                                                 "nondivergence"), T / 15, 1.0)(source)
+    assert np.max(np.abs(u0 - dense[0])) <= 1e-12 * np.max(np.abs(dense[0]))
     assert np.max(np.abs(traj[-1] - u0)) <= 1e-12 * np.max(np.abs(u0))
 
 
@@ -134,10 +137,37 @@ def test_solvability_dichotomy_at_principal_eigenvalue():
         return FpCoefficients(a_eff=ONE, b=ZERO,
                               a0=CoefficientField.from_string(f"0 - ({lam!r})", T))
 
+    source = np.ones((n_steps, grid.n_cells))
     with pytest.raises(SingularSystem):
-        PeriodicLinearSolver(grid, shifted(lam_star), absorbing(), T, dt)
-    solver = PeriodicLinearSolver(grid, shifted(lam_star - 0.05), absorbing(), T, dt)
-    assert solver.spr < 1.0
+        PeriodicLinearSolver(grid, shifted(lam_star), absorbing(), T, dt).solve(source)
+    u0, traj = PeriodicLinearSolver(grid, shifted(lam_star - 0.05), absorbing(), T,
+                                    dt).solve(source)
+    assert np.max(np.abs(traj[-1] - u0)) <= 1e-12 * np.max(np.abs(u0))
+
+
+def test_gmres_matches_a_dense_solve():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(5)))
+    A = np.eye(30) + gen.standard_normal((30, 30)) / 10     # nonsymmetric
+    b = gen.standard_normal((15, 2))
+    x = semilinear.gmres(lambda v: (A @ v.ravel()).reshape(v.shape), b)
+    exact = np.linalg.solve(A, b.ravel()).reshape(b.shape)
+    assert x.shape == b.shape
+    assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_gmres_inconsistent_singular_system_and_zero_source():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(6)))
+    U, _, Vt = np.linalg.svd(gen.standard_normal((20, 20)))
+    A = U @ np.diag(np.r_[np.linspace(1.0, 2.0, 19), 0.0]) @ Vt
+
+    def apply(v):
+        return A @ v
+    with pytest.raises(SingularSystem):
+        semilinear.gmres(apply, gen.standard_normal(20))
+    # an invariant Krylov space: the first product is exactly zero
+    with pytest.raises(SingularSystem, match="after 1 products"):
+        semilinear.gmres(lambda v: np.array([2.0, 3.0, 0.0]) * v, np.array([0.0, 0.0, 1.0]))
+    np.testing.assert_array_equal(semilinear.gmres(apply, np.zeros(20)), np.zeros(20))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +188,28 @@ def test_estimate_c_logistic():
     upper = np.tile(np.linspace(0.25, 2.0, 16), (8, 1))
     np.testing.assert_allclose(estimate_c(prob, lower, upper, T / 8),
                                np.maximum(2 * upper - 1, 0.0), rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [24, 200])
+def test_estimate_c_equals_the_level_by_level_loop(n):
+    # f called on stacked u-levels (five at a time at n = 24, one at n = 200)
+    # gives the field of a loop over the levels, bit for bit
+    grid, dt = Grid1D(n, 0.0, 1.0), T / 64
+    prob = SemilinearProblem(coeffs=HEAT, bc=neumann(), T=T, grid=grid,
+                             f=CoefficientField.from_string("u*(3 + sin(2*pi*t) - x*u*u)", T))
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(4)))
+    lower = gen.uniform(-1.0, 0.5, (64, n))
+    upper = lower + gen.uniform(0.0, 2.0, (64, n))
+    ts = ((np.arange(64) + 0.5) * dt)[:, None]
+    h = max(1e-6, 1e-6 * (np.max(np.abs(lower)) + np.max(np.abs(upper))))
+    q = np.zeros((64, n))
+    for s in np.linspace(0.0, 1.0, semilinear.U_LEVELS):
+        u = lower + s * (upper - lower)
+        fp = prob.f(t=ts, x=grid.centers, u=u + h)
+        fm = prob.f(t=ts, x=grid.centers, u=u - h)
+        np.maximum(q, (fm - fp) / (2 * h), out=q)
+    assert np.max(q) > 0.0 and np.min(q) == 0.0
+    np.testing.assert_array_equal(estimate_c(prob, lower, upper, dt), q)
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +352,15 @@ def test_monotonicity_violation_when_c_too_small():
     assert monotone_iterate(prob, pair, dt=T / 32, c=3.0, tol=1e-9).gap <= 1e-9
 
 
-def test_singular_lu_is_a_solver_failure(monkeypatch):
-    # dgetrf reports an exactly zero pivot: fail, do not warn and solve on
-    real = semilinear.dgetrf
-
-    def singular(a, **kwargs):
-        lu, piv, _ = real(a, **kwargs)
-        return lu, piv, 3
-
-    monkeypatch.setattr(semilinear, "dgetrf", singular)
+def test_stalled_krylov_solve_is_a_singular_system():
+    # c = 0 on Neumann walls: K_c keeps the constants, so I - K_c is singular
+    # and a constant source's w lies outside its range.  Roundoff in the
+    # products must not pass for a solution: fail, do not warn and solve on
+    solver = PeriodicLinearSolver(Grid1D(24, 0.0, 1.0), HEAT, neumann(), T, T / 32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SolverFailure, match="dgetrf info 3"):
-            PeriodicLinearSolver(Grid1D(16, 0.0, 1.0), HEAT, absorbing(), T, T / 16, c=1.0)
+        with pytest.raises(SingularSystem, match="after 48 products"):
+            solver.solve(np.ones((32, 24, 2)))
 
 
 def test_ordered_pair_validation():
@@ -392,13 +440,13 @@ def test_converged_trajectory_is_its_own_certificate(bc, source_f, lower, upper,
         rep = verify_upper_lower(res.trajectory, prob, kind, dt)
         assert abs(rep["interior_slack"]) <= 1e-8
         assert abs(rep["endpoint_slack"]) <= 1e-12
-    assert (fixed.builds, fixed.c) == (1, c)
+    assert fixed.c == c
     assert np.max(np.abs(res.trajectory - fixed.trajectory)) <= tol
     assert res.iterations < fixed.iterations
 
 
 def test_shift_field_reruns_are_bit_identical():
-    # the refactor rule is deterministic: every 24 / 4 = 6 iterations at n = 24
+    # the shift field is re-read from the bracket every iteration, deterministically
     grid = Grid1D(24, 0.0, 1.0)
     prob = SemilinearProblem(
         coeffs=HEAT, f=CoefficientField.from_string("u*((1 + 0.45*sin(2*pi*t)) - u)", T),
@@ -406,9 +454,19 @@ def test_shift_field_reruns_are_bit_identical():
     pair = OrderedPair(_const_field(grid, 1e-3), _const_field(grid, 2.0))
     first, second = (monotone_iterate(prob, pair, dt=T / 64, tol=1e-9) for _ in range(2))
     np.testing.assert_array_equal(first.trajectory, second.trajectory)
-    assert (first.iterations, first.builds, first.c, first.deltas_upper, first.deltas_lower) \
-        == (second.iterations, second.builds, second.c, second.deltas_upper,
-            second.deltas_lower)
+    assert (first.iterations, first.c, first.deltas_upper, first.deltas_lower) \
+        == (second.iterations, second.c, second.deltas_upper, second.deltas_lower)
     assert first.iterations <= 30
-    assert first.builds == -(-first.iterations // 6)
+
+
+def test_iterations_do_not_grow_with_the_grid():
+    # each iteration's shift is read off its own bracket, at every grid size
+    iterations = {}
+    for n in (24, 200):
+        grid = Grid1D(n, 0.0, 1.0)
+        prob = SemilinearProblem(coeffs=HEAT, f=CoefficientField.from_string("u*(1-u)", T),
+                                 bc=neumann(), T=T, grid=grid)
+        pair = OrderedPair(_const_field(grid, 1e-3), _const_field(grid, 2.0))
+        iterations[n] = monotone_iterate(prob, pair, dt=T / 64, tol=1e-9).iterations
+    assert iterations[200] <= iterations[24] + 5
 
