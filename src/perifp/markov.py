@@ -5,12 +5,19 @@ distribution x0 is N-periodic (in distribution) when P^N x0 = x0, and
 strongly N-periodic when P^N is the identity.  Matrices are stored
 column-stochastic so that P @ x maps distributions to distributions;
 row-stochastic input can be transposed on load.
+
+Strong periodicity is read off the structure of P.  If P^N = I, P^(N-1)
+is a nonnegative inverse of P, so P is a permutation matrix Pi (Berman &
+Plemmons 1994).  With sigma(j) = argmax_i P[i, j] and dist = ||P - Pi||_1,
+P^N counts as I exactly when sigma is a bijection whose order divides N
+and N * dist <= tol; as ||P^N - Pi^N||_1 <= N * dist by telescoping, tol
+then bounds ||P^N - I||_1 >= ||P^N - I||_max.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -85,57 +92,47 @@ def detect_period(P: TransitionMatrix, x0: DistributionVector,
         residuals[k - 1] = np.max(np.abs(x - x0.probs))
         if period is None and residuals[k - 1] <= tol:
             period = k
-    strong = False
-    if period is not None:
-        strong = np.max(np.abs(np.linalg.matrix_power(P.entries, period) - np.eye(P.m))) <= tol
+    # the rule holds at the weak period N only if N is the strong period s,
+    # as s | N and N * dist <= tol bound the residual at s by tol, so N <= s
+    strong = period is not None and detect_strong_period(P, period, tol) == period
     return PeriodReport(period=period, residuals=residuals, strong=strong, tol=tol)
 
 
 def detect_strong_period(P: TransitionMatrix, N_max: int = 64,
                          tol: float = DEFAULT_TOL) -> int | None:
-    """Smallest N <= N_max with ||P^N - I||_max <= tol, or None."""
+    """Smallest N <= N_max at which P^N counts as I (the module's rule), or None."""
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    eye = np.eye(P.m)
-    power = eye
-    for k in range(1, N_max + 1):
-        power = P.entries @ power
-        if np.max(np.abs(power - eye)) <= tol:
-            return k
-    return None
+    sigma, cols = np.argmax(P.entries, axis=0), np.arange(P.m)
+    if np.unique(sigma).size != P.m:
+        return None
+    off = np.abs(P.entries)
+    off[sigma, cols] = np.abs(1.0 - P.entries[sigma, cols])
+    dist = float(np.max(off.sum(axis=0)))
+    order = permutation_order(sigma)
+    return order if order <= N_max and order * dist <= tol else None
 
 
 def permutation_order(perm) -> int:
     """lcm of cycle lengths of a permutation given as an index array."""
-    perm = np.asarray(perm, dtype=int)
     seen = np.zeros(len(perm), dtype=bool)
     order = 1
     for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
+        length, j = 0, start
         while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        order = order * length // gcd(order, length)
+            seen[j], j, length = True, perm[j], length + 1
+        order = lcm(order, max(length, 1))
     return order
 
 
 def paper_five_state_matrix(a1: float, a2: float) -> TransitionMatrix:
     """The 5-state example family: a 2-state mixing block plus a 3-cycle.
 
-    Column-stochastic orientation; b_i = 1 - a_i.  Column j holds the
-    outgoing probabilities of state j, so states 3 -> 5 -> 4 -> 3 form
-    the permutation block.
+    Column-stochastic orientation; row i of the mixing block is
+    (a_i, 1 - a_i).  Column j holds the outgoing probabilities of state j,
+    so states 3 -> 5 -> 4 -> 3 form the permutation block.
     """
-    b1, b2 = 1.0 - a1, 1.0 - a2
-    P = np.array([
-        [a1, b1, 0, 0, 0],
-        [a2, b2, 0, 0, 0],
-        [0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 1],
-        [0, 0, 1, 0, 0],
-    ], dtype=float)
+    P = np.zeros((5, 5))
+    P[:2, :2] = [[a1, 1.0 - a1], [a2, 1.0 - a2]]
+    P[[2, 3, 4], [3, 4, 2]] = 1.0
     return TransitionMatrix(P)

@@ -213,6 +213,9 @@ def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
         # sizes and the two-sided gap must fall below tol
         if max(d_up, d_lo) <= tol and gap <= tol:
             break
+        if d_up == d_lo == 0.0:     # every later iteration would repeat this one
+            raise SingularSystem(f"the iterates stand still {gap:.3e} apart: "
+                                 "the periodic solution is not unique")
     else:
         raise NotConverged(max_iter, max(deltas_up[-1], deltas_lo[-1]))
 

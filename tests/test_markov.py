@@ -1,11 +1,13 @@
 """Distributional N-periodicity of finite Markov chains."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifp.markov import (DistributionVector, TransitionMatrix, detect_period,
-                           detect_strong_period, paper_five_state_matrix,
+from perifp.markov import (DEFAULT_TOL, DistributionVector, TransitionMatrix,
+                           detect_period, detect_strong_period, paper_five_state_matrix,
                            permutation_order)
 
 
@@ -111,3 +113,129 @@ def test_strong_implies_weak_divisor():
         rep = detect_period(P, x0, N_max=64)
         assert rep.period is not None
         assert N % rep.period == 0
+
+
+def _dense_strong_period(P, N_max, tol=DEFAULT_TOL):
+    """Oracle: smallest N <= N_max with ||P^N - I||_max <= tol, by dense powers."""
+    eye = np.eye(P.m)
+    power = eye
+    for k in range(1, N_max + 1):
+        power = P.entries @ power
+        if np.max(np.abs(power - eye)) <= tol:
+            return k
+    return None
+
+
+def _dense_is_identity(P, N, tol=DEFAULT_TOL):
+    return np.max(np.abs(np.linalg.matrix_power(P.entries, N) - np.eye(P.m))) <= tol
+
+
+def _random_start(gen, m):
+    return DistributionVector(gen.dirichlet(np.ones(m)))
+
+
+def test_random_permutations_match_the_dense_power_loop():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(22)))
+    for _ in range(100):
+        m = int(gen.integers(1, 13))
+        perm = gen.permutation(m)
+        P = _perm_matrix(perm)
+        order = permutation_order(perm)
+        assert detect_strong_period(P, N_max=64) == _dense_strong_period(P, 64) == order
+        if order > 1:
+            assert detect_strong_period(P, N_max=order - 1) is None
+        rep = detect_period(P, _random_start(gen, m))
+        assert rep.strong == _dense_is_identity(P, rep.period)
+
+
+def _leaky_cycle(m, leak):
+    """The m-cycle j -> j+1 that sends `leak` of each column to j+2 instead."""
+    P = np.zeros((m, m))
+    cols = np.arange(m)
+    P[(cols + 1) % m, cols] = 1.0 - leak
+    P[(cols + 2) % m, cols] = leak
+    return TransitionMatrix(P)    # ||P - Pi||_1 = 2 * leak
+
+
+@pytest.mark.parametrize("m", [3, 6, 11])
+def test_near_permutation_is_strong_iff_period_times_distance_within_tol(m):
+    x0 = DistributionVector(np.eye(m)[0])
+    inside = _leaky_cycle(m, 0.9 * DEFAULT_TOL / (2 * m))     # m * dist = 0.9 tol
+    outside = _leaky_cycle(m, 1.1 * DEFAULT_TOL / (2 * m))    # m * dist = 1.1 tol
+    assert detect_strong_period(inside, N_max=64) == m
+    rep = detect_period(inside, x0)
+    assert rep.period == m and rep.strong
+    assert _dense_is_identity(inside, m)
+    assert detect_strong_period(outside, N_max=64) is None
+    assert not detect_period(outside, x0).strong
+    # the dense check still passes here: P^m misses I by about m * leak, half
+    # of m * dist, so this is an input whose answer the rule changed
+    assert _dense_is_identity(outside, m)
+
+
+def test_strong_is_never_reported_where_dense_powers_miss_identity():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(23)))
+    reported = 0
+    for _ in range(200):
+        m = int(gen.integers(2, 9))
+        perm = gen.permutation(m)
+        leak = 10.0 ** gen.uniform(-14, -8, m)
+        P = gen.dirichlet(np.ones(m), size=m).T * leak
+        P[perm, np.arange(m)] += 1.0 - leak
+        P = TransitionMatrix(P)
+        rep = detect_period(P, _random_start(gen, m))
+        if rep.strong:
+            assert _dense_is_identity(P, rep.period)
+            reported += 1
+        N = detect_strong_period(P, N_max=64)
+        if N is not None:
+            assert N == permutation_order(perm) and _dense_is_identity(P, N)
+    assert 20 <= reported <= 180
+
+
+def test_doubly_stochastic_non_permutations_are_never_strong():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(24)))
+    for _ in range(50):
+        m = int(gen.integers(2, 9))
+        first, second = gen.permutation(m), gen.permutation(m)
+        if np.array_equal(first, second):
+            second = np.roll(first, 1)
+        lam = gen.uniform(0.5, 0.99)
+        P = TransitionMatrix(lam * _perm_matrix(first).entries
+                             + (1 - lam) * _perm_matrix(second).entries)
+        assert detect_strong_period(P, N_max=1000) is None
+        assert _dense_strong_period(P, 64) is None
+        for x0 in (DistributionVector(np.full(m, 1 / m)), _random_start(gen, m)):
+            assert not detect_period(P, x0).strong
+    uniform = TransitionMatrix(np.full((5, 5), 0.2))
+    assert detect_strong_period(uniform, N_max=1000) is None
+    rep = detect_period(uniform, DistributionVector(np.full(5, 0.2)))
+    assert rep.period == 1 and not rep.strong
+
+
+def test_chain_onto_fewer_states_is_never_strong():
+    # every column is a unit vector, so ||P - Pi||_1 = 0 for Pi = P, but
+    # sigma = (0, 0, 2) is no bijection
+    P = TransitionMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert detect_strong_period(P, N_max=64) is None
+    rep = detect_period(P, DistributionVector(np.array([0.5, 0.0, 0.5])))
+    assert rep.period == 1 and not rep.strong
+
+
+def test_order_60_chain_at_m_2000_takes_under_a_second():
+    # cycles of lengths 3, 4 and 5, the remaining 1988 states in 2-cycles
+    m = 2000
+    perm = np.arange(m)
+    start = 0
+    for length in [3, 4, 5] + [2] * ((m - 12) // 2):
+        perm[start:start + length] = np.roll(np.arange(start, start + length), -1)
+        start += length
+    P = _perm_matrix(perm)
+    x0 = _random_start(np.random.Generator(np.random.Philox(key=np.uint64(25))), m)
+    t0 = time.perf_counter()
+    assert detect_strong_period(P, N_max=64) == 60
+    t1 = time.perf_counter()
+    rep = detect_period(P, x0)
+    t2 = time.perf_counter()
+    assert rep.period == 60 and rep.strong
+    assert t1 - t0 < 1.0 and t2 - t1 < 1.0
