@@ -3,7 +3,7 @@
 ``import scipy.linalg`` runs scipy's array-API layer, which loads
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, and ``import
 scipy.optimize`` loads all of the optimizers: together about 0.6 s and
-39 MB of peak RSS (2-core Xeon, scipy 1.17) for three LAPACK routines and
+39 MB of peak RSS (2-core Xeon, scipy 1.17) for two LAPACK routines and
 one assignment solver.  Each compiled module is loaded here from its
 package's directory instead, without running the package's
 ``__init__``, and registered in ``sys.modules`` under its own name, so a
@@ -40,5 +40,5 @@ def _kernels(package: str, module: str, names: str):
     return [getattr(mod, name) for name in names.split()]
 
 
-dgtsv, dgttrf, dgttrs = _kernels("scipy.linalg", "_flapack", "dgtsv dgttrf dgttrs")
+dgttrf, dgttrs = _kernels("scipy.linalg", "_flapack", "dgttrf dgttrs")
 linear_sum_assignment, = _kernels("scipy.optimize", "_lsap", "linear_sum_assignment")

@@ -212,44 +212,6 @@ def parse_expr(source: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing (round-trips through parse_expr to an identical AST)
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def pretty(node: Expr) -> str:
-    return _pretty(node, 0)
-
-
-def _pretty(node: Expr, parent_prec: int) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _pretty(node.operand, _PREC["neg"])
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > _PREC["neg"] else text
-    if isinstance(node, Call):
-        return f"{node.fn}({_pretty(node.arg, 0)})"
-    if isinstance(node, Bin):
-        prec = _PREC[node.op]
-        # + and * are left-associative: the right child needs parens at equal
-        # precedence; ^ is right-associative so the left child does.
-        if node.op == "^":
-            left = _pretty(node.left, prec + 1)
-            right = _pretty(node.right, prec)
-        else:
-            left = _pretty(node.left, prec)
-            right = _pretty(node.right, prec + 1)
-        text = f"{left} {node.op} {right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"not an Expr node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
 def eval_expr(node: Expr, env: dict):

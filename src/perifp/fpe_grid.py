@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import dgtsv, dgttrf, dgttrs
+from ._kernels import dgttrf, dgttrs
 from .coeff_dsl import CoefficientField
 from .errors import (EllipticityViolation, NonFiniteState, QuadratureOverflow,
                      SolverFailure)
@@ -117,31 +117,11 @@ class Tridiag:
     diag: np.ndarray   # (n,)
     upper: np.ndarray  # (n,), upper[n-1] unused
 
-    @property
-    def n(self) -> int:
-        return self.diag.shape[-1]
-
     def matvec(self, p: np.ndarray) -> np.ndarray:
         out = self.diag * p
         out[..., 1:] += self.lower[..., 1:] * p[..., :-1]
         out[..., :-1] += self.upper[..., :-1] * p[..., 1:]
         return out
-
-    def column_sums(self) -> np.ndarray:
-        # off-diagonal gains first, diagonal last: the conservative
-        # assembly stores diag[j] = -(upper[j-1] + lower[j+1]) rounded
-        # once, so this grouping cancels exactly in floating point
-        gains = np.zeros(self.n)
-        gains[1:] += self.upper[:-1]
-        gains[:-1] += self.lower[1:]
-        return gains + self.diag
-
-    def to_dense(self) -> np.ndarray:
-        A = np.diag(self.diag)
-        idx = np.arange(self.n - 1)
-        A[idx + 1, idx] = self.lower[1:]
-        A[idx, idx + 1] = self.upper[:-1]
-        return A
 
 
 def _check_ellipticity(a_vals: np.ndarray, t, xs: np.ndarray):
@@ -230,12 +210,11 @@ def _assemble_divergence(grid: Grid1D, coeffs: FpCoefficients, tt: np.ndarray,
 
 
 def solve_shifted(factor: float, L: Tridiag, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - factor*L) out = rhs for one generator L (LAPACK dgtsv)."""
-    _, _, _, out, info = dgtsv(-factor * L.lower[1:], 1.0 - factor * L.diag,
-                               -factor * L.upper[:-1], rhs)
+    """Solve (I - factor*L) out = rhs for one generator L (LAPACK dgttrf, dgttrs)."""
+    *lu, info = dgttrf(-factor * L.lower[1:], 1.0 - factor * L.diag, -factor * L.upper[:-1])
     if info:
         raise SolverFailure(f"singular tridiagonal system (LAPACK info {info})")
-    return out
+    return dgttrs(*lu, rhs)[0]
 
 
 def step_cn(p: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition,
@@ -366,11 +345,11 @@ def solve_ivp(p0: DensityField, coeffs: FpCoefficients, bc: BoundaryCondition, T
     """
     n_steps = step_count(t1, dt)
     snap_steps = set()
-    if snapshot_times is not None:
-        if any(not 0.0 <= s <= t1 for s in snapshot_times):
-            raise ValueError(f"snapshot times must lie in [0, t1 = {t1!r}]")
-        # step_count raises ValueError for a time that dt does not divide
-        snap_steps = {step_count(s, dt) if s > 0 else 0 for s in snapshot_times}
+    for s in map(float, () if snapshot_times is None else snapshot_times):
+        if not 0.0 <= s <= t1:
+            raise ValueError(f"snapshot time {s!r} is outside [0, t1 = {t1!r}]")
+        # step_count raises a ValueError naming a time that dt does not divide
+        snap_steps.add(step_count(s, dt) if s > 0 else 0)
     prop = Propagator(p0.grid, coeffs, bc, T, dt, form)
     p, states = prop.march(p0.values, n_steps, record=snap_steps)
     snapshots = [DensityField(p0.grid, v, k * dt) for k, v in states.items()]

@@ -124,15 +124,3 @@ def permutation_order(perm) -> int:
         order = lcm(order, max(length, 1))
     return order
 
-
-def paper_five_state_matrix(a1: float, a2: float) -> TransitionMatrix:
-    """The 5-state example family: a 2-state mixing block plus a 3-cycle.
-
-    Column-stochastic orientation; row i of the mixing block is
-    (a_i, 1 - a_i).  Column j holds the outgoing probabilities of state j,
-    so states 3 -> 5 -> 4 -> 3 form the permutation block.
-    """
-    P = np.zeros((5, 5))
-    P[:2, :2] = [[a1, 1.0 - a1], [a2, 1.0 - a2]]
-    P[[2, 3, 4], [3, 4, 2]] = 1.0
-    return TransitionMatrix(P)

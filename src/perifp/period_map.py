@@ -22,7 +22,6 @@ from .errors import NonPositiveRadius, NotConverged, QuadratureOverflow, SignInd
 from .fpe_grid import (BLOCK_ENTRIES, BoundaryCondition, FpCoefficients, Grid1D, Propagator,
                        step_count)
 
-DECAY_FLOOR = 1e-280
 # a principal eigenvector entry below -SIGN_SLACK * (largest entry) is a
 # sign change, not roundoff or power-iteration error
 SIGN_SLACK = 1e-8
@@ -144,33 +143,3 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
         raise SignIndefinite(spec.min_over_max, getattr(pm, "stiffness_ratio", None))
     return spec
 
-
-def decay_check(pm: PeriodMap, spec: SpectralResult, n_periods: int) -> float:
-    """Max over n <= n_periods of ||K^n p0 - r^n p0||_inf / ||r^n p0||_inf.
-
-    Verifies the decay law p(nT) = e^{-mu n T} p0 for the principal
-    eigenfunction; truncates once r^n underflows toward the double floor.
-    """
-    p0 = spec.eigvec
-    v = p0.copy()
-    rn = 1.0
-    worst = 0.0
-    for _ in range(n_periods):
-        v = pm.apply(v)
-        rn *= spec.r
-        if rn < DECAY_FLOOR:
-            break
-        denom = rn * np.max(np.abs(p0))
-        worst = max(worst, float(np.max(np.abs(v - rn * p0)) / denom))
-    return worst
-
-
-def lambda1(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition,
-            T: float, dt: float) -> float:
-    """Principal periodic-parabolic eigenvalue lambda_1 = -(1/T) ln spr(K).
-
-    K is the non-divergence period map of d_t u + A(t) u = 0 including
-    the zero-order term a0 carried by coeffs.
-    """
-    op = PeriodOperator(grid, coeffs, bc, T, dt, form="nondivergence")
-    return power_iteration(op, tol=1e-12).mu

@@ -139,7 +139,7 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
     reflections = np.zeros(M, dtype=np.int64)
 
     def emit(x):
-        m = EmpiricalMeasure(x.copy(), np.full(M, 1.0 / M))
+        m = EmpiricalMeasure.from_samples(x.copy())
         if snap_resolution is not None:
             m = coarsen(m, snap_resolution)
         return m

@@ -1,0 +1,84 @@
+"""Reference helpers shared by several test modules: each computes the
+direct way what the library computes another way."""
+
+import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+
+from perifp.fpe_grid import DensityField, step_cn, step_ie
+from perifp.markov import TransitionMatrix
+from perifp.period_map import PeriodMap, SpectralResult
+
+DECAY_FLOOR = 1e-280
+
+
+def to_dense(L) -> np.ndarray:
+    """The n x n matrix of one Tridiag generator L."""
+    A = np.diag(L.diag)
+    idx = np.arange(len(L.diag) - 1)
+    A[idx + 1, idx] = L.lower[1:]
+    A[idx, idx + 1] = L.upper[:-1]
+    return A
+
+
+def paper_five_state_matrix(a1: float, a2: float) -> TransitionMatrix:
+    """The 5-state example family: a 2-state mixing block plus a 3-cycle.
+
+    Column-stochastic orientation; row i of the mixing block is
+    (a_i, 1 - a_i).  Column j holds the outgoing probabilities of state j,
+    so states 3 -> 5 -> 4 -> 3 form the permutation block.
+    """
+    P = np.zeros((5, 5))
+    P[:2, :2] = [[a1, 1.0 - a1], [a2, 1.0 - a2]]
+    P[[2, 3, 4], [3, 4, 2]] = 1.0
+    return TransitionMatrix(P)
+
+
+def decay_check(pm: PeriodMap, spec: SpectralResult, n_periods: int) -> float:
+    """Max over n <= n_periods of ||K^n p0 - r^n p0||_inf / ||r^n p0||_inf.
+
+    Verifies the decay law p(nT) = e^{-mu n T} p0 for the principal
+    eigenfunction; truncates once r^n underflows toward the double floor.
+    """
+    p0 = spec.eigvec
+    v = p0.copy()
+    rn = 1.0
+    worst = 0.0
+    for _ in range(n_periods):
+        v = pm.apply(v)
+        rn *= spec.r
+        if rn < DECAY_FLOOR:
+            break
+        denom = rn * np.max(np.abs(p0))
+        worst = max(worst, float(np.max(np.abs(v - rn * p0)) / denom))
+    return worst
+
+
+def step_loop(p, co, bc, dt, n_steps, form="divergence", source=lambda k: None,
+              startup=True):
+    """The march from p as single steps: two implicit-Euler half steps, each
+    with the first step's source and its operator at t0 + dt/2, then CN;
+    CN throughout without the start-up.  source(k) is step k's source."""
+    t0 = p.time_stamp
+    for _ in range(2 if startup else 0):
+        p = step_ie(DensityField(p.grid, p.values, t0), co, bc, dt / 2, form=form,
+                    source=source(0))
+    p = DensityField(p.grid, p.values, t0 + dt if startup else t0)
+    for k in range(1 if startup else 0, n_steps):
+        p = step_cn(p, co, bc, dt, form=form, source=source(k))
+    return p
+
+
+def shooting_oracle(h, T, n_report):
+    """Periodic solution of u' = u (h(t) - u) by shooting on the Poincare map,
+    at n_report + 1 even times over [0, T]."""
+    def ode(t, u):
+        return u * (h(t) - u)
+
+    def poincare(u0):
+        sol = solve_ivp(ode, (0.0, T), [u0], rtol=1e-12, atol=1e-14, dense_output=True)
+        return sol.y[0, -1] - u0
+
+    u_star = brentq(poincare, 0.2, 3.0, xtol=1e-13)
+    sol = solve_ivp(ode, (0.0, T), [u_star], rtol=1e-12, atol=1e-14, dense_output=True)
+    return sol.sol(np.linspace(0.0, T, n_report + 1))[0]

@@ -10,12 +10,12 @@ import math
 import time
 
 import numpy as np
-from scipy.integrate import solve_ivp as scipy_solve_ivp
-from scipy.optimize import brentq
 
 from perifp import bl_metric, fpe_grid, markov, period_map, sde_reflect, semilinear
 from perifp.cli import run as cli_run
 from perifp.coeff_dsl import CoefficientField
+
+from oracles import decay_check, paper_five_state_matrix, shooting_oracle
 
 
 def _report(name, ok, detail=""):
@@ -31,7 +31,7 @@ def test_criterion_01_markov_five_state_period():
     ok = True
     detail = ""
     for a1 in (0.3, 0.5, 0.8):
-        P = markov.paper_five_state_matrix(a1, 1.0 - a1)
+        P = paper_five_state_matrix(a1, 1.0 - a1)
         rep = markov.detect_period(P, x0)
         # brute-force oracle: scan powers directly
         x = x0.probs
@@ -161,7 +161,7 @@ def test_criterion_05_heat_equation_decay():
     exact_r = math.exp(-math.pi**2 * T)
     r_err = abs(spec.r - exact_r) / exact_r
     mu_err = abs(spec.mu - math.pi**2) / math.pi**2
-    decay = period_map.decay_check(pm, spec, 5)
+    decay = decay_check(pm, spec, 5)
     elapsed = time.monotonic() - t0
     ok = r_err < 0.01 and mu_err < 0.01 and decay <= 1e-5 and elapsed < 30.0
     _report("criterion 5: heat-equation decay r, mu within 1%, decay law 1e-5",
@@ -263,8 +263,13 @@ def test_criterion_09_lambda1_properties():
     shifted = fpe_grid.FpCoefficients(
         a_eff=one, b=zero,
         a0=CoefficientField.from_string("(1 + x) + 0.7", T))
-    l_base = period_map.lambda1(grid, base, fpe_grid.absorbing(), T, T / 128)
-    l_shift = period_map.lambda1(grid, shifted, fpe_grid.absorbing(), T, T / 128)
+
+    def lambda1(co, bc, dt):
+        op = period_map.PeriodOperator(grid, co, bc, T, dt, form="nondivergence")
+        return period_map.power_iteration(op, tol=1e-12).mu
+
+    l_base = lambda1(base, fpe_grid.absorbing(), T / 128)
+    l_shift = lambda1(shifted, fpe_grid.absorbing(), T / 128)
     shift_err = abs((l_shift - l_base) - 0.7) / 0.7
 
     gen = np.random.Generator(np.random.Philox(key=np.uint64(404)))
@@ -278,12 +283,12 @@ def test_criterion_09_lambda1_properties():
         co_hi = fpe_grid.FpCoefficients(
             a_eff=one, b=zero,
             a0=CoefficientField.from_string(f"({lo!r})*(1 + x) + ({gap!r})", T))
-        l_lo = period_map.lambda1(grid, co_lo, fpe_grid.absorbing(), T, T / 128)
-        l_hi = period_map.lambda1(grid, co_hi, fpe_grid.absorbing(), T, T / 128)
+        l_lo = lambda1(co_lo, fpe_grid.absorbing(), T / 128)
+        l_hi = lambda1(co_hi, fpe_grid.absorbing(), T / 128)
         monotone_ok &= l_lo < l_hi
 
     heat = fpe_grid.FpCoefficients(a_eff=one, b=zero)
-    l_neu = period_map.lambda1(grid, heat, fpe_grid.neumann(), T, T / 256)
+    l_neu = lambda1(heat, fpe_grid.neumann(), T / 256)
     elapsed = time.monotonic() - t0
     ok = (shift_err <= 1e-8 and monotone_ok and abs(l_neu) <= 2e-3 / T
           and elapsed < 300.0)
@@ -354,18 +359,7 @@ def test_criterion_11_semilinear_logistic_oracle():
         fpe_grid.DensityField(grid, np.full(24, 0.05)),
         fpe_grid.DensityField(grid, np.full(24, 3.0)))
     res = semilinear.monotone_iterate(prob, pair, dt=T / n_steps, tol=tol)
-
-    def ode(t, u):
-        return u * (1 + 0.5 * math.sin(2 * math.pi * t) - u)
-
-    def poincare(u0):
-        sol = scipy_solve_ivp(ode, (0.0, T), [u0], rtol=1e-12, atol=1e-14)
-        return sol.y[0, -1] - u0
-
-    u_star = brentq(poincare, 0.2, 3.0, xtol=1e-13)
-    dense = scipy_solve_ivp(ode, (0.0, T), [u_star], rtol=1e-12, atol=1e-14,
-                            dense_output=True)
-    oracle = dense.sol(np.linspace(0.0, T, n_steps + 1))[0]
+    oracle = shooting_oracle(lambda t: 1 + 0.5 * math.sin(2 * math.pi * t), T, n_steps)
     err = float(np.max(np.abs(res.trajectory - oracle[:, None])))
     elapsed = time.monotonic() - t0
     ok = (err <= 1e-4 and res.gap <= tol

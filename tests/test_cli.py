@@ -263,6 +263,10 @@ def test_semilinear_subcommand(tmp_path, capsys):
     assert res["gap"] <= 1e-8
     manifest = json.loads((out / "manifest.json").read_text())
     assert "iteration_trace.json" in manifest["outputs"]
+    cfg = _write(tmp_path / "sl1.json", dict(doc, max_iter=1))
+    assert run(["--json-errors", "semilinear", "--config", cfg,
+                "--out", str(tmp_path / "o1")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "NotConverged"
 
 
 @pytest.mark.parametrize("dt, source_f", [
@@ -358,6 +362,7 @@ def test_semilinear_standing_iterates_are_a_singular_system(tmp_path, capsys, ma
     ("eigen", {"robin": [5.0, 7.0]}, "/robin"),         # absorbing walls
     ("fp-solve", {"bc": "reflecting", "robin": [0.0, 0.0]}, "/robin"),
     ("fp-solve", {"period_T": 0.1, "t1": 0.3, "dt": 0.03}, "/dt"),  # divides t1, not T
+    ("fp-solve", {"drift": "x $ 2"}, "/drift"),         # unexpected character
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -458,6 +463,23 @@ def test_empty_csv_is_one_json_error(tmp_path, monkeypatch, capsys, argv, path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["path"] == path
+
+
+@pytest.mark.parametrize("argv", [
+    ["fp-solve", "--config", "fp.json", "--out", "afile"],
+    ["eigen", "--config", "fp.json", "--out", "afile/sub"],
+    ["markov-check", "--matrix", "P.csv", "--init", "x0.csv", "--out", "afile"],
+], ids=["fp-solve-file", "eigen-under-file", "markov-check-file"])
+def test_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # --out names a regular file, or a path under one: no directory can be made
+    monkeypatch.chdir(tmp_path)
+    for name, text in {"afile": "", "P.csv": "0,1\n1,0\n", "x0.csv": "0.5,0.5\n"}.items():
+        (tmp_path / name).write_text(text)
+    _write(tmp_path / "fp.json", _TINY_FP)
+    assert run(["--json-errors"] + argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["path"] == "--out"
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys):
@@ -588,8 +610,8 @@ def test_dbl_huge_coordinate_is_a_capped_distance(tmp_path, capsys, nu):
 
 @pytest.mark.parametrize("snapshots, message", [
     ("0.05,abc", "'abc' is not a number"),
-    ("0.05,0.5", "outside [0, t1"),                   # t1 = period_T = 0.1
-    ("0.05,0.0123", "not a multiple of dt"),          # dt = 0.1/256
+    ("0.05,0.5", "snapshot time 0.5 is outside [0, t1"),  # t1 = period_T = 0.1
+    ("0.05,0.0123", "must divide the time span 0.0123"),  # dt = 0.1/256
 ], ids=["not-a-number", "outside-span", "off-step"])
 def test_bad_snapshot_times_report_flag(tmp_path, capsys, snapshots, message):
     cfg = _write(tmp_path / "fp.json", dict(HEAT_CONFIG, n_cells=16))
@@ -782,18 +804,6 @@ def test_bench_tracer_targets_resolve():
         assert callable(obj), f"{module}.{attr}"
 
 
-# public names that only tests call, each kept on purpose
-_TEST_ONLY_KEEP = {
-    "paper_five_state_matrix": "acceptance criterion 1",
-    "decay_check": "acceptance criterion 5",
-    "lambda1": "acceptance criterion 9",
-    "pretty": "the parser's round-trip property test",
-    "EmpiricalMeasure.from_samples": "test_bl_metric's sample-cloud d_BL tests",
-    "Tridiag.column_sums": "test_fpe_grid's column-sum tests of the generator",
-    "Tridiag.to_dense": "test_fpe_grid's stencil tests and test_semilinear's dense solves",
-}
-
-
 def _referenced_names(node):
     """Identifiers a node uses, once per use, including dotted names in string
     literals such as bench/tracer.py's TARGETS, but not dict keys such as the
@@ -822,7 +832,7 @@ def test_every_public_library_name_has_a_program_caller():
     assert root / "src/perifp/cli.py" in programs
     trees = {path: ast.parse(path.read_text()) for path in programs}
     uses = Counter(name for tree in trees.values() for name in _referenced_names(tree))
-    defined = []    # (name as in _TEST_ONLY_KEEP, module, definition)
+    defined = []    # (name, module, definition)
     for path, tree in trees.items():
         if path.parent.name != "perifp":
             continue
@@ -833,8 +843,6 @@ def test_every_public_library_name_has_a_program_caller():
                 defined += [(f"{stmt.name}.{m.name}", path.stem, m) for m in stmt.body
                             if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
     assert "Tridiag.matvec" in {name for name, _, _ in defined}
-    unused = {name: f"{module}.{name}" for name, module, node in defined
-              if uses[node.name] == Counter(_referenced_names(node))[node.name]}
-    assert [unused[name] for name in unused if name not in _TEST_ONLY_KEEP] == []
-    # a kept name that gained a program caller, or is gone, leaves the list
-    assert [name for name in _TEST_ONLY_KEEP if name not in unused] == []
+    unused = [f"{module}.{name}" for name, module, node in defined
+              if uses[node.name] == Counter(_referenced_names(node))[node.name]]
+    assert unused == []

@@ -8,12 +8,13 @@ import pytest
 
 from perifp import fpe_grid
 from perifp.coeff_dsl import CoefficientField
-from perifp.errors import NonPositiveRadius, SignIndefinite
+from perifp.errors import NonPositiveRadius, NotConverged, SignIndefinite
 from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
                              Propagator, absorbing, neumann, reflecting, robin,
-                             stationary_closed_form, step_cn, step_ie)
-from perifp.period_map import (PeriodMap, PeriodOperator, build_period_map, decay_check, lambda1,
-                               power_iteration)
+                             stationary_closed_form)
+from perifp.period_map import PeriodMap, PeriodOperator, build_period_map, power_iteration
+
+from oracles import decay_check, step_loop
 
 T = 0.1
 ONE = CoefficientField.from_string("1", T)
@@ -34,12 +35,23 @@ def test_diagonal_matrix_dominant_eigenpair():
     assert spec.r == pytest.approx(0.9, abs=1e-9)
     assert spec.mu == pytest.approx(-math.log(0.9), abs=1e-8)
     assert np.argmax(np.abs(spec.eigvec)) == 0
+    # eigenvalue 2 on (1, 2) and 1 on (2, 3): the uniform start (1, 1) is
+    # (2, 3) - (1, 2), so the iterates reach -(1, 2) and the sign is fixed
+    spec = power_iteration(PeriodMap(np.array([[-2.0, 2.0], [-6.0, 5.0]]), 1.0))
+    assert spec.r == pytest.approx(2.0, rel=1e-9)
+    np.testing.assert_allclose(spec.eigvec, np.array([1.0, 2.0]) / math.sqrt(5.0), rtol=1e-9)
 
 
 def test_power_iteration_rejects_nilpotent():
     K = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonPositiveRadius):
         power_iteration(PeriodMap(K, 1.0))
+    with pytest.raises(NonPositiveRadius, match="spectral radius -1.99.* is not positive"):
+        power_iteration(PeriodMap(-2.0 * np.eye(2), 1.0))
+    # a rotation has no dominant eigenvalue: the iterates never settle
+    with pytest.raises(NotConverged) as exc:
+        power_iteration(PeriodMap(np.array([[0.0, -1.0], [1.0, 0.0]]), 1.0))
+    assert exc.value.iterations == 20000
 
 
 def test_heat_equation_dirichlet_rate():
@@ -111,18 +123,6 @@ def test_period_map_is_the_march_over_its_span():
     assert np.max(np.abs(K - V)) <= 1e-12
 
 
-def _startup_loop(values, grid, co, bc, dt, n_steps, source, startup):
-    """Two implicit-Euler half steps, each with the first step's source and
-    its operator at t = dt/2, then CN; CN throughout without the start-up."""
-    p = DensityField(grid, values, time_stamp=0.0)
-    for _ in range(2 if startup else 0):
-        p = step_ie(DensityField(grid, p.values, 0.0), co, bc, dt / 2, source=source(0))
-    p = DensityField(grid, p.values, dt if startup else 0.0)
-    for k in range(1 if startup else 0, n_steps):
-        p = step_cn(p, co, bc, dt, source=source(k))
-    return p.values
-
-
 @pytest.mark.parametrize("drift, startup", [
     ("sin(2*pi*t/0.1)*(1-2*x)", True),
     ("sin(2*pi*t/0.1)*(1-2*x)", False),
@@ -152,8 +152,8 @@ def test_evolve_matrix_with_sources_matches_step_loop(monkeypatch, drift, startu
     swapped = any(np.any(lu[4] != np.arange(1, 41)) for lu in prop.phases)
     assert swapped == drift.startswith("200")
     for j in range(2):
-        ref = _startup_loop(V0[:, j], grid, co, absorbing(), dt, n_steps,
-                            lambda k: sources(k)[:, j], startup)
+        ref = step_loop(DensityField(grid, V0[:, j]), co, absorbing(), dt, n_steps,
+                        source=lambda k: sources(k)[:, j], startup=startup).values
         assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -177,15 +177,8 @@ def test_evolve_matrix_a0_extraction_matches_step_loop():
     phase = sum(1.5 * s((k + 0.5) * dt) * dt for k in range(n_steps))
     K = build_period_map(grid, co, absorbing(), 2 * T, dt, form="nondivergence").K
     for j in (0, 21, 40):
-        p = DensityField(grid, np.eye(64)[:, j], time_stamp=0.0)
-        for k in range(n_steps):
-            if k == 0:
-                for _ in range(2):
-                    p = step_ie(DensityField(grid, p.values, 0.0), mean_free, absorbing(),
-                                dt / 2, form="nondivergence")
-                p = DensityField(grid, p.values, dt)
-            else:
-                p = step_cn(p, mean_free, absorbing(), dt, form="nondivergence")
+        p = step_loop(DensityField(grid, np.eye(64)[:, j]), mean_free, absorbing(), dt,
+                      n_steps, "nondivergence")
         ref = math.exp(-phase) * p.values
         assert np.max(np.abs(K[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -305,13 +298,15 @@ def test_sign_guard_rejects_sign_changing_eigenvector():
 
 def test_lambda1_dirichlet_heat():
     grid = Grid1D(200, 0.0, 1.0)
-    l1 = lambda1(grid, HEAT, absorbing(), T, T / 256)
+    l1 = power_iteration(PeriodOperator(grid, HEAT, absorbing(), T, T / 256, "nondivergence"),
+                         tol=1e-12).mu
     assert abs(l1 - math.pi**2) / math.pi**2 < 1e-3
 
 
 def test_lambda1_neumann_zero():
     grid = Grid1D(200, 0.0, 1.0)
-    l1 = lambda1(grid, HEAT, neumann(), T, T / 256)
+    l1 = power_iteration(PeriodOperator(grid, HEAT, neumann(), T, T / 256, "nondivergence"),
+                         tol=1e-12).mu
     assert abs(l1) <= 2e-3 / T
 
 
@@ -321,8 +316,8 @@ def test_lambda1_constant_shift_identity():
                           a0=CoefficientField.from_string("1+x", T))
     shifted = FpCoefficients(a_eff=ONE, b=ZERO,
                              a0=CoefficientField.from_string("(1+x) + 2.5", T))
-    l0 = lambda1(grid, base, absorbing(), T, T / 128)
-    l1 = lambda1(grid, shifted, absorbing(), T, T / 128)
+    l0, l1 = (power_iteration(PeriodOperator(grid, co, absorbing(), T, T / 128, "nondivergence"),
+                              tol=1e-12).mu for co in (base, shifted))
     assert abs((l1 - l0) - 2.5) / 2.5 < 1e-8
 
 
@@ -337,5 +332,7 @@ def test_lambda1_strictly_monotone_in_zero_order():
         co_hi = FpCoefficients(a_eff=ONE, b=ZERO,
                                a0=CoefficientField.from_string(
                                    f"({lo!r})*(1+x) + ({gap!r})", T))
-        assert lambda1(grid, co_hi, absorbing(), T, T / 128) > \
-            lambda1(grid, co_lo, absorbing(), T, T / 128)
+        l_lo, l_hi = (power_iteration(PeriodOperator(grid, co, absorbing(), T, T / 128,
+                                                     "nondivergence"), tol=1e-12).mu
+                      for co in (co_lo, co_hi))
+        assert l_hi > l_lo

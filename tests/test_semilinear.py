@@ -5,17 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq
 
 from perifp import semilinear
 from perifp.coeff_dsl import CoefficientField
-from perifp.errors import MonotonicityViolation, SingularSystem
+from perifp.errors import MonotonicityViolation, NotConverged, SingularSystem
 from perifp.fpe_grid import (DensityField, FpCoefficients, Grid1D, absorbing,
                              assemble_generator, neumann, robin, step_cn, step_count)
 from perifp.semilinear import (OrderedPair, PeriodicLinearSolver,
                                SemilinearProblem, estimate_c, monotone_iterate,
                                verify_upper_lower)
+
+from oracles import shooting_oracle, to_dense
 
 T = 1.0
 ONE = CoefficientField.from_string("1", T)
@@ -66,7 +67,7 @@ def test_poincare_static_elliptic_oracle():
     u0, traj = solver.solve(np.tile(g, (64, 1)))
     resid = np.max(np.abs(traj[-1] - traj[0]))
     L = assemble_generator(grid, HEAT, 0.0, absorbing(), form="nondivergence")
-    u_exact = np.linalg.solve(-(L.to_dense()) + c * np.eye(80), g)
+    u_exact = np.linalg.solve(-to_dense(L) + c * np.eye(80), g)
     assert np.max(np.abs(u0 - u_exact)) < 1e-6
     assert resid < 1e-10
     # analytic check: sin(pi x) is an eigenfunction, u = g/(pi^2 + c)
@@ -116,7 +117,7 @@ def _dense_spr(grid, lam, dt, n_steps):
     co = FpCoefficients(a_eff=ONE, b=ZERO,
                         a0=CoefficientField.from_string(f"0 - ({lam!r})", T))
     L = assemble_generator(grid, co, 0.0, absorbing(), form="nondivergence")
-    A = L.to_dense()
+    A = to_dense(L)
     n = grid.n_cells
     S = np.linalg.solve(np.eye(n) - dt / 2 * A, np.eye(n) + dt / 2 * A)
     K = np.linalg.matrix_power(S, n_steps)
@@ -237,23 +238,9 @@ def test_logistic_autonomous_fixed_point():
     assert res.periodicity_residual <= 1e-8
     # deltas decay monotonically after the first couple of corrections
     assert res.deltas_upper[-1] < res.deltas_upper[2]
-
-
-def _shooting_oracle(h, n_report):
-    """Periodic solution of u' = u (h(t) - u) by shooting on the Poincare map."""
-    def ode(t, u):
-        return u * (h(t) - u)
-
-    def poincare(u0):
-        sol = scipy_solve_ivp(ode, (0.0, T), [u0], rtol=1e-12, atol=1e-14,
-                              dense_output=True)
-        return sol.y[0, -1] - u0
-
-    u_star = brentq(poincare, 0.2, 3.0, xtol=1e-13)
-    sol = scipy_solve_ivp(ode, (0.0, T), [u_star], rtol=1e-12, atol=1e-14,
-                          dense_output=True)
-    ts = np.linspace(0.0, T, n_report + 1)
-    return sol.sol(ts)[0]
+    with pytest.raises(NotConverged) as exc:
+        monotone_iterate(prob, pair, dt=T / 64, tol=1e-9, max_iter=1)
+    assert exc.value.iterations == 1
 
 
 def test_logistic_periodic_forcing_matches_shooting_oracle():
@@ -266,7 +253,7 @@ def test_logistic_periodic_forcing_matches_shooting_oracle():
     pair = OrderedPair(_const_field(grid, 0.05), _const_field(grid, 3.0))
     n_steps = 256
     res = monotone_iterate(prob, pair, dt=T / n_steps, tol=1e-10)
-    oracle = _shooting_oracle(lambda t: 1 + 0.5 * math.sin(2 * math.pi * t), n_steps)
+    oracle = shooting_oracle(lambda t: 1 + 0.5 * math.sin(2 * math.pi * t), T, n_steps)
     err = np.max(np.abs(res.trajectory - oracle[:, None]))
     assert err <= 1e-4
     assert res.gap <= 1e-10
@@ -283,8 +270,8 @@ def _dense_periodic_cn(problem, dt, c):
     eye = np.eye(n)
     steps = []     # v -> S v + R g for each CN step
     for k in range(n_steps):
-        L = assemble_generator(grid, problem.coeffs, (k + 0.5) * dt, problem.bc,
-                               problem.form).to_dense() - c * eye
+        L = to_dense(assemble_generator(grid, problem.coeffs, (k + 0.5) * dt, problem.bc,
+                                        problem.form)) - c * eye
         M = eye - dt / 2 * L
         steps.append((np.linalg.solve(M, eye + dt / 2 * L), dt * np.linalg.inv(M)))
     K = eye
