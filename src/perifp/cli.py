@@ -111,13 +111,19 @@ def _one_of(*choices):
     return check
 
 
-def _expr(value, path):
-    source = _str(value, path)
-    try:
-        parse_expr(source)
-    except PerifpError as exc:
-        raise ConfigError(path, f"bad expression: {exc}") from exc
-    return source
+def _expr(*variables):
+    """An expression that reads no variable outside variables."""
+    def check(value, path):
+        source = _str(value, path)
+        try:
+            unread = CoefficientField.from_string(source).reads - set(variables)
+        except PerifpError as exc:
+            raise ConfigError(path, f"bad expression: {exc}") from exc
+        if unread:
+            raise ConfigError(path, f"reads {', '.join(sorted(unread))}; "
+                              f"this coefficient is given only {', '.join(variables)}")
+        return source
+    return check
 
 
 def load_config(path):
@@ -151,11 +157,11 @@ _FP_SCHEMA = {
     "t1": (None, _pos),                 # fp-solve horizon, default period_T
     "bc": ("reflecting", _one_of(*_BOUNDARIES, "robin")),
     "robin": ([0.0, 0.0], _list_of(_num, 2)),
-    "drift": (_REQUIRED, _expr),
-    "sigma": (None, _expr),
-    "a_eff": (None, _expr),
-    "a0": (None, _expr),
-    "source_f": (None, _expr),
+    "drift": (_REQUIRED, _expr("t", "x")),
+    "sigma": (None, _expr("t", "x")),
+    "a_eff": (None, _expr("t", "x")),
+    "a0": (None, _expr("t", "x")),
+    "source_f": (None, _expr("t", "x", "u")),
     "form": ("divergence", _one_of(*fpe_grid.FORMS)),
     "init": ({}, None),                 # default: the uniform density
     "tol": (1e-9, _pos),
@@ -232,7 +238,7 @@ def _load_csv(path, where, **kwargs):
 
 
 def _initial_density(cfg, grid, base_dir):
-    spec, _ = _schema_check(cfg["init"], {"expr": (None, _expr), "csv": (None, _str)},
+    spec, _ = _schema_check(cfg["init"], {"expr": (None, _expr("x")), "csv": (None, _str)},
                             "/init")
     if spec["expr"] is not None and spec["csv"] is not None:
         raise ConfigError("/init", "give at most one of 'expr' or 'csv'")
@@ -376,8 +382,8 @@ _SDE_SCHEMA = {
     "paths": (_REQUIRED, _bounded(_int, 1)),
     "periods": (_REQUIRED, _bounded(_int, 0)),
     "seed": (0, _bounded(_int, 0, 2**64)),     # a Philox key word
-    "drift": (_REQUIRED, _list_of(_expr)),
-    "sigma": (_REQUIRED, _list_of(_list_of(_expr))),
+    "drift": (_REQUIRED, _list_of(_expr("t", "x"))),
+    "sigma": (_REQUIRED, _list_of(_list_of(_expr("t", "x")))),
     "init": (_REQUIRED, None),
     "snap_resolution": (None, _pos),
     "burn_in": (0, _bounded(_int, 0)),
@@ -596,6 +602,15 @@ def _cmd_selftest(args):
     batch = sde_reflect.sample_laws(sys_, [0.5], M=8, n_periods=2, dt=T / 8, seed=1)
     check("sde_reflect: frozen dynamics stays put",
           all(np.allclose(s.points, 0.5) for s in batch.snapshots))
+    # the stream contract: step s draws sqrt(dt) * standard_normal((M, m))
+    # from Philox key [seed, s]; a period of one step records step 0
+    dt = 1 / 256
+    walk = sde_reflect.SdeSystem((CoefficientField.from_string("0", dt),),
+                                 ((CoefficientField.from_string("1", dt),),), dt, dom)
+    batch = sde_reflect.sample_laws(walk, [0.5], M=4, n_periods=1, dt=dt, seed=7)
+    gen = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
+    check("sde_reflect: step 0 moves by sqrt(dt) * N(0, 1) from Philox key [seed, 0]",
+          np.array_equal(batch.snapshots[1].points, 0.5 + np.sqrt(dt) * gen.standard_normal((4, 1))))
 
     grid = fpe_grid.Grid1D(32, 0.0, 1.0)
     coeffs = fpe_grid.FpCoefficients(

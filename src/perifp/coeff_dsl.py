@@ -17,13 +17,15 @@ Evaluation accepts scalars or numpy arrays for the variables and is
 total on the declared domain: division by zero and out-of-domain
 function arguments raise EvalError rather than returning NaN.  A
 CoefficientField returns a float array of its arguments' broadcast shape.
+It knows the variables its tree reads: an expression that reads none is
+evaluated once, and one that does not read t skips the period reduction.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -266,28 +268,56 @@ def eval_expr(node: Expr, env: dict):
     raise TypeError(f"not an Expr node: {node!r}")
 
 
+def _reads(node: Expr) -> frozenset:
+    if isinstance(node, Var):
+        return frozenset((node.name,))
+    if isinstance(node, Neg):
+        return _reads(node.operand)
+    if isinstance(node, Call):
+        return _reads(node.arg)
+    if isinstance(node, Bin):
+        return _reads(node.left) | _reads(node.right)
+    return frozenset()
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """A parsed coefficient expression with an optional declared period.
 
     If period_T is set the field is evaluated at ``t mod period_T``
     (exact floating remainder), making the declared periodicity an
-    enforced invariant rather than a user obligation.
+    enforced invariant rather than a user obligation.  ``reads`` is the
+    set of variables the expression reads.
     """
 
     expr: Expr
     period_T: float | None = None
+    reads: frozenset = field(init=False, repr=False, compare=False)
+    _value: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.period_T is not None and not self.period_T > 0:
             raise ValueError("period_T must be positive")
+        object.__setattr__(self, "reads", _reads(self.expr))
+        value = None
+        if not self.reads:
+            # a constant that fails or overflows is left to every call, which
+            # raises or warns as an unfolded expression does
+            try:
+                with np.errstate(all="raise"):
+                    value = np.asarray(eval_expr(self.expr, {}), dtype=float)
+            except (EvalError, FloatingPointError):
+                pass
+            else:
+                value.flags.writeable = False
+        object.__setattr__(self, "_value", value)
 
     @classmethod
     def from_string(cls, source: str, period_T: float | None = None) -> "CoefficientField":
         return cls(parse_expr(source), period_T)
 
     def _reduce_t(self, t):
-        if self.period_T is None:
+        if self.period_T is None or "t" not in self.reads:
             return t
         r = np.fmod(t, self.period_T)
         return np.where(r < 0, r + self.period_T, r)
@@ -295,8 +325,10 @@ class CoefficientField:
     def __call__(self, t=None, x=None, u=None):
         """A float ndarray of the broadcast shape of the arguments given (0-d
         if all are scalars); a read-only view where the expression ignores one."""
+        shape = np.broadcast(*(v for v in (t, x, u) if v is not None)).shape
+        if self._value is not None:
+            # the one folded value, strided 0 along every axis
+            return np.ndarray(shape, float, buffer=self._value, strides=(0,) * len(shape))
         out = np.asarray(eval_expr(self.expr, {"t": None if t is None else self._reduce_t(t),
                                                "x": x, "u": u}), dtype=float)
-        shape = np.broadcast(*(v for v in (t, x, u) if v is not None)).shape
         return out if out.shape == shape else np.broadcast_to(out, shape)
-

@@ -2,10 +2,10 @@
 
 Euler-Maruyama with Euclidean projection onto the box (componentwise
 clamp), the standard discrete Skorokhod scheme; the reflection process
-is tracked only as per-path projection tallies.  Brownian increments
-come from counter-based Philox streams keyed by (seed, step_index), so
-identical (seed, config) runs are bitwise reproducible regardless of
-scheduling.
+is tracked only as per-path projection tallies.  Step s of a run draws
+its Brownian increments as sqrt(dt) * standard_normal((M, m)) from the
+counter-based Philox stream with key [seed, s] and counter 0, so
+identical (seed, config) runs are bitwise reproducible.
 
 Coefficient expressions are scalar in x: component i of the drift and
 row i of the diffusion see x = X_i, their own coordinate.
@@ -43,7 +43,8 @@ class BoxDomain:
         return len(self.lower)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
+        """Clamp the float array x onto the box in place; returns x."""
+        return np.clip(x, self.lower, self.upper, out=x)
 
 
 @dataclass(frozen=True)
@@ -80,38 +81,29 @@ class TrajectoryBatch:
     reflection_counts: np.ndarray  # per-path projection tallies
 
 
-def _eval_componentwise(fields, t, X: np.ndarray) -> np.ndarray:
-    """Field i at (t, X[:, i]), t one time or one per path; (M, len(fields))."""
-    return np.stack([f(t=t, x=X[:, i]) for i, f in enumerate(fields)], axis=1)
-
-
 def em_reflect_step(x: np.ndarray, t: float, dt: float, dW: np.ndarray,
                     sys: SdeSystem):
-    """One projected Euler-Maruyama step for a batch of paths.
+    """One projected Euler-Maruyama step for a batch of paths, in place.
 
-    x: (M, d) positions in the closed box; dW: (M, m) Brownian increments.
-    Returns (x_next, reflected) where reflected is the per-path bool of
-    whether the projection moved the point.
+    x: (M, d) float positions in the closed box, overwritten; dW: (M, m)
+    Brownian increments.  Component i moves to (x_i + b_i dt) + the sum
+    over j = 0, 1, ... of sigma_ij dW_j.  Returns (x, reflected) where
+    reflected is the per-path bool of whether the projection moved the point.
     """
-    x = np.atleast_2d(x)
-    dW = np.atleast_2d(dW)
-    M, d = x.shape
-    b = _eval_componentwise(sys.drift, t, x)
-    noise = np.zeros((M, d))
-    for i in range(d):
-        for j in range(sys.brownian_dim):
-            noise[:, i] += sys.diffusion[i][j](t=t, x=x[:, i]) * dW[:, j]
-    free = x + b * dt + noise
-    if not np.all(np.isfinite(free)):
+    drift, noise = np.empty((2, len(x)))
+    for i, (b, row) in enumerate(zip(sys.drift, sys.diffusion)):
+        xi = x[:, i]    # every coefficient of component i reads x_i before it moves
+        np.multiply(b(t=t, x=xi), dt, out=drift)
+        np.multiply(row[0](t=t, x=xi), dW[:, 0], out=noise)
+        noise += 0.0    # the sum starts from +0.0: a -0.0 product adds as +0.0
+        for j in range(1, len(row)):
+            noise += row[j](t=t, x=xi) * dW[:, j]
+        xi += drift
+        xi += noise
+    if not np.isfinite(x).all():
         raise NonFiniteState("drift/diffusion produced non-finite state")
-    projected = sys.domain.project(free)
-    reflected = np.any(projected != free, axis=1)
-    return projected, reflected
-
-
-def _step_increments(seed: int, step: int, shape) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, step], dtype=np.uint64)))
-    return gen.standard_normal(shape)
+    reflected = ((x < sys.domain.lower) | (x > sys.domain.upper)).any(axis=1)
+    return sys.domain.project(x), reflected
 
 
 def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
@@ -137,6 +129,12 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
 
     sqrt_dt = np.sqrt(dt)
     reflections = np.zeros(M, dtype=np.int64)
+    # one generator, re-keyed every step to the bits of Generator(Philox(key=[seed, s]))
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    normal = np.random.Generator(bits).standard_normal
+    state = bits.state
+    key = state["state"]["key"]
+    dW = np.empty((M, sys.brownian_dim))
 
     def emit(x):
         m = EmpiricalMeasure.from_samples(x.copy())
@@ -145,14 +143,14 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
         return m
 
     snapshots = [emit(X)]
-    step_index = 0
-    for _ in range(n_periods):
+    for period in range(n_periods):
         for k in range(steps_per_period):
-            t = k * dt
-            dW = sqrt_dt * _step_increments(seed, step_index, (M, sys.brownian_dim))
-            X, hit = em_reflect_step(X, t, dt, dW, sys)
+            key[1] = period * steps_per_period + k
+            bits.state = state
+            normal(out=dW)
+            dW *= sqrt_dt
+            X, hit = em_reflect_step(X, k * dt, dt, dW, sys)
             reflections += hit
-            step_index += 1
         snapshots.append(emit(X))
     return TrajectoryBatch(snapshots=snapshots, reflection_counts=reflections)
 

@@ -5,6 +5,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from perifp.coeff_dsl import eval_expr
 from perifp.fpe_grid import DensityField, step_cn, step_ie
 from perifp.markov import TransitionMatrix
 from perifp.period_map import PeriodMap, SpectralResult
@@ -82,3 +83,37 @@ def shooting_oracle(h, T, n_report):
     u_star = brentq(poincare, 0.2, 3.0, xtol=1e-13)
     sol = solve_ivp(ode, (0.0, T), [u_star], rtol=1e-12, atol=1e-14, dense_output=True)
     return sol.sol(np.linspace(0.0, T, n_report + 1))[0]
+
+
+def em_loop(sys, init, M, n_periods, dt, seed):
+    """sample_laws's positions at 0, T, ..., nT and its reflection counts,
+    stepped the direct way: a new Philox generator for every step, every
+    coefficient evaluated from its tree, and fresh arrays for every update."""
+    steps = round(sys.period_T / dt)
+    d = sys.domain.dim
+
+    def field(f, t, x):     # 0 <= t < T: the period reduction is the identity
+        return np.broadcast_to(np.asarray(eval_expr(f.expr, {"t": t, "x": x}), dtype=float),
+                               x.shape)
+
+    X = np.broadcast_to(np.asarray(init, dtype=float), (M, d)).copy()
+    reflections = np.zeros(M, dtype=np.int64)
+    laws = [X.copy()]
+    step_index = 0
+    for _ in range(n_periods):
+        for k in range(steps):
+            t = k * dt
+            gen = np.random.Generator(np.random.Philox(key=np.array([seed, step_index],
+                                                                    dtype=np.uint64)))
+            dW = np.sqrt(dt) * gen.standard_normal((M, sys.brownian_dim))
+            b = np.stack([field(f, t, X[:, i]) for i, f in enumerate(sys.drift)], axis=1)
+            noise = np.zeros((M, d))
+            for i in range(d):
+                for j in range(sys.brownian_dim):
+                    noise[:, i] += field(sys.diffusion[i][j], t, X[:, i]) * dW[:, j]
+            free = X + b * dt + noise
+            X = np.clip(free, sys.domain.lower, sys.domain.upper)
+            reflections += np.any(X != free, axis=1)
+            step_index += 1
+        laws.append(X.copy())
+    return laws, reflections

@@ -363,6 +363,12 @@ def test_semilinear_standing_iterates_are_a_singular_system(tmp_path, capsys, ma
     ("fp-solve", {"bc": "reflecting", "robin": [0.0, 0.0]}, "/robin"),
     ("fp-solve", {"period_T": 0.1, "t1": 0.3, "dt": 0.03}, "/dt"),  # divides t1, not T
     ("fp-solve", {"drift": "x $ 2"}, "/drift"),         # unexpected character
+    ("fp-solve", {"drift": "u"}, "/drift"),             # only source_f reads u
+    ("eigen", {"sigma": "1 + u"}, "/sigma"),
+    ("stationary", {"bc": "reflecting", "sigma": None, "a_eff": "u*x"}, "/a_eff"),
+    ("eigen", {"form": "nondivergence", "a0": "sin(u)"}, "/a0"),
+    ("semilinear", {"drift": "u"}, "/drift"),
+    ("fp-solve", {"init": {"expr": "1 + t"}}, "/init/expr"),  # read at x only
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -400,6 +406,8 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     ({"init": {"csv": "outside.csv"}}, "/init/csv"),
     ({"init": {"csv": "nan.csv"}}, "/init/csv"),
     ({"domain": {"lower": [0.0], "upper": [math.inf]}}, "/domain/upper/0"),
+    ({"drift": ["u"]}, "/drift/0"),                     # no SDE coefficient reads u
+    ({"sigma": [["t*u"]]}, "/sigma/0/0"),
 ])
 def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     np.savetxt(tmp_path / "three.csv", np.full((3, 1), 0.5), delimiter=",")

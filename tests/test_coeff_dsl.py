@@ -243,6 +243,46 @@ def test_field_rejects_undeclared_vars():
         f(t=0.0)  # x missing
 
 
+@pytest.mark.parametrize("source, reads", [
+    ("2.5", set()), ("pi", set()), ("t", {"t"}), ("x", {"x"}), ("u", {"u"}),
+    ("-x", {"x"}), ("sqrt(u)", {"u"}), ("t*x", {"t", "x"}), ("x^u - t", {"t", "x", "u"}),
+    ("exp(-(e + 2)/3)", set()), ("sin(2*pi*t)*(1 - 2*x)", {"t", "x"}),
+])
+def test_field_reads_the_variables_of_its_tree(source, reads):
+    # Num, Const, Var, Neg, Call and Bin nodes
+    assert CoefficientField.from_string(source).reads == reads
+
+
+@pytest.mark.parametrize("source", ["2.5", "-pi/4", "exp(1)*2^-3"])
+def test_constant_field_is_one_read_only_value(source):
+    # evaluated once: every call is a read-only view of the value of the
+    # tree, in the broadcast shape of the arguments, for any t
+    f = CoefficientField.from_string(source, period_T=1.0)
+    value = np.asarray(eval_expr(parse_expr(source), {}), dtype=float)
+    for kwargs, shape in [({"t": 0.3}, ()), ({"t": 7.5, "x": np.zeros(4)}, (4,)),
+                          ({"t": np.zeros((3, 1)), "x": np.zeros(4), "u": 1.0}, (3, 4))]:
+        out = f(**kwargs)
+        assert out.dtype == np.float64 and out.shape == shape
+        assert not out.flags.writeable
+        assert out.tobytes() == np.broadcast_to(value, shape).tobytes()
+        with pytest.raises(ValueError):
+            out[...] = 0.0
+    assert float(f(t=0.0)) == float(value)
+
+
+@pytest.mark.parametrize("source, kind, message", [
+    ("1/0", "div_zero", "division by zero"),
+    ("log(0)", "domain", "log of non-positive value"),
+    ("sqrt(-1)", "domain", "sqrt of negative value"),
+])
+def test_failing_constant_raises_at_every_call(source, kind, message):
+    f = CoefficientField.from_string(source, period_T=1.0)
+    for _ in range(2):
+        with pytest.raises(EvalError) as exc:
+            f(t=0.0, x=np.zeros(3))
+        assert exc.value.kind == kind and str(exc.value) == f"{kind}: {message}"
+
+
 @pytest.mark.parametrize("source", ["1", "t", "x", "u", "t*x"])
 def test_field_returns_float_array_of_broadcast_shape(source):
     # every call returns a float ndarray shaped like the broadcast of the

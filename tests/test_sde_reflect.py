@@ -12,6 +12,7 @@ from perifp.errors import DimensionMismatch, SolverFailure
 from perifp.sde_reflect import (BoxDomain, SdeSystem, TrajectoryBatch,
                                 em_reflect_step, periodicity_diagnostic,
                                 sample_laws)
+from oracles import em_loop
 
 T = 1.0
 
@@ -57,7 +58,7 @@ def test_system_rejects_ragged_diffusion_rows():
 def test_step_zero_dynamics_identity():
     sys_ = _scalar_system("0", "0")
     x = np.array([[0.25], [0.75]])
-    out, hit = em_reflect_step(x, 0.0, 0.1, np.array([[1.0], [1.0]]), sys_)
+    out, hit = em_reflect_step(x.copy(), 0.0, 0.1, np.array([[1.0], [1.0]]), sys_)
     np.testing.assert_array_equal(out, x)
     assert not hit.any()
 
@@ -87,6 +88,38 @@ def test_sample_laws_bitwise_reproducible():
         np.testing.assert_array_equal(sa.points, sb.points)
         np.testing.assert_array_equal(sa.weights, sb.weights)
     np.testing.assert_array_equal(a.reflection_counts, b.reflection_counts)
+
+
+def _system(drift, sigma, lo, hi):
+    return SdeSystem(drift=tuple(map(_field, drift)),
+                     diffusion=tuple(tuple(map(_field, row)) for row in sigma),
+                     period_T=T, domain=BoxDomain(lo, hi))
+
+
+_WALLS = np.repeat([[0.0], [1.0]], 50, axis=0)      # 50 paths on each wall
+
+
+@pytest.mark.parametrize("system, init, M, seed, dt", [
+    (_scalar_system("0", "1"), [0.5], 300, 7, T / 32),           # constant coefficients
+    (_system(["sin(2*pi*t)*(1-2*x)", "0.5 - x"],
+             [["0.5", "0.2*x"], ["0.1 + 0.1*cos(2*pi*t)", "0.7"]],
+             [0.0, -1.0], [1.0, 1.0]), [0.5, 0.0], 200, 11, T / 32),   # d = 2, full sigma
+    (_system(["1 - 2*x"], [["0.3", "0.4*x"]], [0.0], [1.0]), [0.5], 200, 3, T / 32),  # m = 2
+    (_scalar_system("0", "sin(2*pi*t)"), [0.25], 200, 5, T / 32),  # sigma reads only t
+    (_scalar_system("1 - 2*x", "0.5"), _WALLS, 100, 1, T / 32),    # starts on both walls
+    (_scalar_system("0.3*cos(2*pi*t)", "0.8"), [0.5], 1, 2, T / 32),  # one path
+    (_scalar_system("0", "1"), [0.5], 100, 2**64 - 1, T / 32),     # the largest key word
+    # zero noise from -0.0: x + b dt is -0.0, and sigma dW is -0.0 where dW < 0
+    (_scalar_system("x", "0", -1.0, 1.0), [-0.0], 100, 4, T),
+])
+def test_sample_laws_match_the_per_step_generator_loop(system, init, M, seed, dt):
+    # bit for bit, the sign of every zero included
+    batch = sample_laws(system, init, M=M, n_periods=2, dt=dt, seed=seed)
+    laws, reflections = em_loop(system, init, M=M, n_periods=2, dt=dt, seed=seed)
+    assert len(batch.snapshots) == len(laws) == 3
+    for snap, X in zip(batch.snapshots, laws):
+        assert snap.points.tobytes() == X.tobytes()
+    assert batch.reflection_counts.tobytes() == reflections.tobytes()
 
 
 def test_sample_laws_seed_changes_output():
