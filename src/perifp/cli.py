@@ -2,20 +2,23 @@
 
 Subcommands: markov-check, dbl, simulate-sde, fp-solve, eigen,
 stationary, semilinear, selftest.  Configs are strict JSON documents
-(unknown keys rejected, defaults recorded in the manifest); every run
-that writes files also writes manifest.json with the resolved config,
-version, duration and per-output checksums.
+(unknown keys rejected, defaults recorded in the manifest).  Each
+subcommand returns what it made; run() then writes the output files and
+manifest.json (resolved config, version, duration from the end of
+argument parsing, per-output checksums) and prints last.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,60 +263,52 @@ def _initial_density(cfg, grid, base_dir):
 
 
 # ---------------------------------------------------------------------------
-# manifest helpers
+# run records
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+class _Made(NamedTuple):
+    """What a subcommand made; run() writes, times and prints it.
+
+    files holds (name, content) pairs: content is a JSON document (a dict)
+    or a CSV table (header, column, ...), stacked only when it is written.
+    stdout is a JSON document, or the text that selftest prints.
+    """
+    config: dict
+    defaults: list
+    files: list
+    headline: dict
+    stdout: dict | str | None = None
+    code: int = 0
 
 
-class _Run:
-    def __init__(self, out_dir, config_echo, defaults):
-        self.out = Path(out_dir) if out_dir is not None else None
-        if self.out is not None:
-            try:
-                self.out.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:   # a file in the way, or no permission
-                raise ConfigError("--out", f"cannot create the output directory: {exc}") from exc
-        self.t0 = time.monotonic()
-        self.config = config_echo
-        self.defaults = defaults
-        self.files = []
-        self.headline = {}
-
-    def write_text(self, name, text):
-        if self.out is None:
-            return None
-        p = self.out / name
-        p.write_text(text)
-        self.files.append(p)
-        return p
-
-    def write_csv(self, name, array, header=None):
-        if self.out is None:
-            return None
-        p = self.out / name
-        with open(p, "w") as fh:
-            if header:
-                fh.write("# " + header + "\n")
-            np.savetxt(fh, np.atleast_2d(array), delimiter=",", fmt="%.17g")
-        self.files.append(p)
-        return p
-
-    def finish(self):
-        if self.out is None:
-            return
-        manifest = {
-            "tool": "perifp",
-            "version": __version__,
-            "config": self.config,
-            "defaults_applied": self.defaults,
-            "duration_s": time.monotonic() - self.t0,
-            "outputs": {p.name: _sha256(p) for p in self.files},
-            "headline": self.headline,
-        }
-        (self.out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+def _record(made, out, t0):
+    """Write made's files and manifest.json under out, if given; then print made.stdout."""
+    if out is not None:
+        out = Path(out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # a file in the way, or no permission
+            raise ConfigError("--out", f"cannot create the output directory: {exc}") from exc
+        checksums = {}
+        for name, content in made.files:
+            if isinstance(content, dict):
+                text = json.dumps(content, indent=2)
+            else:
+                header, *columns = content
+                buf = io.StringIO()
+                buf.write(f"# {header}\n")
+                np.savetxt(buf, np.column_stack(columns), delimiter=",", fmt="%.17g")
+                text = buf.getvalue()
+            (out / name).write_text(text)
+            checksums[name] = hashlib.sha256(text.encode()).hexdigest()
+        manifest = {"tool": "perifp", "version": __version__, "config": made.config,
+                    "defaults_applied": made.defaults,
+                    "duration_s": time.monotonic() - t0,
+                    "outputs": checksums, "headline": made.headline}
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    if made.stdout is not None:
+        print(made.stdout if isinstance(made.stdout, str)
+              else json.dumps(made.stdout, indent=2))
+    return made.code
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +334,11 @@ def _cmd_markov_check(args):
     report = markov.detect_period(P, x0, N_max=args.nmax, tol=args.tol)
     doc = {"period": report.period, "strong": bool(report.strong),
            "tol": report.tol, "residuals": report.residuals.tolist()}
-    print(json.dumps(doc, indent=2))
-    run = _Run(args.out, {"matrix": args.matrix, "init": args.init,
-                          "nmax": args.nmax, "tol": args.tol,
-                          "row_stochastic": args.row_stochastic}, [])
-    run.write_text("period_report.json", json.dumps(doc, indent=2))
-    run.headline["period"] = report.period
-    run.headline["strong"] = bool(report.strong)
-    run.finish()
-    return 0
+    return _Made({"matrix": args.matrix, "init": args.init, "nmax": args.nmax,
+                  "tol": args.tol, "row_stochastic": args.row_stochastic}, [],
+                 files=[("period_report.json", doc)],
+                 headline={"period": report.period, "strong": bool(report.strong)},
+                 stdout=doc)
 
 
 def _cmd_dbl(args):
@@ -367,12 +358,8 @@ def _cmd_dbl(args):
     doc = {"distance": res.distance, "status": res.status,
            "witness": res.witness.tolist(),
            "support": res.support.tolist()}
-    print(json.dumps(doc, indent=2))
-    run = _Run(args.out, {"mu": args.mu, "nu": args.nu}, [])
-    run.write_text("dbl_result.json", json.dumps(doc, indent=2))
-    run.headline["distance"] = res.distance
-    run.finish()
-    return 0
+    return _Made({"mu": args.mu, "nu": args.nu}, [], files=[("dbl_result.json", doc)],
+                 headline={"distance": res.distance}, stdout=doc)
 
 
 _SDE_SCHEMA = {
@@ -428,18 +415,15 @@ def _cmd_simulate_sde(args):
                                     n_periods=cfg["periods"], dt=cfg["dt"],
                                     seed=cfg["seed"],
                                     snap_resolution=cfg["snap_resolution"])
-    run = _Run(args.out, cfg, defaulted)
-    for k, snap in enumerate(batch.snapshots):
-        rows = np.hstack([snap.points, snap.weights[:, None]])
-        run.write_csv(f"snapshot_{k:04d}.csv", rows, header="x1..xd,weight")
+    headline = {"reflections_total": int(batch.reflection_counts.sum())}
     if len(batch.snapshots) > cfg["burn_in"] + 1:
         diag = sde_reflect.periodicity_diagnostic(batch, cfg["burn_in"])
-        run.headline["cesaro_defect"] = diag["defect"]
-        run.headline["cesaro_defect_restricted"] = diag["defect_restricted"]
-        run.headline["max_pairwise_tail_dbl"] = diag["max_pairwise_tail_dbl"]
-    run.headline["reflections_total"] = int(batch.reflection_counts.sum())
-    run.finish()
-    return 0
+        headline["cesaro_defect"] = diag["defect"]
+        headline["cesaro_defect_restricted"] = diag["defect_restricted"]
+        headline["max_pairwise_tail_dbl"] = diag["max_pairwise_tail_dbl"]
+    files = [(f"snapshot_{k:04d}.csv", ("x1..xd,weight", snap.points, snap.weights))
+             for k, snap in enumerate(batch.snapshots)]
+    return _Made(cfg, defaulted, files, headline)
 
 
 def _snapshot_times(text):
@@ -465,18 +449,11 @@ def _cmd_fp_solve(args):
                                       form=cfg["form"], snapshot_times=snapshot_times)
     except ValueError as exc:   # the config checks leave only a snapshot time to reject
         raise ConfigError("--snapshots", str(exc)) from None
-    run = _Run(args.out, cfg, defaulted)
-    rows = np.column_stack([grid.centers, p.values])
-    run.write_csv("density.csv", rows, header="x,p")
-    mass_ledger = []
-    for s in snaps:
-        run.write_csv(f"density_t{s.time_stamp:.6g}.csv",
-                      np.column_stack([grid.centers, s.values]), header="x,p")
-        mass_ledger.append({"t": s.time_stamp, "mass": s.mass})
-    run.headline["final_mass"] = p.mass
-    run.headline["mass_ledger"] = mass_ledger
-    run.finish()
-    return 0
+    files = [("density.csv", ("x,p", grid.centers, p.values))]
+    files += [(f"density_t{s.time_stamp:.6g}.csv", ("x,p", grid.centers, s.values))
+              for s in snaps]
+    mass_ledger = [{"t": s.time_stamp, "mass": s.mass} for s in snaps]
+    return _Made(cfg, defaulted, files, {"final_mass": p.mass, "mass_ledger": mass_ledger})
 
 
 def _cmd_eigen(args):
@@ -485,20 +462,17 @@ def _cmd_eigen(args):
     op = period_map.PeriodOperator(grid, coeffs, bc, cfg["period_T"], cfg["dt"],
                                    form=cfg["form"])
     spec = period_map.power_iteration(op, tol=cfg["tol"])
-    run = _Run(args.out, cfg, defaulted)
     doc_out = {"r": spec.r, "log_r": spec.log_r, "mu": spec.mu, "lambda1": spec.mu,
                "residual": spec.residual, "iterations": spec.iterations,
                "bc": bc.kind, "form": cfg["form"]}
-    run.write_text("spectral.json", json.dumps(doc_out, indent=2))
-    run.write_csv("eigvec.csv", np.column_stack([grid.centers, spec.eigvec]),
-                  header="x,v")
-    run.headline.update({"r": spec.r, "log_r": spec.log_r, "mu": spec.mu,
-                         "periods_applied": spec.iterations,
-                         "stiffness_ratio": op.stiffness_ratio,
-                         "eigvec_min_over_max": spec.min_over_max})
-    run.finish()
-    print(json.dumps(doc_out, indent=2))
-    return 0
+    return _Made(cfg, defaulted,
+                 files=[("spectral.json", doc_out),
+                        ("eigvec.csv", ("x,v", grid.centers, spec.eigvec))],
+                 headline={"r": spec.r, "log_r": spec.log_r, "mu": spec.mu,
+                           "periods_applied": spec.iterations,
+                           "stiffness_ratio": op.stiffness_ratio,
+                           "eigvec_min_over_max": spec.min_over_max},
+                 stdout=doc_out)
 
 
 def _cmd_stationary(args):
@@ -512,15 +486,9 @@ def _cmd_stationary(args):
     density = fpe_grid.stationary_closed_form(coeffs, grid)
     times = np.linspace(0.0, cfg["period_T"], 9)
     cond = fpe_grid.check_stationarity_condition(coeffs, grid, times)
-    run = _Run(args.out, cfg, defaulted)
-    run.write_csv("stationary.csv", np.column_stack([grid.centers, density.values]),
-                  header="x,p")
-    run.headline["mass"] = density.mass
-    run.headline["stationarity_residual"] = cond["max_abs_residual"]
-    run.finish()
-    print(json.dumps({"mass": density.mass,
-                      "stationarity_residual": cond["max_abs_residual"]}, indent=2))
-    return 0
+    headline = {"mass": density.mass, "stationarity_residual": cond["max_abs_residual"]}
+    return _Made(cfg, defaulted, [("stationary.csv", ("x,p", grid.centers, density.values))],
+                 headline, stdout=headline)
 
 
 def _auto_pair(problem, dt):
@@ -553,32 +521,24 @@ def _cmd_semilinear(args):
     result = semilinear.monotone_iterate(problem, pair, cfg["dt"],
                                          c=cfg["c_shift"], tol=cfg["tol"],
                                          max_iter=cfg["max_iter"])
-    run = _Run(args.out, cfg, defaulted)
     n_steps = result.trajectory.shape[0] - 1
-    for k in range(0, n_steps + 1, max(1, n_steps // 8)):
-        run.write_csv(f"profile_t{k * cfg['dt']:.6g}.csv",
-                      np.column_stack([grid.centers, result.trajectory[k]]),
-                      header="x,u")
+    files = [(f"profile_t{k * cfg['dt']:.6g}.csv", ("x,u", grid.centers, result.trajectory[k]))
+             for k in range(0, n_steps + 1, max(1, n_steps // 8))]
     trace = {"iterations": result.iterations, "gap": result.gap,
              "periodicity_residual": result.periodicity_residual,
              "c": result.c,
              "deltas_upper": result.deltas_upper,
              "deltas_lower": result.deltas_lower}
-    run.write_text("iteration_trace.json", json.dumps(trace, indent=2))
-    run.headline.update({"gap": result.gap, "iterations": result.iterations,
-                         "periodicity_residual": result.periodicity_residual})
-    run.finish()
-    print(json.dumps({k: trace[k] for k in ("iterations", "gap", "periodicity_residual")},
-                     indent=2))
-    return 0
+    files.append(("iteration_trace.json", trace))
+    summary = {k: trace[k] for k in ("iterations", "gap", "periodicity_residual")}
+    return _Made(cfg, defaulted, files, headline=summary, stdout=summary)
 
 
 def _cmd_selftest(args):
-    checks = []
+    lines = []
 
     def check(name, ok):
-        checks.append(ok)
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     node = parse_expr("x*(1-x)")
     from .coeff_dsl import eval_expr
@@ -653,7 +613,8 @@ def _cmd_selftest(args):
           float(np.max(np.abs(traj[-1] - traj[0]))) <= 1e-9
           and float(np.max(np.ptp(traj, axis=1))) <= 1e-9)
 
-    return 0 if all(checks) else 1
+    failed = any(line.startswith("FAIL") for line in lines)
+    return _Made({}, [], [], {}, stdout="\n".join(lines), code=int(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +688,8 @@ def run(argv) -> int:
         warnings.showwarning = show_warning
         try:
             args = _build_parser().parse_args(argv)
-            return args.fn(args)
+            t0 = time.monotonic()
+            return _record(args.fn(args), getattr(args, "out", None), t0)
         except (PerifpError, MemoryError) as exc:
             # numpy raises a private subclass of MemoryError: report the builtin
             name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import tempfile
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -82,6 +83,22 @@ def test_defaults_recorded_in_manifest(tmp_path):
     # every output file carries a checksum
     for name, digest in manifest["outputs"].items():
         assert _sha(out / name) == digest
+
+
+def test_manifest_duration_spans_the_computation(tmp_path, monkeypatch):
+    # duration_s runs from the end of argument parsing to the manifest write,
+    # not only over the file writes
+    power_iteration = period_map.power_iteration
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return power_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(period_map, "power_iteration", slow)
+    out = tmp_path / "out"
+    assert run(["eigen", "--config", _write(tmp_path / "fp.json", _TINY_FP),
+                "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["duration_s"] >= 0.2
 
 
 def test_fp_solve_reflecting_mass(tmp_path):
@@ -369,6 +386,9 @@ def test_semilinear_standing_iterates_are_a_singular_system(tmp_path, capsys, ma
     ("eigen", {"form": "nondivergence", "a0": "sin(u)"}, "/a0"),
     ("semilinear", {"drift": "u"}, "/drift"),
     ("fp-solve", {"init": {"expr": "1 + t"}}, "/init/expr"),  # read at x only
+    ("fp-solve", {"n_cells": 16, "init": {"csv": "short.csv"}}, "/init/csv"),
+    ("semilinear", {"source_f": None}, "/source_f"),
+    ("semilinear", {"source_f": "1 + u*u"}, "/source_f"),   # f > 0: no M0
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -377,6 +397,7 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     (tmp_path / "text.csv").write_text("x,p\n")
     np.savetxt(tmp_path / "negative.csv", np.column_stack([np.arange(200), np.full(200, -1.0)]),
                delimiter=",")
+    np.savetxt(tmp_path / "short.csv", np.ones((3, 2)), delimiter=",")
     cfg = _write(tmp_path / "fp.json", doc)
     code = run(["--json-errors", command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
@@ -385,6 +406,8 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     assert err["path"] == path
     if path in ("/integrator", "/alpha"):
         assert err["message"] == f"{path}: unknown key"
+    if change.get("init") == {"csv": "short.csv"}:
+        assert err["message"] == "/init/csv: expected 16 rows"
 
 
 @pytest.mark.parametrize("change, path", [
@@ -437,18 +460,22 @@ def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     (["dbl", "--mu", "mu.csv", "--nu", "text.csv"], "--nu"),
     (["dbl", "--mu", "mu.csv", "--nu", "negative.csv"], "--nu"),
     (["markov-check", "--matrix", "I3.csv", "--init", "x0.csv"], "--init"),   # length 2
+    (["dbl", "--mu", "one.csv", "--nu", "mu.csv"], "--mu"),
 ])
 def test_bad_csv_input_reports_flag(tmp_path, monkeypatch, capsys, argv, path):
     monkeypatch.chdir(tmp_path)
     files = {"P.csv": "1,0\n0,1\n", "I3.csv": "1,0,0\n0,1,0\n0,0,1\n", "Q.csv": "0.5,0\n0.6,1\n", "nan.csv": "nan,0\n0,1\n",
              "x0.csv": "0.5,0.5\n", "y0.csv": "0.7,0.7\n", "mu.csv": "0.0,1.0\n",
-             "negative.csv": "0.0,-0.5\n1.0,1.5\n", "text.csv": "x,weight\n"}
+             "negative.csv": "0.0,-0.5\n1.0,1.5\n", "text.csv": "x,weight\n",
+             "one.csv": "0.5\n1.0\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run(["--json-errors"] + argv) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["path"] == path
+    if "one.csv" in argv:
+        assert err["message"].endswith("need columns x1..xd,weight")
 
 
 @pytest.mark.parametrize("argv, path", [
@@ -477,15 +504,20 @@ def test_empty_csv_is_one_json_error(tmp_path, monkeypatch, capsys, argv, path):
     ["fp-solve", "--config", "fp.json", "--out", "afile"],
     ["eigen", "--config", "fp.json", "--out", "afile/sub"],
     ["markov-check", "--matrix", "P.csv", "--init", "x0.csv", "--out", "afile"],
-], ids=["fp-solve-file", "eigen-under-file", "markov-check-file"])
+    ["dbl", "--mu", "mu.csv", "--nu", "mu.csv", "--out", "afile"],
+], ids=["fp-solve-file", "eigen-under-file", "markov-check-file", "dbl-file"])
 def test_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
-    # --out names a regular file, or a path under one: no directory can be made
+    # --out names a regular file, or a path under one: no directory can be
+    # made, and nothing is printed, as stdout comes after the outputs
     monkeypatch.chdir(tmp_path)
-    for name, text in {"afile": "", "P.csv": "0,1\n1,0\n", "x0.csv": "0.5,0.5\n"}.items():
+    for name, text in {"afile": "", "P.csv": "0,1\n1,0\n", "x0.csv": "0.5,0.5\n",
+                       "mu.csv": "0.0,1.0\n"}.items():
         (tmp_path / name).write_text(text)
     _write(tmp_path / "fp.json", _TINY_FP)
     assert run(["--json-errors"] + argv) == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["path"] == "--out"
 
@@ -516,11 +548,13 @@ _TINY_FP = {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 0.1, "n_cells": 
                     "sigma": None, "a_eff": "1", "source_f": "u*(1-u)*exp(700*u)"},
      "NonFiniteState"),
     ("stationary", {"drift": "exp(800*x)", "bc": "reflecting"}, "QuadratureOverflow"),
+    ("simulate-sde", {"drift": ["1e308*(1+x)"]}, "NonFiniteState"),
 ], ids=["fp-drift-overflow", "fp-a0-growth", "eigen-a0-growth", "semilinear-overflow",
-        "stationary-overflow"])
+        "stationary-overflow", "sde-drift-overflow"])
 def test_non_finite_numbers_are_one_typed_error(tmp_path, capsys, command, change, error):
     # no exit 0 with NaN output, no traceback, no 20000 power iterations on NaN
-    cfg = _write(tmp_path / "c.json", {**_TINY_FP, **change})
+    cfg = _sde_config(tmp_path, **change) if command == "simulate-sde" \
+        else _write(tmp_path / "c.json", {**_TINY_FP, **change})
     assert run(["--json-errors", command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [line["error"] for line in lines if "error" in line] == [error]
