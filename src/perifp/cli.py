@@ -11,6 +11,7 @@ argument parsing, per-output checksums) and prints last.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -282,6 +283,7 @@ class _Made(NamedTuple):
 
 def _record(made, out, t0):
     """Write made's files and manifest.json under out, if given; then print made.stdout."""
+    shown = json.dumps(made.stdout, indent=2) if isinstance(made.stdout, dict) else made.stdout
     if out is not None:
         out = Path(out)
         try:
@@ -290,7 +292,9 @@ def _record(made, out, t0):
             raise ConfigError("--out", f"cannot create the output directory: {exc}") from exc
         checksums = {}
         for name, content in made.files:
-            if isinstance(content, dict):
+            if content is made.stdout:     # a printed document is encoded once
+                text = shown
+            elif isinstance(content, dict):
                 text = json.dumps(content, indent=2)
             else:
                 header, *columns = content
@@ -305,9 +309,8 @@ def _record(made, out, t0):
                     "duration_s": time.monotonic() - t0,
                     "outputs": checksums, "headline": made.headline}
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    if made.stdout is not None:
-        print(made.stdout if isinstance(made.stdout, str)
-              else json.dumps(made.stdout, indent=2))
+    if shown is not None:
+        print(shown)
     return made.code
 
 
@@ -575,19 +578,24 @@ def _cmd_selftest(args):
     grid = fpe_grid.Grid1D(32, 0.0, 1.0)
     coeffs = fpe_grid.FpCoefficients(
         a_eff=CoefficientField.from_string("1 + 0.5*sin(2*pi*t)", T), b=zero)
-    p0 = fpe_grid.DensityField(grid, np.ones(32))
-    p1 = fpe_grid.step_cn(p0, coeffs, fpe_grid.reflecting(), 0.01)
-    check("fpe_grid: reflecting CN conserves mass", abs(p1.mass - p0.mass) < 1e-13)
-    # two periods of N = 8 steps: the second reuses the first one's factors
-    prop = fpe_grid.Propagator(grid, coeffs, fpe_grid.absorbing(), T, T / 8, startup=False)
-    V, _ = prop.march(p0.values, 16)
-    for _ in range(16):
-        p0 = fpe_grid.step_cn(p0, coeffs, fpe_grid.absorbing(), T / 8)
-    check("fpe_grid: CN march equals the step_cn loop", np.max(np.abs(V - p0.values)) < 1e-12)
+    reflect = fpe_grid.Propagator(grid, coeffs, fpe_grid.reflecting(), T, T / 8)
+    V, _ = reflect.march(2 * grid.centers, 16)      # mass 1
+    check("fpe_grid: reflecting CN conserves mass", abs(np.sum(V) * grid.dx - 1.0) < 1e-13)
+    # two periods of N = 128 steps, the second on the first one's factors:
+    # CN maps the sine mode to itself, times (1 + dt a_k lam/2)/(1 - dt a_k lam/2)
+    dt = T / 128
+    prop = fpe_grid.Propagator(grid, coeffs, fpe_grid.absorbing(), T, dt, startup=False)
+    mode = np.sin(np.pi * grid.centers)
+    V, _ = prop.march(mode, 256)
+    z = dt / 2 * coeffs.a_eff(t=(np.arange(128) + 0.5) * dt) * (
+        -4 / grid.dx**2 * np.sin(np.pi * grid.dx / 2) ** 2)
+    amp = np.prod((1 + z) / (1 - z)) ** 2          # 2.7e-9, far above roundoff
+    check("fpe_grid: CN march decays the sine mode exactly",
+          np.max(np.abs(V - amp * mode)) < 1e-12 * amp)
 
-    pm = period_map.PeriodMap(np.eye(8), T)
-    spec = period_map.power_iteration(pm)
-    check("period_map: K = I gives r = 1", abs(spec.r - 1.0) < 1e-12)
+    spec = period_map.power_iteration(
+        period_map.PeriodOperator(grid, coeffs, fpe_grid.reflecting(), T, T / 8))
+    check("period_map: reflecting walls give r = 1", abs(spec.r - 1.0) < 1e-12)
 
     prob = semilinear.SemilinearProblem(
         coeffs=fpe_grid.FpCoefficients(a_eff=one, b=zero,
@@ -634,7 +642,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(name if name.startswith("-") else "argv", message)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused by every run."""
     parser = _Parser(prog="perifp", description="Distributional periodicity toolkit")
     parser.add_argument("--json-errors", action="store_true",
                         help="emit structured JSON diagnostics on stderr")

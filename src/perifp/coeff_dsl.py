@@ -11,7 +11,8 @@ than unary minus):
 
 Identifiers are restricted to the variables {t, x, u}, the constants
 {pi, e} and the one-argument functions {sin, cos, exp, log, sqrt, abs,
-tanh}.  There is no implicit multiplication: "2x" is a syntax error.
+tanh}.  There is no implicit multiplication: "2x" is a syntax error, and
+so is a number literal that overflows to infinity.
 
 Evaluation accepts scalars or numpy arrays for the variables and is
 total on the declared domain: division by zero and out-of-domain
@@ -34,7 +35,21 @@ from .errors import EvalError, ExprSyntaxError, UnknownIdentifier
 
 VARIABLES = ("t", "x", "u")
 CONSTANTS = {"pi": math.pi, "e": math.e}
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh")
+
+
+def _checked(fn, outside, message):
+    """fn behind its domain check: EvalError where outside(arg) holds anywhere."""
+    def call(arg):
+        if np.any(outside(np.asarray(arg))):
+            raise EvalError("domain", message)
+        return fn(arg)
+    return call
+
+
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "tanh": np.tanh,
+             "log": _checked(np.log, lambda a: a <= 0, "log of non-positive value"),
+             "sqrt": _checked(np.sqrt, lambda a: a < 0, "sqrt of negative value")}
+
 # operands nest one level per parenthesis, call, unary minus, power and
 # chained + - * / operator: bounds the parser's recursion and the AST depth
 MAX_DEPTH = 100
@@ -85,35 +100,25 @@ Expr = Union[Num, Var, Const, Neg, Bin, Call]
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
+# binary operator levels, loosest first; each is a left-associative chain
+_LEVELS = ("+-", "*/")
 
 
 def _tokenize(source: str):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(source) - len(stripped)
-            raise ExprSyntaxError(bad_at, f"unexpected character {source[bad_at]!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(m.start(kind), f"unexpected character {m[kind]!r}")
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("end", "", len(source)))
     return tokens
 
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
         self.depth = 0
@@ -121,79 +126,60 @@ class _Parser:
     def peek(self):
         return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def accept(self, ops):
+        """Consume the next token and return its text if it is one of ops."""
+        kind, text, _ = self.peek()
+        if kind == "op" and text in ops:
+            self.i += 1
+            return text
+        return None
 
     def expect_op(self, op):
-        kind, text, pos = self.peek()
-        if kind == "op" and text == op:
-            return self.advance()
-        raise ExprSyntaxError(pos, f"expected {op!r}, found {text or 'end of input'!r}")
+        if not self.accept(op):
+            _, text, pos = self.peek()
+            raise ExprSyntaxError(pos, f"expected {op!r}, found {text or 'end of input'!r}")
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node = self.chain()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(pos, f"trailing input {text!r}")
         return node
 
-    def expr(self) -> Expr:
+    def chain(self, level=0) -> Expr:
+        if level == len(_LEVELS):
+            return self.unary()
         depth = self.depth
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                self.depth += 1     # the chain so far is the left operand
-                node = Bin(text, node, self.term())
-            else:
-                self.depth = depth
-                return node
-
-    def term(self) -> Expr:
-        depth = self.depth
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                self.depth += 1
-                node = Bin(text, node, self.unary())
-            else:
-                self.depth = depth
-                return node
+        node = self.chain(level + 1)
+        while op := self.accept(_LEVELS[level]):
+            self.depth += 1     # the chain so far is the left operand
+            node = Bin(op, node, self.chain(level + 1))
+        self.depth = depth
+        return node
 
     def unary(self) -> Expr:
-        kind, text, pos = self.peek()
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ExprSyntaxError(pos, f"nested deeper than {MAX_DEPTH} levels")
-        if kind == "op" and text == "-":
-            self.advance()
-            node = Neg(self.unary())
-        else:
-            node = self.power()
+            raise ExprSyntaxError(self.peek()[2], f"nested deeper than {MAX_DEPTH} levels")
+        node = Neg(self.unary()) if self.accept("-") else self.power()
         self.depth -= 1
         return node
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Bin("^", base, self.unary())
-        return base
+        return Bin("^", base, self.unary()) if self.accept("^") else base
 
     def atom(self) -> Expr:
-        kind, text, pos = self.advance()
+        kind, text, pos = self.peek()
+        self.i += 1
         if kind == "num":
-            return Num(float(text))
+            if not math.isfinite(value := float(text)):
+                raise ExprSyntaxError(pos, f"number {text!r} is out of range")
+            return Num(value)
         if kind == "ident":
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.chain()
                 self.expect_op(")")
                 return Call(text, arg)
             if text in CONSTANTS:
@@ -202,7 +188,7 @@ class _Parser:
                 return Var(text)
             raise UnknownIdentifier(text)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.chain()
             self.expect_op(")")
             return node
         raise ExprSyntaxError(pos, f"expected a value, found {text or 'end of input'!r}")
@@ -232,18 +218,7 @@ def eval_expr(node: Expr, env: dict):
     if isinstance(node, Neg):
         return -eval_expr(node.operand, env)
     if isinstance(node, Call):
-        arg = eval_expr(node.arg, env)
-        if node.fn == "log":
-            if np.any(np.asarray(arg) <= 0):
-                raise EvalError("domain", "log of non-positive value")
-            return np.log(arg)
-        if node.fn == "sqrt":
-            if np.any(np.asarray(arg) < 0):
-                raise EvalError("domain", "sqrt of negative value")
-            return np.sqrt(arg)
-        fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-              "abs": np.abs, "tanh": np.tanh}[node.fn]
-        return fn(arg)
+        return FUNCTIONS[node.fn](eval_expr(node.arg, env))
     if isinstance(node, Bin):
         left = eval_expr(node.left, env)
         right = eval_expr(node.right, env)

@@ -259,7 +259,9 @@ class Propagator:
     The constructor assembles the N operators a block of about
     BLOCK_ENTRIES at a time and LU factors each once (LAPACK dgttrf) into
     phases; as the explicit operator is 2I - M, a step is one dgttrs
-    back-substitution Y = M^-1 (V + (dt/2) g), V <- 2Y - V.
+    back-substitution Y = M^-1 (V + (dt/2) g), V <- 2Y - V.  If no
+    coefficient reads t and c is equal in every phase, the N operators are
+    one, and phases holds its one factor.
 
     With startup, every march makes its first step two implicit-Euler half
     steps with phase 0, V <- M_0^-1 (V + (dt/2) g_0) twice (Rannacher
@@ -273,15 +275,18 @@ class Propagator:
                  T: float, dt: float, form: str = "divergence", c=0.0, startup: bool = True):
         self.n_phases = step_count(T, dt)
         # the factors repeat only if every coefficient repeats within T
-        periods = [f.period_T for f in (coeffs.a_eff, coeffs.b, coeffs.a0) if f is not None]
+        fields = [f for f in (coeffs.a_eff, coeffs.b, coeffs.a0) if f is not None]
+        periods = [f.period_T for f in fields]
         if not all(p and abs(T / p - round(T / p)) <= 1e-9 * T / p for p in periods):
             raise ValueError(f"coefficient periods {periods!r} must divide T = {T!r}")
         self.grid, self.coeffs, self.bc, self.dt = grid, coeffs, bc, dt
         self.form, self.startup = form, startup
         times = (np.arange(self.n_phases) + 0.5) * dt
         c = np.asarray(c, dtype=float)
-        shifts = np.broadcast_to(c.reshape(c.shape + (1,) * (2 - c.ndim)),
-                                 (self.n_phases, grid.n_cells))
+        c = c.reshape(c.shape + (1,) * (2 - c.ndim))
+        shifts = np.broadcast_to(c, (self.n_phases, grid.n_cells))
+        if not any("t" in f.reads for f in fields) and np.all(c == c[:1]):
+            times, shifts = times[:1], shifts[:1]   # every phase has the same operator
         size = max(1, BLOCK_ENTRIES // grid.n_cells)
         self.phases = []
         self.stiffness_ratio = max(self._factor(times[k0:k0 + size], shifts[k0:k0 + size])
@@ -317,7 +322,7 @@ class Propagator:
             sources = np.ascontiguousarray(sources.transpose(0, 2, 1)).transpose(0, 2, 1)
         # dgttrs copies V; it solves V + (dt/2) g, a new column-major array, in place
         fresh = sources is not None
-        phases, n_phases = self.phases, self.n_phases
+        phases, n_phases = self.phases, len(self.phases)
         for k in range(n_steps):
             rhs = V if sources is None else V + sources[k]
             Y, _ = dgttrs(*phases[k % n_phases], rhs, overwrite_b=fresh)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifp import fpe_grid, period_map, semilinear
+from perifp import cli, fpe_grid, period_map, semilinear
 from perifp.cli import _FP_SCHEMA, _SDE_SCHEMA, _auto_pair, run
 from perifp.coeff_dsl import CoefficientField
 
@@ -99,6 +99,39 @@ def test_manifest_duration_spans_the_computation(tmp_path, monkeypatch):
     assert run(["eigen", "--config", _write(tmp_path / "fp.json", _TINY_FP),
                 "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["duration_s"] >= 0.2
+
+
+def test_argument_parser_is_built_once(monkeypatch):
+    # the parser and its eight subparsers are built on the first run only
+    assert run(["dbl"]) == 2            # a usage error: --mu is missing
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert run(["dbl"]) == 2
+    assert built == []
+
+
+def test_printed_document_is_the_written_text(tmp_path, monkeypatch, capsys):
+    # dbl prints the text of dbl_result.json, encoded to JSON once
+    for name, text in (("a.csv", "0.0,1.0\n"), ("b.csv", "1.0,1.0\n")):
+        (tmp_path / name).write_text(text)
+    dumps, encoded = json.dumps, []
+
+    def counted(obj, *args, **kwargs):
+        encoded.append("witness" in obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", counted)
+    out = tmp_path / "out"
+    assert run(["dbl", "--mu", str(tmp_path / "a.csv"), "--nu", str(tmp_path / "b.csv"),
+                "--out", str(out)]) == 0
+    assert encoded.count(True) == 1
+    assert capsys.readouterr().out == (out / "dbl_result.json").read_text() + "\n"
 
 
 def test_fp_solve_reflecting_mass(tmp_path):
@@ -389,6 +422,8 @@ def test_semilinear_standing_iterates_are_a_singular_system(tmp_path, capsys, ma
     ("fp-solve", {"n_cells": 16, "init": {"csv": "short.csv"}}, "/init/csv"),
     ("semilinear", {"source_f": None}, "/source_f"),
     ("semilinear", {"source_f": "1 + u*u"}, "/source_f"),   # f > 0: no M0
+    ("fp-solve", {"drift": "1e400*x"}, "/drift"),       # a literal that overflows
+    ("eigen", {"sigma": "sqrt(2) + 0*1.8e308"}, "/sigma"),
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -408,6 +443,9 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
         assert err["message"] == f"{path}: unknown key"
     if change.get("init") == {"csv": "short.csv"}:
         assert err["message"] == "/init/csv: expected 16 rows"
+    if change.get("drift") == "1e400*x":
+        assert err["message"] == ("/drift: bad expression: "
+                                  "at offset 0: number '1e400' is out of range")
 
 
 @pytest.mark.parametrize("change, path", [
@@ -431,6 +469,7 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     ({"domain": {"lower": [0.0], "upper": [math.inf]}}, "/domain/upper/0"),
     ({"drift": ["u"]}, "/drift/0"),                     # no SDE coefficient reads u
     ({"sigma": [["t*u"]]}, "/sigma/0/0"),
+    ({"drift": ["1e400"]}, "/drift/0"),                 # a literal that overflows
 ])
 def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     np.savetxt(tmp_path / "three.csv", np.full((3, 1), 0.5), delimiter=",")

@@ -57,6 +57,28 @@ def test_syntax_error_carries_position():
     assert exc.value.position == 2
 
 
+@pytest.mark.parametrize("source, position, literal", [
+    ("1e400", 0, "1e400"),
+    ("2*x + 1.8e308", 6, "1.8e308"),
+    ("sin(  99999e99999)", 6, "99999e99999"),
+])
+def test_literal_that_overflows_is_a_syntax_error(source, position, literal):
+    with pytest.raises(ExprSyntaxError, match=f"number '{literal}' is out of range") as exc:
+        parse_expr(source)
+    assert exc.value.position == position
+    assert parse_expr("1e-400") == Num(0.0)         # underflow stays a finite number
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789.eE+-*/^() xtupisncoxlgqrabh$_\t", max_size=40))
+def test_any_string_parses_or_raises_a_parse_error(source):
+    try:
+        node = parse_expr(source)
+    except (ExprSyntaxError, UnknownIdentifier):
+        return
+    assert parse_expr(pretty(node)) == node
+
+
 def test_empty_and_unbalanced():
     for bad in ("", "(x", "x)", "x +", "* x"):
         with pytest.raises(ExprSyntaxError):

@@ -1,6 +1,7 @@
 """Conservative Fokker-Planck finite differences in one dimension."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,54 @@ def test_ellipticity_violation_mid_block_reports_its_time():
         assert exc.t == pytest.approx(t_bad, abs=1e-15)
         assert exc.x == grid.centers[0]
     assert marched.value.value == pytest.approx(stepped.value.value, abs=1e-13)
+
+
+def test_phase_independent_operator_is_factored_once():
+    # no coefficient reads t and the shift is one value: one factor serves
+    # every phase (a table of 256 factors holds 46 MB at this size)
+    grid = Grid1D(5000, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        prop = Propagator(grid, FpCoefficients(a_eff=ONE, b=ZERO), absorbing(), T, T / 256)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert prop.n_phases == 256 and len(prop.phases) == 1
+    assert held < 2e6
+
+
+@pytest.mark.parametrize("bc, form, a0, c", [
+    (absorbing(), "divergence", None, 0.0),
+    (reflecting(), "divergence", None, 0.0),
+    (neumann(), "nondivergence", "1 + x", 0.5),
+    (robin(1.0, 2.0), "nondivergence", "1 + x", np.full(64, 0.5)),
+    (absorbing(), "nondivergence", None, np.full((64, 40), -0.5)),
+])
+@pytest.mark.parametrize("startup", [True, False])
+def test_one_factor_marches_as_the_full_table(bc, form, a0, c, startup):
+    # "+ 0*t" reads t without changing a value, so it keeps all 64 factors
+    grid = Grid1D(40, 0.0, 1.0)
+
+    def coeffs(tail):
+        return FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*x" + tail, T),
+                              b=CoefficientField.from_string("2*(1 - 2*x)", T),
+                              a0=None if a0 is None else CoefficientField.from_string(a0, T))
+
+    one = Propagator(grid, coeffs(""), bc, T, T / 64, form, c=c, startup=startup)
+    table = Propagator(grid, coeffs(" + 0*t"), bc, T, T / 64, form, c=c, startup=startup)
+    assert (len(one.phases), len(table.phases)) == (1, 64)
+    assert one.stiffness_ratio == table.stiffness_ratio
+    V0 = np.column_stack([1.0 + np.sin(3 * grid.centers), grid.centers])
+    sources = np.cos(np.arange(150))[:, None, None] * np.ones((150, 40, 2))
+    for args in ((V0, 150), (V0, 150, sources)):
+        assert one.march(*args)[0].tobytes() == table.march(*args)[0].tobytes()
+
+
+def test_shift_that_changes_with_the_phase_keeps_every_factor():
+    grid = Grid1D(40, 0.0, 1.0)
+    prop = Propagator(grid, FpCoefficients(a_eff=ONE, b=ZERO), neumann(), T, T / 64,
+                      "nondivergence", c=np.linspace(0.0, 1.0, 64))
+    assert len(prop.phases) == 64
 
 
 def test_whole_period_is_factored_before_a_shorter_march():
