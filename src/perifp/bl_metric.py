@@ -15,7 +15,9 @@ d_BL(c*mu, c*nu) = c*d_BL(mu, nu).
 In d = 1 the sorted support is a chain: |z_i - z_j| is the sum of the
 gaps between them, so the K - 1 adjacent constraints imply all the
 others, and a dynamic program over concave piecewise-linear value
-functions solves the chain exactly in one pass.
+functions solves the chain exactly in one pass.  Each function is held
+as its slope breakpoints in two deques, one each side of its peak, so a
+step costs O(1) plus one per breakpoint the peak crosses.
 
 In d >= 2, two measures with the same number of points and one common
 weight w (the laws ``EmpiricalMeasure.from_samples`` builds, and every
@@ -32,6 +34,7 @@ different witnesses of the same distance.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,34 +141,45 @@ def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
 
 
 def _chain_witness(z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Maximizer of c.h over |h_i| <= 1, |h_{i+1} - h_i| <= z_{i+1} - z_i.
+    """Maximizer of c.h over |h_i| <= 1, |h_{i+1} - h_i| <= g_i = z_{i+1} - z_i.
 
     Forward pass: V_1(h) = c_1 h and
     V_{i+1}(h) = c_{i+1} h + max_{|h' - h| <= g_i} V_i(h') on [-1, 1].
-    Each V_i is concave piecewise linear, held as breakpoints xs and
-    values vs.  The max over the window dilates V_i around a peak: the
-    part left of it moves by -g_i, the part right of it by +g_i, and the
-    peak value spans the gap.  Backward pass: given h_{i+1}, the best
-    h_i is the point of its window nearest to V_i's peak.
+    Each V_i is concave piecewise linear, held as (position, slope drop)
+    breakpoints in two deques, nearest the peak first: the left one at
+    raw - s, the right one mirrored, at -(raw - s).  The max over the
+    window moves each side outward by g_i, which is s += g_i; the clip to
+    [-1, 1] pops from the far ends and pushes a wall of infinite drop;
+    adding c_{i+1} h moves breakpoints across the peak until the slope
+    changes sign, splitting at most one.  Only the peak's left end is
+    kept, clamped to [-1, 1] against rounding.  Backward pass: given
+    h_{i+1}, the best h_i is the point of its window nearest to V_i's peak.
     """
-    g = np.diff(z)
-    K = len(c)
-    xs, vs = np.array([-1.0, 1.0]), np.array([-c[0], c[0]])
-    peaks = np.empty(K - 1)
-    for i in range(K - 1):
-        k = int(np.argmax(vs))
-        peaks[i] = xs[k]
-        xs = np.concatenate([xs[:k + 1] - g[i], xs[k:] + g[i]])
-        vs = np.concatenate([vs[:k + 1], vs[k:]])
-        inside = (xs > -1.0) & (xs < 1.0)
-        lo, hi = np.interp([-1.0, 1.0], xs, vs)
-        xs = np.concatenate([[-1.0], xs[inside], [1.0]])
-        vs = np.concatenate([[lo], vs[inside], [hi]]) + c[i + 1] * xs
-    h = np.empty(K)
-    h[-1] = xs[np.argmax(vs)]
+    g = np.diff(z, append=z[-1]).tolist()    # a last gap of 0 ends the forward pass
+    c, K, inf, s = c.tolist(), len(c), float("inf"), 0.0
+    left, right = deque([(-1.0, inf)]), deque([(-1.0, inf)])
+    h = [0.0] * K                            # the peak of V_i, then h_i
+    for i in range(K):
+        a, src, dst = (c[i], right, left) if c[i] > 0.0 else (-c[i], left, right)
+        while a > 0.0:
+            x, d = src.popleft()
+            if d > a:
+                src.appendleft((x, d - a))
+                d = a
+            dst.appendleft((2.0 * s - x, d))
+            a -= d
+        h[i] = min(max(left[0][0] - s, -1.0), 1.0)
+        s += g[i]
+        for side in (left, right):
+            while side and side[-1][0] - s <= -1.0:
+                side.pop()
+            side.append((s - 1.0, inf))
+        if s > 2.0:     # back to s = 0: a raw position near s keeps only ulp(s)
+            left, right = (deque((x - s, d) for x, d in side) for side in (left, right))
+            s = 0.0
     for i in range(K - 2, -1, -1):
-        h[i] = min(max(peaks[i], h[i + 1] - g[i]), h[i + 1] + g[i])
-    return h
+        h[i] = min(max(h[i], h[i + 1] - g[i]), h[i + 1] + g[i])
+    return np.array(h)
 
 
 def _truncated_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -262,13 +262,14 @@ class CoefficientField:
     If period_T is set the field is evaluated at ``t mod period_T``
     (exact floating remainder), making the declared periodicity an
     enforced invariant rather than a user obligation.  ``reads`` is the
-    set of variables the expression reads.
+    set of variables the expression reads; ``folded`` is the read-only
+    value of one that reads none, computed once (else None).
     """
 
     expr: Expr
     period_T: float | None = None
     reads: frozenset = field(init=False, repr=False, compare=False)
-    _value: np.ndarray | None = field(init=False, repr=False, compare=False)
+    folded: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.period_T is not None and not self.period_T > 0:
@@ -285,7 +286,7 @@ class CoefficientField:
                 pass
             else:
                 value.flags.writeable = False
-        object.__setattr__(self, "_value", value)
+        object.__setattr__(self, "folded", value)
 
     @classmethod
     def from_string(cls, source: str, period_T: float | None = None) -> "CoefficientField":
@@ -301,9 +302,9 @@ class CoefficientField:
         """A float ndarray of the broadcast shape of the arguments given (0-d
         if all are scalars); a read-only view where the expression ignores one."""
         shape = np.broadcast(*(v for v in (t, x, u) if v is not None)).shape
-        if self._value is not None:
+        if self.folded is not None:
             # the one folded value, strided 0 along every axis
-            return np.ndarray(shape, float, buffer=self._value, strides=(0,) * len(shape))
+            return np.ndarray(shape, float, buffer=self.folded, strides=(0,) * len(shape))
         out = np.asarray(eval_expr(self.expr, {"t": None if t is None else self._reduce_t(t),
                                                "x": x, "u": u}), dtype=float)
         return out if out.shape == shape else np.broadcast_to(out, shape)

@@ -104,7 +104,7 @@ def detect_strong_period(P: TransitionMatrix, N_max: int = 64,
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     sigma, cols = np.argmax(P.entries, axis=0), np.arange(P.m)
-    if np.unique(sigma).size != P.m:
+    if np.bincount(sigma, minlength=P.m).max() != 1:    # sigma is not a bijection
         return None
     off = np.abs(P.entries)
     off[sigma, cols] = np.abs(1.0 - P.entries[sigma, cols])

@@ -93,12 +93,14 @@ def em_reflect_step(x: np.ndarray, t: float, dt: float, dW: np.ndarray,
     drift, noise = np.empty((2, len(x)))
     for i, (b, row) in enumerate(zip(sys.drift, sys.diffusion)):
         xi = x[:, i]    # every coefficient of component i reads x_i before it moves
-        np.multiply(b(t=t, x=xi), dt, out=drift)
+        # a folded constant b moves every x_i by the one scalar fl(b dt)
+        bdt = (np.multiply(b(t=t, x=xi), dt, out=drift) if b.folded is None
+               else float(b.folded) * dt)
         np.multiply(row[0](t=t, x=xi), dW[:, 0], out=noise)
         noise += 0.0    # the sum starts from +0.0: a -0.0 product adds as +0.0
         for j in range(1, len(row)):
             noise += row[j](t=t, x=xi) * dW[:, j]
-        xi += drift
+        xi += bdt
         xi += noise
     if not np.isfinite(x).all():
         raise NonFiniteState("drift/diffusion produced non-finite state")
@@ -128,7 +130,7 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
         raise ValueError("start points must lie in the box")
 
     sqrt_dt = np.sqrt(dt)
-    reflections = np.zeros(M, dtype=np.int64)
+    reflections, tally = np.zeros(M, dtype=np.int64), np.zeros(M, dtype=np.uint8)
     # one generator, re-keyed every step to the bits of Generator(Philox(key=[seed, s]))
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     normal = np.random.Generator(bits).standard_normal
@@ -145,13 +147,17 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
     snapshots = [emit(X)]
     for period in range(n_periods):
         for k in range(steps_per_period):
-            key[1] = period * steps_per_period + k
+            key[1] = step = period * steps_per_period + k
             bits.state = state
             normal(out=dW)
             dW *= sqrt_dt
             X, hit = em_reflect_step(X, k * dt, dt, dW, sys)
-            reflections += hit
+            tally += hit.view(np.uint8)
+            if step % 255 == 254:     # flushed before a uint8 count can wrap
+                reflections += tally
+                tally.fill(0)
         snapshots.append(emit(X))
+    reflections += tally
     return TrajectoryBatch(snapshots=snapshots, reflection_counts=reflections)
 
 

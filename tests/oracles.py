@@ -117,3 +117,30 @@ def em_loop(sys, init, M, n_periods, dt, seed):
             step_index += 1
         laws.append(X.copy())
     return laws, reflections
+
+
+def chain_dp(z, c):
+    """Maximizer of c.h over |h_i| <= 1, |h_{i+1} - h_i| <= z_{i+1} - z_i,
+    by the dense dynamic program: each concave piecewise-linear V_i is held
+    as all its breakpoints xs and values vs, rebuilt every step (O(K) numpy
+    work per step).  The max over the window moves the part left of the
+    peak by -g_i and the part right of it by +g_i; the backward pass takes
+    the point of h_i's window nearest to V_i's peak."""
+    g = np.diff(z)
+    K = len(c)
+    xs, vs = np.array([-1.0, 1.0]), np.array([-c[0], c[0]])
+    peaks = np.empty(K - 1)
+    for i in range(K - 1):
+        k = int(np.argmax(vs))
+        peaks[i] = xs[k]
+        xs = np.concatenate([xs[:k + 1] - g[i], xs[k:] + g[i]])
+        vs = np.concatenate([vs[:k + 1], vs[k:]])
+        inside = (xs > -1.0) & (xs < 1.0)
+        lo, hi = np.interp([-1.0, 1.0], xs, vs)
+        xs = np.concatenate([[-1.0], xs[inside], [1.0]])
+        vs = np.concatenate([[lo], vs[inside], [hi]]) + c[i + 1] * xs
+    h = np.empty(K)
+    h[-1] = xs[np.argmax(vs)]
+    for i in range(K - 2, -1, -1):
+        h[i] = min(max(peaks[i], h[i + 1] - g[i]), h[i + 1] + g[i])
+    return h

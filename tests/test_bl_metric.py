@@ -9,6 +9,8 @@ from perifp.bl_metric import (EmpiricalMeasure, _dbl_lp, _merge_support, cesaro_
                               coarsen, dbl)
 from perifp.errors import DimensionMismatch, SolverFailure
 
+from oracles import chain_dp
+
 
 def grid_oracle(mu, nu, step=0.001):
     """Independent brute-force d_BL for small merged supports (K <= 8).
@@ -210,6 +212,102 @@ def test_chain_matches_lp_sample_clouds():
         _assert_chain_matches_lp(mu, nu)
         _assert_chain_matches_lp(EmpiricalMeasure(mu.points, 0.6 * mu.weights),
                                  EmpiricalMeasure(nu.points, 0.8 * nu.weights))
+
+
+# ---------------------------------------------------------------------------
+# the breakpoint-deque chain program against the dense DP of tests/oracles.py
+
+CHAIN_FAMILIES = ("random", "alternating", "tiny-vs-large", "tiny-gaps", "zeros",
+                  "wide-gaps", "sub-probability", "swing", "far-point")
+
+
+def _chain_pair(gen, family, K):
+    """A seeded 1D pair whose merged support has K points, in one stress family.
+
+    alternating: signs alternate along the line; tiny-vs-large: masses of
+    1e-6 against a few of order 1; tiny-gaps: gaps of 1e-9 to 1e-6; zeros:
+    a third of the points carry equal mass in both measures, so c_i = 0;
+    wide-gaps: every gap >= 2; sub-probability: total masses 0.3 and 0.8;
+    swing: K/2 tiny masses, then large ones of alternating sign, so the
+    peak swings across all the small slope changes at every step;
+    far-point: the first point 10^9 left of the others.
+    """
+    gaps = gen.uniform(1e-3, 1.0, K - 1) / np.sqrt(K)
+    if family == "tiny-gaps":
+        gaps = gen.uniform(1e-9, 1e-6, K - 1)
+    elif family == "wide-gaps":
+        gaps = gen.uniform(2.0, 5.0, K - 1)
+    z = np.concatenate([[gen.uniform(-1.0, 1.0)], gen.uniform(-1.0, 1.0) + np.cumsum(gaps)])
+    if family == "far-point":
+        z[0] -= 1e9
+    w = gen.uniform(0.05, 1.0, K)
+    sign = gen.choice([-1.0, 1.0], K)
+    if family == "alternating":
+        sign = np.where(np.arange(K) % 2 == 0, 1.0, -1.0)
+    elif family == "tiny-vs-large":
+        w = np.where(gen.random(K) < 0.05, w, 1e-6 * w)
+    elif family == "swing":
+        half = K // 2
+        w[:half] *= 1e-6
+        sign[:half] = 1.0
+        sign[half:] = np.where(np.arange(K - half) % 2 == 0, -1.0, 1.0)
+    w /= w.sum()
+    if family == "sub-probability":
+        w[sign > 0] *= 0.3 / max(w[sign > 0].sum(), 1e-300)
+        w[sign < 0] *= 0.8 / max(w[sign < 0].sum(), 1e-300)
+    pos, neg = sign > 0, sign < 0
+    if family == "zeros":
+        both = gen.random(K) < 1 / 3
+        pos, neg = pos | both, neg | both
+    return (EmpiricalMeasure(z[pos, None], w[pos]), EmpiricalMeasure(z[neg, None], w[neg]))
+
+
+def _assert_chain_matches_dp(mu, nu):
+    res = dbl(mu, nu)
+    support, c = _merge_support(mu, nu)
+    z = support[:, 0]
+    assert res.status == "optimal"
+    np.testing.assert_array_equal(res.support, support)
+    assert abs(res.distance - float(c @ chain_dp(z, c))) <= 1e-12
+    h = res.witness
+    assert np.all(np.abs(h) <= 1.0)
+    assert np.all(np.abs(np.diff(h)) <= np.diff(z) + 1e-12)
+    assert abs(float(c @ h) - res.distance) <= 1e-12
+    return len(z)
+
+
+@pytest.mark.parametrize("family", CHAIN_FAMILIES)
+def test_chain_matches_dense_dp(family):
+    seed = 60 + CHAIN_FAMILIES.index(family)
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    sizes = [_assert_chain_matches_dp(*_chain_pair(gen, family, K))
+             for K in (2, 3, 4, 5, 8, 17, 40, 64, 130, 257, 600, 2000)]
+    assert max(sizes) >= 1000
+
+
+def test_chain_matches_dense_dp_random_chains():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(4141)))
+    for trial in range(400):
+        family = CHAIN_FAMILIES[trial % len(CHAIN_FAMILIES)]
+        _assert_chain_matches_dp(*_chain_pair(gen, family, int(gen.integers(2, 60))))
+
+
+def test_chain_at_scale_symmetric_within_mass_bounds():
+    # K = 10^5: two sample clouds, one with sub-probability mass; the dense
+    # DP is too slow here, so the checks are symmetry and the mass bounds
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(505)))
+    mu = EmpiricalMeasure.from_samples(gen.normal(0.0, 1.0, (50_000, 1)))
+    nu = EmpiricalMeasure.from_samples(gen.normal(0.2, 1.5, (50_000, 1)))
+    nu = EmpiricalMeasure(nu.points, 0.9 * nu.weights)
+    forward, backward = dbl(mu, nu), dbl(nu, mu)
+    support, c = _merge_support(mu, nu)
+    assert len(support) == 100_000
+    assert abs(forward.distance - backward.distance) <= 1e-12
+    assert abs(mu.mass - nu.mass) - 1e-12 <= forward.distance <= mu.mass + nu.mass + 1e-12
+    h = forward.witness
+    assert np.all(np.abs(h) <= 1.0)
+    assert np.all(np.abs(np.diff(h)) <= np.diff(support[:, 0]) + 1e-12)
+    assert abs(float(c @ h) - forward.distance) <= 1e-12
 
 
 def test_coarsen_bounded_perturbation():

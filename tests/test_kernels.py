@@ -1,9 +1,11 @@
-"""The compiled scipy kernels: loaded without scipy's packages, shared with them."""
+"""Import hygiene: the compiled scipy kernels loaded without scipy's packages and
+shared with them; no subcommand pulls in numpy.ma."""
 
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,32 @@ def test_missing_kernel_is_an_import_error_naming_it():
         _kernels._kernels("scipy.linalg", "_nowhere", "dgetrf")
     with pytest.raises(ImportError, match="scipy.linalg._flapack has no dnothing"):
         _kernels._kernels("scipy.linalg", "_flapack", "dgetrf dnothing")
+
+
+def test_subcommands_skip_numpy_ma():
+    # importing numpy.ma costs a fresh process about 10-14 ms (2-core Xeon);
+    # np.unique reaches it through np.ma.is_masked, so the library keeps off it
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"P.csv": "0,0,1\n1,0,0\n0,1,0\n", "x0.csv": "0.2,0.3,0.5\n",
+                 "mu.csv": "0.0,0.5\n0.3,0.5\n", "nu.csv": "0.1,0.25\n0.7,0.75\n",
+                 "fp.json": json.dumps({"domain": {"lower": 0.0, "upper": 1.0},
+                                        "period_T": 0.1, "drift": "0", "sigma": "1",
+                                        "bc": "reflecting", "n_cells": 16}),
+                 "sde.json": json.dumps({"domain": {"lower": [0.0], "upper": [1.0]},
+                                         "period_T": 1.0, "dt": 1.0 / 32, "paths": 50,
+                                         "periods": 2, "seed": 7, "drift": ["0"],
+                                         "sigma": [["0.5"]], "init": {"point": [0.5]}})}
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        code = f"""import json, os, sys
+from perifp.cli import run
+os.chdir({tmp!r})
+loaded = {{}}
+for args in (["markov-check", "--matrix", "P.csv", "--init", "x0.csv"],
+             ["dbl", "--mu", "mu.csv", "--nu", "nu.csv"],
+             ["simulate-sde", "--config", "sde.json", "--out", "sde"],
+             ["fp-solve", "--config", "fp.json", "--out", "fp"]):
+    loaded[args[0]] = [run(args), "numpy.ma" in sys.modules]
+print(json.dumps(loaded))"""
+        assert _fresh(code) == {"markov-check": [0, False], "dbl": [0, False],
+                                "simulate-sde": [0, False], "fp-solve": [0, False]}

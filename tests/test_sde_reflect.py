@@ -111,6 +111,12 @@ _WALLS = np.repeat([[0.0], [1.0]], 50, axis=0)      # 50 paths on each wall
     (_scalar_system("0", "1"), [0.5], 100, 2**64 - 1, T / 32),     # the largest key word
     # zero noise from -0.0: x + b dt is -0.0, and sigma dW is -0.0 where dW < 0
     (_scalar_system("x", "0", -1.0, 1.0), [-0.0], 100, 4, T),
+    # folded constant drifts on both components of a d = 2 box
+    (_system(["0.7", "-1.5*pi"], [["0.3"], ["0.2"]], [0.0, -1.0], [1.0, 1.0]),
+     [0.5, 0.0], 64, 9, T / 32),
+    # a drift into the wall: most paths reflect at most of the 600 steps,
+    # so the per-path counts pass 255
+    (_scalar_system("-3", "0.2"), [0.0], 50, 6, T / 300),
 ])
 def test_sample_laws_match_the_per_step_generator_loop(system, init, M, seed, dt):
     # bit for bit, the sign of every zero included
