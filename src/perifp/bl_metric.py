@@ -240,19 +240,11 @@ def _dbl_lp(support: np.ndarray, c: np.ndarray) -> BLResult:
     dist = _truncated_distances(support, support)
     iu, ju = np.triu_indices(K, k=1)
 
-    # rows: h_i - h_j <= d_ij and h_j - h_i <= d_ij
-    n_pairs = len(iu)
-    rows = np.repeat(np.arange(2 * n_pairs), 2)
-    cols = np.empty(4 * n_pairs, dtype=int)
-    data = np.empty(4 * n_pairs)
-    cols[0::4], cols[1::4] = iu, ju
-    cols[2::4], cols[3::4] = ju, iu
-    data[0::4] = 1.0
-    data[1::4] = -1.0
-    data[2::4] = 1.0
-    data[3::4] = -1.0
-    A_ub = sparse.csr_matrix((data, (rows, cols)), shape=(2 * n_pairs, K))
-    b_ub = np.repeat(dist[iu, ju], 2)
+    # rows: D h <= d and -D h <= d, row p of D being e_i - e_j for pair p = (i, j)
+    E = sparse.eye(K, format="csr")
+    D = E[iu] - E[ju]
+    A_ub = sparse.vstack([D, -D], format="csr")
+    b_ub = np.tile(dist[iu, ju], 2)
 
     res = linprog(-c, A_ub=A_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs")
     if res.status == 1:

@@ -318,10 +318,8 @@ def _record(made, out, t0):
 # subcommands
 
 def _cmd_markov_check(args):
-    if args.nmax < 1:
-        raise ConfigError("--nmax", "must be at least 1")
-    if not args.tol > 0:
-        raise ConfigError("--tol", "must be positive")
+    _bounded(_int, 1)(args.nmax, "--nmax")
+    _pos(args.tol, "--tol")
     try:
         P = markov.TransitionMatrix.from_array(
             _load_csv(args.matrix, "--matrix", ndmin=2), row_stochastic=args.row_stochastic)
@@ -357,6 +355,9 @@ def _cmd_dbl(args):
         except ValueError as exc:
             raise ConfigError(flag, str(exc)) from exc
     mu, nu = measures
+    with np.errstate(over="ignore"):    # d_BL <= mass(mu) + mass(nu)
+        if not np.isfinite(mu.weights.sum() + nu.weights.sum()):
+            raise ConfigError("--nu", "the summed mass of the two measures is not finite")
     res = bl_metric.dbl(mu, nu)
     doc = {"distance": res.distance, "status": res.status,
            "witness": res.witness.tolist(),
@@ -390,6 +391,10 @@ def _cmd_simulate_sde(args):
         domain = sde_reflect.BoxDomain(dom["lower"], dom["upper"])
     except (ValueError, DimensionMismatch) as exc:
         raise ConfigError("/domain", str(exc)) from exc
+    snap = cfg["snap_resolution"]
+    # coarsen divides each coordinate by it: the quotient must stay finite
+    if snap is not None and max(map(abs, dom["lower"] + dom["upper"])) / snap == float("inf"):
+        raise ConfigError("/snap_resolution", "too small for the domain's bounds")
     T = cfg["period_T"]
     if cfg["dt"] is None:
         cfg["dt"] = T / 256

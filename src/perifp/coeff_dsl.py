@@ -10,9 +10,9 @@ than unary minus):
     atom   := number | ident | ident '(' expr ')' | '(' expr ')'
 
 Identifiers are restricted to the variables {t, x, u}, the constants
-{pi, e} and the one-argument functions {sin, cos, exp, log, sqrt, abs,
-tanh}.  There is no implicit multiplication: "2x" is a syntax error, and
-so is a number literal that overflows to infinity.
+{pi, e} (parsed as their numbers) and the one-argument functions {sin,
+cos, exp, log, sqrt, abs, tanh}.  There is no implicit multiplication:
+"2x" is a syntax error, and so is a number literal that overflows.
 
 Evaluation accepts scalars or numpy arrays for the variables and is
 total on the declared domain: division by zero and out-of-domain
@@ -25,6 +25,7 @@ evaluated once, and one that does not read t skips the period reduction.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -37,18 +38,29 @@ VARIABLES = ("t", "x", "u")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-def _checked(fn, outside, message):
-    """fn behind its domain check: EvalError where outside(arg) holds anywhere."""
-    def call(arg):
-        if np.any(outside(np.asarray(arg))):
-            raise EvalError("domain", message)
-        return fn(arg)
+def _checked(fn, *rules):
+    """fn behind its domain rules (outside, kind, message), checked in order:
+    EvalError(kind, message) where outside(*args) holds anywhere."""
+    def call(*args):
+        arrays = [np.asarray(a) for a in args]
+        for outside, kind, message in rules:
+            if np.any(outside(*arrays)):
+                raise EvalError(kind, message)
+        return fn(*args)
     return call
 
 
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "tanh": np.tanh,
-             "log": _checked(np.log, lambda a: a <= 0, "log of non-positive value"),
-             "sqrt": _checked(np.sqrt, lambda a: a < 0, "sqrt of negative value")}
+             "log": _checked(np.log, (lambda a: a <= 0, "domain", "log of non-positive value")),
+             "sqrt": _checked(np.sqrt, (lambda a: a < 0, "domain", "sqrt of negative value"))}
+# the plain Python operators: numpy's ufuncs would warn on a scalar overflow
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": _checked(operator.truediv, (lambda a, b: b == 0, "div_zero", "division by zero")),
+             "^": _checked(lambda a, b: np.asarray(a) ** np.asarray(b),
+                           (lambda a, b: (a < 0) & (b != np.floor(b)), "domain",
+                            "negative base with non-integer exponent"),
+                           (lambda a, b: (a == 0) & (b < 0), "div_zero",
+                            "zero base with negative exponent"))}
 
 # operands nest one level per parenthesis, call, unary minus, power and
 # chained + - * / operator: bounds the parser's recursion and the AST depth
@@ -65,11 +77,6 @@ class Num:
 
 @dataclass(frozen=True)
 class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Const:
     name: str
 
 
@@ -91,7 +98,7 @@ class Call:
     arg: "Expr"
 
 
-Expr = Union[Num, Var, Const, Neg, Bin, Call]
+Expr = Union[Num, Var, Neg, Bin, Call]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +190,7 @@ class _Parser:
                 self.expect_op(")")
                 return Call(text, arg)
             if text in CONSTANTS:
-                return Const(text)
+                return Num(CONSTANTS[text])
             if text in VARIABLES:
                 return Var(text)
             raise UnknownIdentifier(text)
@@ -209,8 +216,6 @@ def eval_expr(node: Expr, env: dict):
     """
     if isinstance(node, Num):
         return node.value
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
     if isinstance(node, Var):
         if node.name not in env or env[node.name] is None:
             raise EvalError("missing_var", f"variable {node.name!r} not supplied")
@@ -220,26 +225,7 @@ def eval_expr(node: Expr, env: dict):
     if isinstance(node, Call):
         return FUNCTIONS[node.fn](eval_expr(node.arg, env))
     if isinstance(node, Bin):
-        left = eval_expr(node.left, env)
-        right = eval_expr(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if np.any(np.asarray(right) == 0):
-                raise EvalError("div_zero", "division by zero")
-            return left / right
-        if node.op == "^":
-            la = np.asarray(left)
-            ra = np.asarray(right)
-            if np.any((la < 0) & (ra != np.floor(ra))):
-                raise EvalError("domain", "negative base with non-integer exponent")
-            if np.any((la == 0) & (ra < 0)):
-                raise EvalError("div_zero", "zero base with negative exponent")
-            return la ** ra
+        return OPERATORS[node.op](eval_expr(node.left, env), eval_expr(node.right, env))
     raise TypeError(f"not an Expr node: {node!r}")
 
 

@@ -164,10 +164,8 @@ def assemble_generator(grid: Grid1D, coeffs: FpCoefficients, t, bc: BoundaryCond
     # ghost value u_g = gamma * u_adjacent folds into the diagonal
     if bc.kind == "absorbing":
         gamma_left = gamma_right = -1.0
-    elif bc.kind == "reflecting":
-        # zero-flux has no meaning for the non-divergence operator
-        gamma_left = gamma_right = 1.0
     else:
+        # Robin; reflecting is b0 = 0, gamma = 1: zero flux is a divergence-form notion
         gamma_left = (1.0 / dx - bc.b0_left / 2) / (1.0 / dx + bc.b0_left / 2)
         gamma_right = (1.0 / dx - bc.b0_right / 2) / (1.0 / dx + bc.b0_right / 2)
     diag[..., 0] += gamma_left * lower[..., 0]

@@ -470,6 +470,7 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     ({"drift": ["u"]}, "/drift/0"),                     # no SDE coefficient reads u
     ({"sigma": [["t*u"]]}, "/sigma/0/0"),
     ({"drift": ["1e400"]}, "/drift/0"),                 # a literal that overflows
+    ({"snap_resolution": 1e-310}, "/snap_resolution"),  # 1 / 1e-310 overflows
 ])
 def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     np.savetxt(tmp_path / "three.csv", np.full((3, 1), 0.5), delimiter=",")
@@ -500,13 +501,18 @@ def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     (["dbl", "--mu", "mu.csv", "--nu", "negative.csv"], "--nu"),
     (["markov-check", "--matrix", "I3.csv", "--init", "x0.csv"], "--init"),   # length 2
     (["dbl", "--mu", "one.csv", "--nu", "mu.csv"], "--mu"),
+    (["markov-check", "--matrix", "P.csv", "--init", "x0.csv", "--tol", "inf"], "--tol"),
+    (["markov-check", "--matrix", "P.csv", "--init", "x0.csv", "--tol", "1e400"], "--tol"),
+    (["dbl", "--mu", "huge2.csv", "--nu", "half.csv"], "--nu"),     # mass(mu) overflows
+    (["dbl", "--mu", "huge0.csv", "--nu", "huge1.csv"], "--nu"),    # only the sum overflows
 ])
 def test_bad_csv_input_reports_flag(tmp_path, monkeypatch, capsys, argv, path):
     monkeypatch.chdir(tmp_path)
     files = {"P.csv": "1,0\n0,1\n", "I3.csv": "1,0,0\n0,1,0\n0,0,1\n", "Q.csv": "0.5,0\n0.6,1\n", "nan.csv": "nan,0\n0,1\n",
              "x0.csv": "0.5,0.5\n", "y0.csv": "0.7,0.7\n", "mu.csv": "0.0,1.0\n",
              "negative.csv": "0.0,-0.5\n1.0,1.5\n", "text.csv": "x,weight\n",
-             "one.csv": "0.5\n1.0\n"}
+             "one.csv": "0.5\n1.0\n", "huge2.csv": "0,1e308\n0,1e308\n", "half.csv": "1,0.5\n",
+             "huge0.csv": "0,1e308\n", "huge1.csv": "1,1e308\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run(["--json-errors"] + argv) == 2

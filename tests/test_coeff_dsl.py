@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifp.coeff_dsl import (Bin, Call, CoefficientField, Const, Expr, Neg, Num, Var,
+from perifp.coeff_dsl import (CONSTANTS, Bin, Call, CoefficientField, Expr, Neg, Num, Var,
                               eval_expr, parse_expr)
 from perifp.errors import EvalError, ExprSyntaxError, UnknownIdentifier
 
@@ -108,6 +108,7 @@ def test_nesting_below_the_depth_bound_parses_and_evaluates():
 def test_constants_and_functions():
     assert eval_expr(parse_expr("pi"), {}) == pytest.approx(math.pi)
     assert eval_expr(parse_expr("e"), {}) == pytest.approx(math.e)
+    assert parse_expr("2*pi") == Bin("*", Num(2.0), Num(math.pi))   # a constant is its number
     assert eval_expr(parse_expr("exp(1)"), {}) == pytest.approx(math.e)
     assert eval_expr(parse_expr("tanh(0)"), {}) == 0.0
     assert eval_expr(parse_expr("abs(-3)"), {}) == 3.0
@@ -163,8 +164,6 @@ def _pretty(node: Expr, parent_prec: int) -> str:
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Const):
-        return node.name
     if isinstance(node, Neg):
         inner = _pretty(node.operand, _PREC["neg"])
         text = f"-{inner}"
@@ -189,7 +188,7 @@ def _pretty(node: Expr, parent_prec: int) -> str:
 _leaf = st.one_of(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(Num),
     st.sampled_from(["t", "x", "u"]).map(Var),
-    st.sampled_from(["pi", "e"]).map(Const),
+    st.sampled_from(["pi", "e"]).map(lambda k: Num(CONSTANTS[k])),
 )
 
 
@@ -271,7 +270,7 @@ def test_field_rejects_undeclared_vars():
     ("exp(-(e + 2)/3)", set()), ("sin(2*pi*t)*(1 - 2*x)", {"t", "x"}),
 ])
 def test_field_reads_the_variables_of_its_tree(source, reads):
-    # Num, Const, Var, Neg, Call and Bin nodes
+    # Num, Var, Neg, Call and Bin nodes
     assert CoefficientField.from_string(source).reads == reads
 
 
@@ -296,6 +295,8 @@ def test_constant_field_is_one_read_only_value(source):
     ("1/0", "div_zero", "division by zero"),
     ("log(0)", "domain", "log of non-positive value"),
     ("sqrt(-1)", "domain", "sqrt of negative value"),
+    ("(-1)^0.5", "domain", "negative base with non-integer exponent"),
+    ("0^(-1)", "div_zero", "zero base with negative exponent"),
 ])
 def test_failing_constant_raises_at_every_call(source, kind, message):
     f = CoefficientField.from_string(source, period_T=1.0)

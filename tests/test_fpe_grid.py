@@ -132,6 +132,9 @@ def test_robin_only_nondivergence():
     L = assemble_generator(grid, co, 0.0, robin(0.0, 0.0), form="nondivergence")
     Ln = assemble_generator(grid, co, 0.0, neumann(), form="nondivergence")
     np.testing.assert_allclose(to_dense(L), to_dense(Ln), atol=1e-14)
+    # a reflecting wall in this form is the Neumann ghost, to the bit
+    Lr = assemble_generator(grid, co, 0.0, reflecting(), form="nondivergence")
+    assert all(np.array_equal(getattr(Lr, k), getattr(Ln, k)) for k in ("lower", "diag", "upper"))
 
 
 # ---------------------------------------------------------------------------
