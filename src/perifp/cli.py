@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import json
 import sys
 import time
@@ -297,11 +296,11 @@ def _record(made, out, t0):
             elif isinstance(content, dict):
                 text = json.dumps(content, indent=2)
             else:
+                # one % over every row: np.savetxt's format, without its row loop
                 header, *columns = content
-                buf = io.StringIO()
-                buf.write(f"# {header}\n")
-                np.savetxt(buf, np.column_stack(columns), delimiter=",", fmt="%.17g")
-                text = buf.getvalue()
+                table = np.column_stack(columns)
+                row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+                text = f"# {header}\n" + (row * len(table)) % tuple(table.ravel().tolist())
             (out / name).write_text(text)
             checksums[name] = hashlib.sha256(text.encode()).hexdigest()
         manifest = {"tool": "perifp", "version": __version__, "config": made.config,

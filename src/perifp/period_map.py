@@ -18,13 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveRadius, NotConverged, QuadratureOverflow, SignIndefinite
+from .errors import (NonFiniteState, NonPositiveRadius, NotConverged, QuadratureOverflow,
+                     SignIndefinite)
 from .fpe_grid import (BLOCK_ENTRIES, BoundaryCondition, FpCoefficients, Grid1D, Propagator,
                        step_count)
 
 # a principal eigenvector entry below -SIGN_SLACK * (largest entry) is a
 # sign change, not roundoff or power-iteration error
 SIGN_SLACK = 1e-8
+# Arnoldi steps of power_iteration before a restart from the Ritz vector; a
+# stiff period map (n = 100, dt = T/64, absorbing walls) needs 55
+ARNOLDI_MAX = 64
+MAX_APPLIES = 20000     # periods power_iteration applies before NotConverged
 
 
 @dataclass(frozen=True)
@@ -104,34 +109,76 @@ def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition
     return PeriodMap(K=_rescaled(op.apply(np.eye(grid.n_cells)), op.log_scale), T=T)
 
 
-def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
-    """Dominant eigenpair by power iteration from the uniform density.
+def arnoldi(apply, v: np.ndarray, steps: int):
+    """The Arnoldi process from v, ||v|| = 1, by modified Gram-Schmidt (Saad 2011, ch. 6).
 
-    pm is a dense PeriodMap or a matrix-free PeriodOperator: each
-    iteration applies one period.  It stops at max|apply(v) - r v| <= tol |r|,
-    r the Rayleigh quotient, and reports r exp(log_scale), log_r = log r +
-    log_scale and mu = -log_r/T.  The eigenvector is sign-fixed so its
-    max-magnitude entry is positive.  The result is checked against Krein-Rutman: the principal
-    eigenfunction of a period map is sign-definite, so an eigenvector with
-    entries of both signs is a spurious (stiff) grid mode.  The error names
-    the stiffness ratio of a PeriodOperator.
+    apply maps a vector like v to one like it.  After the k-th of at most
+    steps products it yields (basis, H), H the (k+1) x k Hessenberg
+    matrix of apply(V_k) = V_{k+1} H and basis V's columns, k + 1 of them;
+    only k after a breakdown (H[k, k-1] = 0, an invariant subspace), which
+    ends the run.  basis grows in place, so read it before the next step.
+    NonFiniteState if a product has no finite norm.
     """
-    max_iter = 20000
-    n = pm.n
-    v = np.full(n, 1.0 / n)
-    v /= np.linalg.norm(v)
-    for it in range(1, max_iter + 1):
-        w = pm.apply(v)
-        r = float(v @ w)
-        residual = float(np.max(np.abs(w - r * v)))
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise NonPositiveRadius("period map annihilated the start vector")
-        v = w / norm
-        if residual <= tol * abs(r):
-            break
-    else:
-        raise NotConverged(max_iter, residual)
+    basis, H = [v], np.zeros((1, 0))
+    for k in range(steps):
+        w = apply(basis[k])
+        H = np.pad(H, ((0, 1), (0, 1)))
+        for i, q in enumerate(basis):
+            H[i, k] = q @ w
+            w -= H[i, k] * q
+        H[k + 1, k] = np.linalg.norm(w)
+        if not np.isfinite(H[k + 1, k]):
+            raise NonFiniteState(f"Krylov vector {k + 1} has no finite norm: the operator "
+                                 "takes a unit vector out of the double range")
+        if H[k + 1, k] != 0.0:
+            basis.append(w / H[k + 1, k])
+        yield basis, H
+        if H[k + 1, k] == 0.0:
+            return
+
+
+def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
+    """Dominant eigenpair by Arnoldi from the uniform density.
+
+    pm is a dense PeriodMap or a matrix-free PeriodOperator: each Arnoldi
+    step applies one period.  After step k, (theta, y = V_k s) is the
+    dominant Ritz pair of the k x k Hessenberg matrix, and the Arnoldi
+    relation gives max|apply(y) - theta y| = |h_{k+1,k} s_k| max|v_{k+1}|
+    with no further apply.  It stops when that is <= tol |theta|, and after
+    ARNOLDI_MAX steps restarts from y.  A converged theta that is not real
+    or not positive raises NonPositiveRadius; an unconverged one does not
+    stop the solve.  It reports r = theta exp(log_scale), log_r = log theta +
+    log_scale, mu = -log_r/T and iterations, the periods applied.  The
+    eigenvector is sign-fixed so its max-magnitude entry is positive.  The
+    result is checked against Krein-Rutman: the principal eigenfunction of
+    a period map is sign-definite, so an eigenvector with entries of both
+    signs is a spurious (stiff) grid mode.  The error names the stiffness
+    ratio of a PeriodOperator.
+    """
+    it, converged = 0, False
+    v = np.full(pm.n, 1.0 / pm.n)
+    while not converged:
+        if it == MAX_APPLIES:
+            raise NotConverged(it, residual)
+        steps = min(ARNOLDI_MAX, MAX_APPLIES - it)
+        for basis, H in arnoldi(pm.apply, v / np.linalg.norm(v), steps):
+            it, k = it + 1, H.shape[1]
+            thetas, S = np.linalg.eig(H[:k, :k])
+            j = int(np.argmax(np.abs(thetas)))
+            theta, s = thetas[j], S[:, j]
+            tail = np.max(np.abs(basis[k])) if len(basis) > k else 0.0
+            residual = float(abs(H[k, k - 1] * s[k - 1]) * tail)
+            converged = residual <= tol * abs(theta)
+            if converged:
+                break
+        # y for a real theta; for a complex pair a real start in its span
+        v = (np.stack(basis[:k], axis=1) @ s).real
+    if theta.imag != 0.0:
+        with np.errstate(over="ignore"):
+            z = theta * np.exp(pm.log_scale)
+        raise NonPositiveRadius(f"the dominant eigenvalues {z.real:.6g} +- {abs(z.imag):.6g}i "
+                                "of the period map are not real")
+    r, v = float(theta.real), v / np.linalg.norm(v)
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     if r <= 0:
@@ -142,4 +189,3 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
     if spec.min_over_max < -SIGN_SLACK:
         raise SignIndefinite(spec.min_over_max, getattr(pm, "stiffness_ratio", None))
     return spec
-

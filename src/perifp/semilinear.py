@@ -29,6 +29,7 @@ from .coeff_dsl import CoefficientField
 from .errors import MonotonicityViolation, NotConverged, SingularSystem
 from .fpe_grid import (BLOCK_ENTRIES, BoundaryCondition, DensityField, FpCoefficients,
                        Grid1D, Propagator, assemble_generator, step_count)
+from .period_map import arnoldi
 
 KRYLOV_TOL, KRYLOV_RCOND = 1e-13, 1e-8
 MONOTONE_SLACK = 1e-10
@@ -93,31 +94,25 @@ class PeriodicLinearSolver:
 
 def gmres(apply, b: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """x with ||apply(x) - b|| <= KRYLOV_TOL max(||b||, scale), apply linear on arrays
-    shaped like b: GMRES from x = 0 (Saad & Schultz 1986), no restart, Arnoldi
-    by modified Gram-Schmidt, least squares without the singular values below
-    KRYLOV_RCOND of the largest (they would fit roundoff).  SingularSystem if
-    the residual stays above the bound after b.size products or breakdown."""
+    shaped like b: GMRES from x = 0 (Saad & Schultz 1986), the least-squares step
+    on period_map.arnoldi from b, with no restart.  The least squares drop the
+    singular values below KRYLOV_RCOND of the largest (they would fit roundoff).
+    SingularSystem if the residual stays above the bound after b.size products
+    or a breakdown."""
     beta = float(np.linalg.norm(b))
     atol = KRYLOV_TOL * max(beta, scale)
     if beta <= atol:
         return np.zeros_like(b)
-    basis, H, rhs = [b.ravel() / beta], np.zeros((1, 0)), np.r_[beta, np.zeros(b.size)]
-    for k in range(b.size):
-        w = np.ravel(apply(basis[k].reshape(b.shape)))
-        H = np.pad(H, ((0, 1), (0, 1)))
-        for i, q in enumerate(basis):
-            H[i, k] = q @ w
-            w -= H[i, k] * q
-        H[k + 1, k] = np.linalg.norm(w)
-        y = np.linalg.lstsq(H, rhs[:k + 2], rcond=KRYLOV_RCOND)[0]
-        residual = float(np.linalg.norm(H @ y - rhs[:k + 2]))
+    rhs = np.r_[beta, np.zeros(b.size)]
+    for basis, H in arnoldi(lambda q: np.ravel(apply(q.reshape(b.shape))), b.ravel() / beta,
+                            b.size):
+        k = H.shape[1]
+        y = np.linalg.lstsq(H, rhs[:k + 1], rcond=KRYLOV_RCOND)[0]
+        residual = float(np.linalg.norm(H @ y - rhs[:k + 1]))
         if residual <= atol:
-            return (np.stack(basis, axis=1) @ y).reshape(b.shape)
-        if H[k + 1, k] == 0.0:
-            break
-        basis.append(w / H[k + 1, k])
+            return (np.stack(basis[:k], axis=1) @ y).reshape(b.shape)
     raise SingularSystem(f"periodic problem not uniquely solvable: the Krylov residual "
-                         f"stays at {residual / beta:.3g} of b after {k + 1} products")
+                         f"stays at {residual / beta:.3g} of b after {k} products")
 
 
 def estimate_c(problem: SemilinearProblem, lower, upper, dt: float) -> np.ndarray:

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perifp import fpe_grid
+from perifp import fpe_grid, period_map
 from perifp.coeff_dsl import CoefficientField
-from perifp.errors import NonPositiveRadius, NotConverged, SignIndefinite
+from perifp.errors import NonFiniteState, NonPositiveRadius, NotConverged, SignIndefinite
 from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
                              Propagator, absorbing, neumann, reflecting, robin,
                              stationary_closed_form)
@@ -48,10 +48,13 @@ def test_power_iteration_rejects_nilpotent():
         power_iteration(PeriodMap(K, 1.0))
     with pytest.raises(NonPositiveRadius, match="spectral radius -1.99.* is not positive"):
         power_iteration(PeriodMap(-2.0 * np.eye(2), 1.0))
-    # a rotation has no dominant eigenvalue: the iterates never settle
-    with pytest.raises(NotConverged) as exc:
+    # a rotation has no real dominant eigenvalue: two steps reach the pair +-i
+    with pytest.raises(NonPositiveRadius, match=r"eigenvalues .* \+- 1i .* not real"):
         power_iteration(PeriodMap(np.array([[0.0, -1.0], [1.0, 0.0]]), 1.0))
-    assert exc.value.iterations == 20000
+    # a product whose norm overflows is a typed error, not a LinAlgError
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(NonFiniteState, match="Krylov vector 1 has no finite norm"):
+        power_iteration(PeriodMap(1e300 * np.eye(3), 1.0))
 
 
 def test_heat_equation_dirichlet_rate():
@@ -218,10 +221,69 @@ def _dominant_eig(K):
 def test_matrix_free_spectrum_matches_dense_eig(coeffs, bc, form):
     grid = Grid1D(120, 0.0, 1.0)
     op = PeriodOperator(grid, coeffs, bc, T, T / 128, form)
-    spec = power_iteration(op, tol=1e-13)
-    r_dense, v_dense = _dominant_eig(build_period_map(grid, coeffs, bc, T, T / 128, form).K)
-    assert spec.r == pytest.approx(r_dense, rel=1e-9)
-    assert np.max(np.abs(spec.eigvec - v_dense)) <= 1e-9
+    K = build_period_map(grid, coeffs, bc, T, T / 128, form).K
+    r_dense, (_, v_dense) = float(np.max(np.abs(np.linalg.eigvals(K)))), _dominant_eig(K)
+    for tol in (1e-13, 1e-12, 1e-9):
+        spec = power_iteration(op, tol=tol)
+        # the residual read off the Arnoldi relation holds for one more apply
+        Kv = op.apply(spec.eigvec) * math.exp(op.log_scale)
+        assert np.max(np.abs(Kv - spec.r * spec.eigvec)) <= 2 * tol * spec.r
+        assert spec.residual <= tol * spec.r
+        assert spec.r == pytest.approx(r_dense, rel=1e-9)
+        if tol == 1e-13:
+            assert np.max(np.abs(spec.eigvec - v_dense)) <= 1e-9
+
+
+def _heat_r(n, steps, a):
+    """r of the absorbing heat map on [0, 1] in closed form: the first sine mode,
+    eigenvalue z of dt a L, two implicit half steps, then steps - 1 CN steps."""
+    dx, dt = 1.0 / n, T / steps
+    z = -dt * (4 * a / dx**2) * math.sin(math.pi * dx / 2) ** 2
+    return (1 + z / 2) ** (steps - 1) / (1 - z / 2) ** (steps + 1)
+
+
+@pytest.mark.parametrize("n, steps, a", [(200, 512, 1.1), (800, 256, 0.91), (600, 64, 1.2),
+                                         (12, 8, 1.0)], ids=["200", "800", "600-stiff", "coarse"])
+def test_absorbing_heat_r_matches_closed_form(n, steps, a):
+    co = FpCoefficients(a_eff=CoefficientField.from_string(f"{a!r}", T), b=ZERO)
+    spec = power_iteration(PeriodOperator(Grid1D(n, 0.0, 1.0), co, absorbing(), T, T / steps),
+                           tol=1e-12)
+    assert spec.r == pytest.approx(_heat_r(n, steps, a), rel=1e-11, abs=0)
+
+
+def test_stiff_map_ends_in_its_non_real_pair():
+    # CN at n = 100, dt = T/64 leaves a complex pair of stiff modes near
+    # -3.29e-5 above the physical radius e^{-12.27}: Arnoldi converges the
+    # pair without a restart and names it
+    T1 = 1.0
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*x", T1),
+                        b=CoefficientField.from_string("0.5*cos(2*pi*t)", T1))
+    op = PeriodOperator(Grid1D(100, 0.0, 1.0), co, absorbing(), T1, T1 / 64, "nondivergence")
+    applies, march = [], op.apply
+    op.apply = lambda v: applies.append(v) or march(v)
+    with pytest.raises(NonPositiveRadius, match=r"-3\.2946\d*e-05 \+- 2\.586\d*e-07i"):
+        power_iteration(op, tol=1e-9)
+    assert 0 < len(applies) <= period_map.ARNOLDI_MAX
+
+
+def test_restarted_arnoldi_matches_one_run(monkeypatch):
+    # a basis cap of 2 restarts from the Ritz vector: the same pair, more applies
+    grid = Grid1D(120, 0.0, 1.0)
+    co = FpCoefficients(a_eff=CoefficientField.from_string("1 + 0.5*x", T),
+                        b=CoefficientField.from_string("3*sin(2*pi*t/0.1)", T))
+    op = PeriodOperator(grid, co, robin(0.7, 1.6), T, T / 128, "nondivergence")
+    one = power_iteration(op, tol=1e-12)
+    monkeypatch.setattr(period_map, "ARNOLDI_MAX", 2)
+    restarted = power_iteration(op, tol=1e-12)
+    assert restarted.iterations > one.iterations
+    assert restarted.r == pytest.approx(one.r, rel=1e-11)
+    assert np.max(np.abs(restarted.eigvec - one.eigvec)) <= 1e-9
+    # with one step per run the rotation never leaves its start vector
+    monkeypatch.setattr(period_map, "ARNOLDI_MAX", 1)
+    monkeypatch.setattr(period_map, "MAX_APPLIES", 50)
+    with pytest.raises(NotConverged) as exc:
+        power_iteration(PeriodMap(np.array([[0.0, -1.0], [1.0, 0.0]]), 1.0))
+    assert exc.value.iterations == 50
 
 
 def test_power_iteration_is_scale_invariant():
