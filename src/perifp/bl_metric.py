@@ -186,8 +186,10 @@ def _truncated_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """min(||a_i - b_j||_2, 2) for every pair of rows; a square that
     overflows gives inf, hence 2."""
     with np.errstate(over="ignore"):
-        diff = a[:, None, :] - b[None, :, :]
-        return np.minimum(np.sqrt(np.sum(diff * diff, axis=2)), 2.0)
+        total, diff = np.zeros((len(a), len(b))), np.empty((len(a), len(b)))
+        for k in range(a.shape[1]):     # no (n, n, d) temporaries
+            total += np.square(np.subtract.outer(a[:, k], b[:, k], out=diff), out=diff)
+        return np.minimum(np.sqrt(total, out=total), 2.0, out=total)
 
 
 def _dbl_assignment(x: np.ndarray, y: np.ndarray, w: float,

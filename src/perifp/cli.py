@@ -145,11 +145,15 @@ _BOUNDARIES = {"absorbing": fpe_grid.absorbing, "dirichlet": fpe_grid.absorbing,
                "reflecting": fpe_grid.reflecting, "neumann": fpe_grid.neumann}
 
 
-def _check_divides(span, dt, span_key):
-    try:
-        fpe_grid.step_count(span, dt)
-    except ValueError as exc:
-        raise ConfigError("/dt", f"{exc} ({span_key})") from exc
+def _resolve_dt(cfg, spans):
+    """Default dt to period_T / 256; it must divide each span key of cfg."""
+    if cfg["dt"] is None:
+        cfg["dt"] = cfg["period_T"] / 256
+    for key in spans:
+        try:
+            fpe_grid.step_count(cfg[key], cfg["dt"])
+        except ValueError as exc:
+            raise ConfigError("/dt", f"{exc} ({key})") from exc
 
 
 _FP_SCHEMA = {
@@ -164,44 +168,35 @@ _FP_SCHEMA = {
     "sigma": (None, _expr("t", "x")),
     "a_eff": (None, _expr("t", "x")),
     "a0": (None, _expr("t", "x")),
-    "source_f": (None, _expr("t", "x", "u")),
     "form": ("divergence", _one_of(*fpe_grid.FORMS)),
     "init": ({}, None),                 # default: the uniform density
-    "tol": (1e-9, _pos),
-    "max_iter": (500, _bounded(_int, 1)),
-    "c_shift": (None, _bounded(_num, 0.0)),
 }
-# the spans dt must divide in each fp subcommand, and the keys that only
-# some subcommands read; the others reject them
-_FP_SPANS = {"fp-solve": ("t1", "period_T"), "eigen": ("period_T",), "stationary": (),
-             "semilinear": ("period_T",)}
-_FP_READERS = {"tol": ("eigen", "semilinear"), "source_f": ("semilinear",),
-               "c_shift": ("semilinear",), "max_iter": ("semilinear",)}
+# each fp subcommand's keys beyond _FP_SCHEMA, and the spans dt must divide
+_FP_COMMANDS = {
+    "fp-solve": ({}, ("t1", "period_T")),
+    "eigen": ({"tol": (1e-9, _pos)}, ("period_T",)),
+    "stationary": ({}, ()),
+    "semilinear": ({"source_f": (_REQUIRED, _expr("t", "x", "u")),
+                    # semilinear problems march u, not p
+                    "form": ("nondivergence", _one_of(*fpe_grid.FORMS)),
+                    "tol": (1e-9, _pos),
+                    "max_iter": (500, _bounded(_int, 1)),
+                    "c_shift": (None, _bounded(_num, 0.0))}, ("period_T",)),
+}
 
 
 def _parse_fp_config(doc, command):
     """Resolve the fp config of one subcommand."""
-    cfg, defaulted = _schema_check(doc, _FP_SCHEMA)
-    for key, readers in _FP_READERS.items():
-        if command not in readers:
-            if f"/{key}" not in defaulted:
-                raise ConfigError(f"/{key}", f"{command} does not read this key")
-            del cfg[key]
-            defaulted.remove(f"/{key}")
-    if "/form" in defaulted and command == "semilinear":
-        cfg["form"] = "nondivergence"   # semilinear problems march u, not p
-    dom, dom_def = _schema_check(cfg["domain"], {
+    keys, spans = _FP_COMMANDS[command]
+    cfg, defaulted = _schema_check(doc, {**_FP_SCHEMA, **keys})
+    dom, _ = _schema_check(cfg["domain"], {
         "lower": (_REQUIRED, _num), "upper": (_REQUIRED, _num)}, "/domain")
-    defaulted += dom_def
     if dom["lower"] >= dom["upper"]:
         raise ConfigError("/domain", "need lower < upper")
     cfg["domain"] = dom
-    if cfg["dt"] is None:
-        cfg["dt"] = cfg["period_T"] / 256
     if cfg["t1"] is None:
         cfg["t1"] = cfg["period_T"]
-    for span_key in _FP_SPANS[command]:
-        _check_divides(cfg[span_key], cfg["dt"], span_key)
+    _resolve_dt(cfg, spans)
     if (cfg["sigma"] is None) == (cfg["a_eff"] is None):
         raise ConfigError("/sigma", "give exactly one of 'sigma' or 'a_eff'")
     if cfg["bc"] != "robin" and "/robin" not in defaulted:
@@ -354,6 +349,8 @@ def _cmd_dbl(args):
         except ValueError as exc:
             raise ConfigError(flag, str(exc)) from exc
     mu, nu = measures
+    if mu.dim != nu.dim:
+        raise ConfigError("--nu", f"{args.nu} lives in dimension {nu.dim}, --mu in {mu.dim}")
     with np.errstate(over="ignore"):    # d_BL <= mass(mu) + mass(nu)
         if not np.isfinite(mu.weights.sum() + nu.weights.sum()):
             raise ConfigError("--nu", "the summed mass of the two measures is not finite")
@@ -395,13 +392,14 @@ def _cmd_simulate_sde(args):
     if snap is not None and max(map(abs, dom["lower"] + dom["upper"])) / snap == float("inf"):
         raise ConfigError("/snap_resolution", "too small for the domain's bounds")
     T = cfg["period_T"]
-    if cfg["dt"] is None:
-        cfg["dt"] = T / 256
-    _check_divides(T, cfg["dt"], "period_T")
+    _resolve_dt(cfg, ("period_T",))
     drift = tuple(CoefficientField(parse_expr(e), T) for e in cfg["drift"])
     sigma = tuple(tuple(CoefficientField(parse_expr(e), T) for e in row)
                   for row in cfg["sigma"])
-    sys_ = sde_reflect.SdeSystem(drift=drift, diffusion=sigma, period_T=T, domain=domain)
+    try:
+        sys_ = sde_reflect.SdeSystem(drift=drift, diffusion=sigma, period_T=T, domain=domain)
+    except DimensionMismatch as exc:    # the drift is checked first
+        raise ConfigError("/drift" if len(drift) != domain.dim else "/sigma", str(exc)) from exc
     init_spec, _ = _schema_check(cfg["init"], {"point": (None, _list_of(_num)),
                                                "csv": (None, _str)}, "/init")
     if (init_spec["point"] is None) == (init_spec["csv"] is None):
@@ -518,8 +516,6 @@ def _auto_pair(problem, dt):
 def _cmd_semilinear(args):
     doc, _ = load_config(args.config)
     cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
-    if cfg["source_f"] is None:
-        raise ConfigError("/source_f", "required for the semilinear solver")
     T = cfg["period_T"]
     problem = semilinear.SemilinearProblem(
         coeffs=coeffs, f=CoefficientField(parse_expr(cfg["source_f"]), T),

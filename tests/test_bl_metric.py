@@ -5,8 +5,8 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from perifp.bl_metric import (EmpiricalMeasure, _dbl_lp, _merge_support, cesaro_defect,
-                              coarsen, dbl)
+from perifp.bl_metric import (EmpiricalMeasure, _dbl_lp, _merge_support,
+                              _truncated_distances, cesaro_defect, coarsen, dbl)
 from perifp.errors import DimensionMismatch, SolverFailure
 
 from oracles import chain_dp
@@ -337,6 +337,24 @@ def test_merge_matches_unique_reference(d):
         np.add.at(ref, inverse.ravel(), np.concatenate([mu.weights, -nu.weights]))
         np.testing.assert_array_equal(support, uniq)
         assert c.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_truncated_distances_match_broadcast_formula(d):
+    # summed one coordinate at a time; numpy's reduction over the last axis
+    # adds in the same order up to 7 terms, and pairwise from 8 on
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(53 + d)))
+    a, b = gen.normal(0.0, 0.3, (60, d)), gen.normal(0.1, 0.3, (45, d))
+    a[0, 0], b[0, 0] = 1e300, -1e300                   # a square that overflows: 2
+    diff = a[:, None, :] - b[None, :, :]
+    with np.errstate(over="ignore"):
+        ref = np.minimum(np.sqrt(np.sum(diff * diff, axis=2)), 2.0)
+    got = _truncated_distances(a, b)
+    assert got[0, 0] == 2.0 and np.any(got < 2.0)
+    if d <= 7:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
 
 @settings(max_examples=30, deadline=None)

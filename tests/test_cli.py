@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perifp import cli, fpe_grid, period_map, semilinear
-from perifp.cli import _FP_SCHEMA, _SDE_SCHEMA, _auto_pair, run
+from perifp.cli import _FP_COMMANDS, _FP_SCHEMA, _SDE_SCHEMA, _auto_pair, run
 from perifp.coeff_dsl import CoefficientField
 
 HEAT_CONFIG = {
@@ -471,6 +471,10 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     ({"sigma": [["t*u"]]}, "/sigma/0/0"),
     ({"drift": ["1e400"]}, "/drift/0"),                 # a literal that overflows
     ({"snap_resolution": 1e-310}, "/snap_resolution"),  # 1 / 1e-310 overflows
+    ({"domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},   # one drift row in d = 2
+      "init": {"point": [0.5, 0.5]}}, "/drift"),
+    ({"domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, "drift": ["0", "0"],
+      "sigma": [["0.5"], ["0.5", "0.5"]], "init": {"point": [0.5, 0.5]}}, "/sigma"),  # ragged
 ])
 def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     np.savetxt(tmp_path / "three.csv", np.full((3, 1), 0.5), delimiter=",")
@@ -505,6 +509,7 @@ def test_bad_sde_config_reports_path(tmp_path, capsys, change, path):
     (["markov-check", "--matrix", "P.csv", "--init", "x0.csv", "--tol", "1e400"], "--tol"),
     (["dbl", "--mu", "huge2.csv", "--nu", "half.csv"], "--nu"),     # mass(mu) overflows
     (["dbl", "--mu", "huge0.csv", "--nu", "huge1.csv"], "--nu"),    # only the sum overflows
+    (["dbl", "--mu", "mu.csv", "--nu", "plane.csv"], "--nu"),       # d = 1 against d = 2
 ])
 def test_bad_csv_input_reports_flag(tmp_path, monkeypatch, capsys, argv, path):
     monkeypatch.chdir(tmp_path)
@@ -512,7 +517,7 @@ def test_bad_csv_input_reports_flag(tmp_path, monkeypatch, capsys, argv, path):
              "x0.csv": "0.5,0.5\n", "y0.csv": "0.7,0.7\n", "mu.csv": "0.0,1.0\n",
              "negative.csv": "0.0,-0.5\n1.0,1.5\n", "text.csv": "x,weight\n",
              "one.csv": "0.5\n1.0\n", "huge2.csv": "0,1e308\n0,1e308\n", "half.csv": "1,0.5\n",
-             "huge0.csv": "0,1e308\n", "huge1.csv": "1,1e308\n"}
+             "huge0.csv": "0,1e308\n", "huge1.csv": "1,1e308\n", "plane.csv": "0,0,1\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run(["--json-errors"] + argv) == 2
@@ -868,11 +873,43 @@ def test_deterministic_fp_solve_outputs(tmp_path):
 
 
 def test_every_config_key_is_documented():
-    # each key of the fp and SDE configs appears in README.md as `key` or "key"
+    # each key of every fp subcommand's schema and of the SDE config appears
+    # in README.md as `key` or "key"
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    missing = [key for key in (*_FP_SCHEMA, *_SDE_SCHEMA)
-               if not re.search(rf'[`"]{key}\b', readme)]
+    keys = {*_FP_SCHEMA, *_SDE_SCHEMA, *(key for own, _ in _FP_COMMANDS.values() for key in own)}
+    assert {"tol", "source_f", "max_iter", "c_shift"} <= keys
+    missing = [key for key in sorted(keys) if not re.search(rf'[`"]{key}\b', readme)]
     assert missing == []
+
+
+# the fp keys only some subcommands read, and a valid value of each; dt, t1
+# and init are read by every one, so that one fp.json serves them all
+_FP_ALL = ("fp-solve", "eigen", "stationary", "semilinear")
+_FP_READERS = {"tol": ("eigen", "semilinear"), "source_f": ("semilinear",),
+               "max_iter": ("semilinear",), "c_shift": ("semilinear",),
+               "dt": _FP_ALL, "t1": _FP_ALL, "init": _FP_ALL}
+_FP_VALUES = {"tol": 1e-8, "source_f": "u*(2-u)", "max_iter": 64, "c_shift": 5.0,
+              "dt": 0.05, "t1": 0.2, "init": {"expr": "1 + x"}}
+
+
+@pytest.mark.parametrize("command", _FP_ALL)
+@pytest.mark.parametrize("key", sorted(_FP_READERS))
+def test_fp_key_accepted_only_by_its_readers(tmp_path, capsys, command, key):
+    doc = {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 0.1, "dt": 0.025,
+           "n_cells": 8, "drift": "0", "sigma": "1", "bc": "reflecting"}
+    if command == "semilinear":
+        doc.update(bc="neumann", source_f="u*(1-u)")
+    doc[key] = _FP_VALUES[key]
+    out = tmp_path / "o"
+    code = run(["--json-errors", command, "--config", _write(tmp_path / "fp.json", doc),
+                "--out", str(out)])
+    if command in _FP_READERS[key]:
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["config"][key] == doc[key]
+    else:
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["path"], err["message"]) == (f"/{key}", f"/{key}: unknown key")
 
 
 def test_bench_tracer_targets_resolve():
