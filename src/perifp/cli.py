@@ -393,13 +393,14 @@ def _cmd_simulate_sde(args):
         raise ConfigError("/snap_resolution", "too small for the domain's bounds")
     T = cfg["period_T"]
     _resolve_dt(cfg, ("period_T",))
+    if len(cfg["drift"]) != domain.dim:
+        raise ConfigError("/drift", f"need {domain.dim} drift components")
+    if len(cfg["sigma"]) != domain.dim or len({len(row) for row in cfg["sigma"]}) != 1:
+        raise ConfigError("/sigma", f"need {domain.dim} rows of equal length")
     drift = tuple(CoefficientField(parse_expr(e), T) for e in cfg["drift"])
     sigma = tuple(tuple(CoefficientField(parse_expr(e), T) for e in row)
                   for row in cfg["sigma"])
-    try:
-        sys_ = sde_reflect.SdeSystem(drift=drift, diffusion=sigma, period_T=T, domain=domain)
-    except DimensionMismatch as exc:    # the drift is checked first
-        raise ConfigError("/drift" if len(drift) != domain.dim else "/sigma", str(exc)) from exc
+    sys_ = sde_reflect.SdeSystem(drift=drift, diffusion=sigma, period_T=T, domain=domain)
     init_spec, _ = _schema_check(cfg["init"], {"point": (None, _list_of(_num)),
                                                "csv": (None, _str)}, "/init")
     if (init_spec["point"] is None) == (init_spec["csv"] is None):

@@ -761,18 +761,22 @@ _SMALL = {
     "simulate-sde": {"domain": {"lower": [0.0], "upper": [1.0]}, "period_T": 1.0,
                      "dt": 0.25, "paths": 4, "periods": 1, "drift": ["0"],
                      "sigma": [["1"]], "init": {"point": [0.5]}},
+    "semilinear": {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 0.1, "dt": 0.025,
+                   "n_cells": 8, "drift": "0", "sigma": "1", "bc": "neumann",
+                   "source_f": "u*(1-u)", "tol": 1e-8, "max_iter": 64, "c_shift": 2.0},
 }
 _NESTED = {"fp-solve": {"domain": ("lower", "upper"), "init": ("expr", "csv")},
-           "simulate-sde": {"domain": ("lower", "upper"), "init": ("point", "csv")}}
-_MUTABLE = [(command, (key,)) for command, schema in (("fp-solve", _FP_SCHEMA),
-                                                      ("simulate-sde", _SDE_SCHEMA))
-            for key in sorted(schema)] + \
+           "simulate-sde": {"domain": ("lower", "upper"), "init": ("point", "csv")},
+           "semilinear": {"domain": ("lower", "upper")}}
+_MUTABLE = [(command, (key,)) for command in _SMALL
+            for key in sorted(_SDE_SCHEMA if command == "simulate-sde"
+                              else {**_FP_SCHEMA, **_FP_COMMANDS[command][0]})] + \
     [(command, (outer, key)) for command, nested in _NESTED.items()
      for outer, keys in nested.items() for key in keys]
 _REMOVED = object()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(st.sampled_from(_MUTABLE), st.sampled_from([True, None, {}, -1, 0, [], "x", _REMOVED]))
 def test_single_key_mutation_never_raises(mutation, value):
     command, (*outer, key) = mutation
@@ -882,10 +886,10 @@ def test_every_config_key_is_documented():
     assert missing == []
 
 
-# the fp keys only some subcommands read, and a valid value of each; dt, t1
-# and init are read by every one, so that one fp.json serves them all
+# the fp keys only some subcommands accept, and a valid value of each; dt, t1
+# and init are accepted by every one, so that one fp.json serves them all
 _FP_ALL = ("fp-solve", "eigen", "stationary", "semilinear")
-_FP_READERS = {"tol": ("eigen", "semilinear"), "source_f": ("semilinear",),
+_FP_ACCEPTORS = {"tol": ("eigen", "semilinear"), "source_f": ("semilinear",),
                "max_iter": ("semilinear",), "c_shift": ("semilinear",),
                "dt": _FP_ALL, "t1": _FP_ALL, "init": _FP_ALL}
 _FP_VALUES = {"tol": 1e-8, "source_f": "u*(2-u)", "max_iter": 64, "c_shift": 5.0,
@@ -893,7 +897,7 @@ _FP_VALUES = {"tol": 1e-8, "source_f": "u*(2-u)", "max_iter": 64, "c_shift": 5.0
 
 
 @pytest.mark.parametrize("command", _FP_ALL)
-@pytest.mark.parametrize("key", sorted(_FP_READERS))
+@pytest.mark.parametrize("key", sorted(_FP_ACCEPTORS))
 def test_fp_key_accepted_only_by_its_readers(tmp_path, capsys, command, key):
     doc = {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 0.1, "dt": 0.025,
            "n_cells": 8, "drift": "0", "sigma": "1", "bc": "reflecting"}
@@ -903,7 +907,7 @@ def test_fp_key_accepted_only_by_its_readers(tmp_path, capsys, command, key):
     out = tmp_path / "o"
     code = run(["--json-errors", command, "--config", _write(tmp_path / "fp.json", doc),
                 "--out", str(out)])
-    if command in _FP_READERS[key]:
+    if command in _FP_ACCEPTORS[key]:
         assert code == 0
         assert json.loads((out / "manifest.json").read_text())["config"][key] == doc[key]
     else:
