@@ -4,18 +4,21 @@
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, and ``import
 scipy.optimize`` loads all of the optimizers: together about 0.6 s and
 39 MB of peak RSS (2-core Xeon, scipy 1.17) for two LAPACK routines and
-one assignment solver.  Each compiled module is loaded here from its
-package's directory instead, without running the package's
-``__init__``, and registered in ``sys.modules`` under its own name, so a
-later ``import scipy.linalg`` reuses the same module object.  A scipy
-release that moves or renames one of them fails here with an ImportError
-naming it; there is no fallback.
+one assignment solver.  Even ``import scipy`` alone loads its test
+utilities, ``subprocess`` and ``locale``.  So nothing of scipy's Python
+package is imported: its directory is found on ``sys.path`` without
+running any ``__init__``, each compiled module is loaded from there and
+registered in ``sys.modules`` under its own name, so a later ``import
+scipy.linalg`` reuses the same module object.  A scipy release that moves
+or renames one of them fails here with an ImportError naming it; there is
+no fallback.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import os
 import sys
 
 
@@ -24,12 +27,13 @@ def _kernels(package: str, module: str, names: str):
     full = f"{package}.{module}"
     mod = sys.modules.get(full)
     if mod is None:
-        spec = importlib.util.find_spec(package)   # imports scipy, not package
-        ext = spec and importlib.machinery.FileFinder(
-            spec.submodule_search_locations[0],
+        top, *subpackages = package.split(".")
+        spec = importlib.machinery.PathFinder.find_spec(top)    # a lookup: imports nothing
+        ext = spec and spec.submodule_search_locations and importlib.machinery.FileFinder(
+            os.path.join(spec.submodule_search_locations[0], *subpackages),
             (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
         ).find_spec(full)
-        if ext is None:
+        if not ext:
             raise ImportError(f"compiled module {full} not found", name=full)
         mod = importlib.util.module_from_spec(ext)
         sys.modules[full] = mod

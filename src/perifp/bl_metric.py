@@ -35,7 +35,6 @@ different witnesses of the same distance.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +42,15 @@ from ._kernels import linear_sum_assignment
 from .errors import DimensionMismatch, SolverFailure
 
 
-@dataclass(frozen=True)
 class EmpiricalMeasure:
-    points: np.ndarray   # (n, d)
-    weights: np.ndarray  # (n,), nonnegative
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, points, weights):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))   # (n, d)
+        w = np.asarray(weights, dtype=float)                   # (n,), nonnegative
         if pts.shape[0] != w.shape[0]:
             raise DimensionMismatch(f"{pts.shape[0]} points but {w.shape[0]} weights")
         if not np.all(w >= 0):
             raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        self.points, self.weights = pts, w
 
     @property
     def dim(self) -> int:
@@ -77,12 +71,12 @@ class EmpiricalMeasure:
         return cls(samples, np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
 class BLResult:
-    distance: float
-    witness: np.ndarray        # optimal h_i at each merged-support point
-    support: np.ndarray        # (K, d) merged support the witness lives on
-    status: str                # 'optimal' or 'iteration_limit'
+    def __init__(self, distance: float, witness: np.ndarray, support: np.ndarray, status: str):
+        self.distance = distance
+        self.witness = witness      # optimal h_i at each merged-support point
+        self.support = support      # (K, d) merged support the witness lives on
+        self.status = status        # 'optimal' or 'iteration_limit'
 
 
 def coarsen(measure: EmpiricalMeasure, resolution: float) -> EmpiricalMeasure:
@@ -267,11 +261,11 @@ def optimal_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, pair: str) -> f
     return res.distance
 
 
-@dataclass(frozen=True)
 class CesaroDefect:
-    restricted: float      # sum_m p_m * d_BL(p_m law_{m+1}, p_m law_m)
-    unrestricted: float    # (1/(n+1)) sum_m d_BL(law_{m+1}, law_m), dominates
-    terms: np.ndarray      # per-index unscaled distances d_BL(law_{m+1}, law_m)
+    def __init__(self, restricted: float, unrestricted: float, terms: np.ndarray):
+        self.restricted = restricted        # sum_m p_m * d_BL(p_m law_{m+1}, p_m law_m)
+        self.unrestricted = unrestricted    # (1/(n+1)) sum_m d_BL(law_{m+1}, law_m), dominates
+        self.terms = terms      # per-index unscaled distances d_BL(law_{m+1}, law_m)
 
 
 def cesaro_defect(laws) -> CesaroDefect:

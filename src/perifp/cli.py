@@ -185,9 +185,11 @@ _FP_COMMANDS = {
 }
 
 
-def _parse_fp_config(doc, command):
-    """Resolve the fp config of one subcommand."""
-    keys, spans = _FP_COMMANDS[command]
+def _parse_fp_config(args):
+    """Read and resolve the fp config of one subcommand; every subcommand checks
+    the initial density, which only fp-solve marches."""
+    doc, base = load_config(args.config)
+    keys, spans = _FP_COMMANDS[args.command]
     cfg, defaulted = _schema_check(doc, {**_FP_SCHEMA, **keys})
     dom, _ = _schema_check(cfg["domain"], {
         "lower": (_REQUIRED, _num), "upper": (_REQUIRED, _num)}, "/domain")
@@ -218,7 +220,7 @@ def _parse_fp_config(doc, command):
     bc = fpe_grid.robin(*cfg["robin"]) if cfg["bc"] == "robin" else _BOUNDARIES[cfg["bc"]]()
     if bc.kind == "robin" and cfg["form"] == "divergence":
         raise ConfigError("/bc", f"{cfg['bc']} boundaries need form 'nondivergence'")
-    return cfg, defaulted, grid, coeffs, bc
+    return cfg, defaulted, grid, coeffs, bc, _initial_density(cfg, grid, base)
 
 
 def _load_csv(path, where, **kwargs):
@@ -444,9 +446,7 @@ def _snapshot_times(text):
 
 
 def _cmd_fp_solve(args):
-    doc, base = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
-    p0 = _initial_density(cfg, grid, base)
+    cfg, defaulted, grid, coeffs, bc, p0 = _parse_fp_config(args)
     snapshot_times = [0.0, cfg["t1"]]
     if args.snapshots:
         snapshot_times = _snapshot_times(args.snapshots)
@@ -463,8 +463,7 @@ def _cmd_fp_solve(args):
 
 
 def _cmd_eigen(args):
-    doc, _ = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
+    cfg, defaulted, grid, coeffs, bc, _ = _parse_fp_config(args)
     op = period_map.PeriodOperator(grid, coeffs, bc, cfg["period_T"], cfg["dt"],
                                    form=cfg["form"])
     spec = period_map.power_iteration(op, tol=cfg["tol"])
@@ -482,8 +481,7 @@ def _cmd_eigen(args):
 
 
 def _cmd_stationary(args):
-    doc, _ = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
+    cfg, defaulted, grid, coeffs, bc, _ = _parse_fp_config(args)
     # the closed form is the zero-flux density of the flux-form equation
     if bc.kind != "reflecting":
         raise ConfigError("/bc", "the stationary closed form needs reflecting walls")
@@ -515,8 +513,7 @@ def _auto_pair(problem, dt):
 
 
 def _cmd_semilinear(args):
-    doc, _ = load_config(args.config)
-    cfg, defaulted, grid, coeffs, bc = _parse_fp_config(doc, args.command)
+    cfg, defaulted, grid, coeffs, bc, _ = _parse_fp_config(args)
     T = cfg["period_T"]
     problem = semilinear.SemilinearProblem(
         coeffs=coeffs, f=CoefficientField(parse_expr(cfg["source_f"]), T),

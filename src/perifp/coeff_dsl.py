@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -70,32 +69,51 @@ MAX_DEPTH = 100
 # ---------------------------------------------------------------------------
 # AST nodes (immutable)
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Node:
+    """A node equals a node of its own type with equal fields, and nothing else."""
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other._fields() == self._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Num(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Var(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
+class Neg(_Node):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
+class Bin(_Node):
+    __slots__ = ("op", "left", "right")     # op is one of + - * / ^
+
+
+class Call(_Node):
+    __slots__ = ("fn", "arg")
 
 
 Expr = Union[Num, Var, Neg, Bin, Call]
@@ -241,7 +259,6 @@ def _reads(node: Expr) -> frozenset:
     return frozenset()
 
 
-@dataclass(frozen=True)
 class CoefficientField:
     """A parsed coefficient expression with an optional declared period.
 
@@ -252,27 +269,21 @@ class CoefficientField:
     value of one that reads none, computed once (else None).
     """
 
-    expr: Expr
-    period_T: float | None = None
-    reads: frozenset = field(init=False, repr=False, compare=False)
-    folded: np.ndarray | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.period_T is not None and not self.period_T > 0:
+    def __init__(self, expr: Expr, period_T: float | None = None):
+        if period_T is not None and not period_T > 0:
             raise ValueError("period_T must be positive")
-        object.__setattr__(self, "reads", _reads(self.expr))
-        value = None
+        self.expr, self.period_T, self.reads, self.folded = expr, period_T, _reads(expr), None
         if not self.reads:
             # a constant that fails or overflows is left to every call, which
             # raises or warns as an unfolded expression does
             try:
                 with np.errstate(all="raise"):
-                    value = np.asarray(eval_expr(self.expr, {}), dtype=float)
+                    value = np.asarray(eval_expr(expr, {}), dtype=float)
             except (EvalError, FloatingPointError):
                 pass
             else:
                 value.flags.writeable = False
-        object.__setattr__(self, "folded", value)
+                self.folded = value
 
     @classmethod
     def from_string(cls, source: str, period_T: float | None = None) -> "CoefficientField":

@@ -12,7 +12,6 @@ which keeps the scheme second order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,17 +29,13 @@ FORMS = ("divergence", "nondivergence")
 BLOCK_ENTRIES = 8192
 
 
-@dataclass(frozen=True)
 class Grid1D:
-    n_cells: int
-    x_left: float
-    x_right: float
-
-    def __post_init__(self):
-        if self.n_cells < 4:
+    def __init__(self, n_cells: int, x_left: float, x_right: float):
+        if n_cells < 4:
             raise ValueError("need at least 4 cells")
-        if not self.x_right > self.x_left:
+        if not x_right > x_left:
             raise ValueError("x_right must exceed x_left")
+        self.n_cells, self.x_left, self.x_right = n_cells, x_left, x_right
 
     @property
     def dx(self) -> float:
@@ -55,32 +50,23 @@ class Grid1D:
         return self.x_left + np.arange(self.n_cells + 1) * self.dx
 
 
-@dataclass(frozen=True)
 class DensityField:
-    grid: Grid1D
-    values: np.ndarray
-    time_stamp: float = 0.0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_cells,):
-            raise ValueError(f"expected {self.grid.n_cells} values, got {v.shape}")
-        object.__setattr__(self, "values", v)
+    def __init__(self, grid: Grid1D, values: np.ndarray, time_stamp: float = 0.0):
+        v = np.asarray(values, dtype=float)
+        if v.shape != (grid.n_cells,):
+            raise ValueError(f"expected {grid.n_cells} values, got {v.shape}")
+        self.grid, self.values, self.time_stamp = grid, v, time_stamp
 
     @property
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.dx)
 
 
-@dataclass(frozen=True)
 class BoundaryCondition:
-    kind: str  # 'absorbing' | 'reflecting' | 'robin'
-    b0_left: float = 0.0
-    b0_right: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("absorbing", "reflecting", "robin"):
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
+    def __init__(self, kind: str, b0_left: float = 0.0, b0_right: float = 0.0):
+        if kind not in ("absorbing", "reflecting", "robin"):
+            raise ValueError(f"unknown boundary kind {kind!r}")
+        self.kind, self.b0_left, self.b0_right = kind, b0_left, b0_right
 
 
 def absorbing() -> BoundaryCondition:
@@ -99,23 +85,23 @@ def neumann() -> BoundaryCondition:
     return BoundaryCondition("robin", 0.0, 0.0)
 
 
-@dataclass(frozen=True)
 class FpCoefficients:
-    a_eff: CoefficientField            # = sigma^2/2 in the divergence form
-    b: CoefficientField
-    a0: Optional[CoefficientField] = None
+    def __init__(self, a_eff: CoefficientField, b: CoefficientField,
+                 a0: Optional[CoefficientField] = None):
+        self.a_eff = a_eff      # = sigma^2/2 in the divergence form
+        self.b, self.a0 = b, a0
 
 
-@dataclass
 class Tridiag:
     """dp/dt = L p with L tridiagonal: lower[i] = L[i,i-1], upper[i] = L[i,i+1].
 
     Arrays of shape (..., n) stack generators; matvec takes p stacked alike.
     """
 
-    lower: np.ndarray  # (n,), lower[0] unused
-    diag: np.ndarray   # (n,)
-    upper: np.ndarray  # (n,), upper[n-1] unused
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        self.lower = lower      # (n,), lower[0] unused
+        self.diag = diag        # (n,)
+        self.upper = upper      # (n,), upper[n-1] unused
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         out = self.diag * p

@@ -16,7 +16,6 @@ then bounds ||P^N - I||_1 >= ||P^N - I||_max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 import numpy as np
@@ -27,13 +26,9 @@ DEFAULT_TOL = 1e-9
 _STOCHASTIC_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class TransitionMatrix:
-    entries: np.ndarray  # (m, m), column-stochastic
-
-    def __post_init__(self):
-        P = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", P)
+    def __init__(self, entries: np.ndarray):
+        self.entries = P = np.asarray(entries, dtype=float)    # (m, m), column-stochastic
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DimensionMismatch(f"transition matrix must be square, got {P.shape}")
         if not np.all((P >= -_STOCHASTIC_TOL) & (P <= 1 + _STOCHASTIC_TOL)):
@@ -52,13 +47,9 @@ class TransitionMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
 class DistributionVector:
-    probs: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", x)
+    def __init__(self, probs: np.ndarray):
+        self.probs = x = np.asarray(probs, dtype=float)
         if x.ndim != 1:
             raise DimensionMismatch("distribution must be a vector")
         if not np.all(x >= -_STOCHASTIC_TOL):
@@ -67,12 +58,12 @@ class DistributionVector:
             raise ValueError(f"probabilities must sum to 1, got {float(x.sum())!r}")
 
 
-@dataclass(frozen=True)
 class PeriodReport:
-    period: int | None
-    residuals: np.ndarray  # residuals[k-1] = ||P^k x0 - x0||_inf, k = 1..N_max
-    strong: bool
-    tol: float = DEFAULT_TOL
+    def __init__(self, period: int | None, residuals: np.ndarray, strong: bool,
+                 tol: float = DEFAULT_TOL):
+        self.period = period
+        self.residuals = residuals  # residuals[k-1] = ||P^k x0 - x0||_inf, k = 1..N_max
+        self.strong, self.tol = strong, tol
 
 
 def detect_period(P: TransitionMatrix, x0: DistributionVector,

@@ -14,7 +14,6 @@ build_period_map marches the same operators on the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +31,11 @@ ARNOLDI_MAX = 64
 MAX_APPLIES = 20000     # periods power_iteration applies before NotConverged
 
 
-@dataclass(frozen=True)
 class PeriodMap:
-    K: np.ndarray
-    T: float
     log_scale = 0.0     # apply is U(T, 0) itself
+
+    def __init__(self, K: np.ndarray, T: float):
+        self.K, self.T = K, T
 
     @property
     def n(self) -> int:
@@ -46,14 +45,12 @@ class PeriodMap:
         return self.K @ V
 
 
-@dataclass(frozen=True)
 class SpectralResult:
-    r: float
-    log_r: float        # log r, finite where r leaves the double range
-    mu: float
-    eigvec: np.ndarray
-    iterations: int
-    residual: float
+    def __init__(self, r: float, log_r: float, mu: float, eigvec: np.ndarray,
+                 iterations: int, residual: float):
+        self.r = r
+        self.log_r = log_r      # log r, finite where r leaves the double range
+        self.mu, self.eigvec, self.iterations, self.residual = mu, eigvec, iterations, residual
 
     @property
     def min_over_max(self) -> float:

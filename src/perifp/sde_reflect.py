@@ -13,8 +13,6 @@ row i of the diffusion see x = X_i, their own coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bl_metric import (CesaroDefect, EmpiricalMeasure, cesaro_defect, coarsen,
@@ -23,20 +21,15 @@ from .errors import DimensionMismatch, NonFiniteState
 from .fpe_grid import step_count
 
 
-@dataclass(frozen=True)
 class BoxDomain:
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+    def __init__(self, lower: np.ndarray, upper: np.ndarray):
+        lo = np.atleast_1d(np.asarray(lower, dtype=float))
+        hi = np.atleast_1d(np.asarray(upper, dtype=float))
         if lo.shape != hi.shape:
             raise DimensionMismatch("lower and upper must have the same length")
         if not np.all(lo < hi):
             raise ValueError("need lower < upper componentwise")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        self.lower, self.upper = lo, hi
 
     @property
     def dim(self) -> int:
@@ -47,27 +40,21 @@ class BoxDomain:
         return np.clip(x, self.lower, self.upper, out=x)
 
 
-@dataclass(frozen=True)
 class SdeSystem:
-    drift: tuple          # d CoefficientFields b_i(t, x_i)
-    diffusion: tuple      # d rows of m CoefficientFields sigma_ij(t, x_i)
-    period_T: float
-    domain: BoxDomain
-
-    def __post_init__(self):
-        drift = tuple(self.drift)
-        diffusion = tuple(tuple(row) for row in self.diffusion)
-        d = self.domain.dim
+    def __init__(self, drift: tuple, diffusion: tuple, period_T: float, domain: BoxDomain):
+        drift = tuple(drift)    # d CoefficientFields b_i(t, x_i)
+        # d rows of m CoefficientFields sigma_ij(t, x_i)
+        diffusion = tuple(tuple(row) for row in diffusion)
+        d = domain.dim
         if len(drift) != d:
             raise DimensionMismatch(f"need {d} drift components, got {len(drift)}")
         m = len(diffusion[0]) if diffusion else 0
         if len(diffusion) != d or any(len(row) != m for row in diffusion):
             raise DimensionMismatch(f"diffusion must be {d}x{m}")
         for f in drift + tuple(f for row in diffusion for f in row):
-            if f.period_T is None or abs(f.period_T - self.period_T) > 1e-12 * self.period_T:
+            if f.period_T is None or abs(f.period_T - period_T) > 1e-12 * period_T:
                 raise ValueError("all coefficients must be declared T-periodic with the system period")
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "diffusion", diffusion)
+        self.drift, self.diffusion, self.period_T, self.domain = drift, diffusion, period_T, domain
 
     @property
     def brownian_dim(self) -> int:
@@ -75,10 +62,10 @@ class SdeSystem:
         return len(self.diffusion[0])
 
 
-@dataclass
 class TrajectoryBatch:
-    snapshots: list            # EmpiricalMeasure at times 0, T, ..., nT
-    reflection_counts: np.ndarray  # per-path projection tallies
+    def __init__(self, snapshots: list, reflection_counts: np.ndarray):
+        self.snapshots = snapshots      # EmpiricalMeasure at times 0, T, ..., nT
+        self.reflection_counts = reflection_counts      # per-path projection tallies
 
 
 def em_reflect_step(x: np.ndarray, t: float, dt: float, dW: np.ndarray,

@@ -20,7 +20,6 @@ the Newton slope -df/du(u*): generalized quasilinearization
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -36,27 +35,21 @@ MONOTONE_SLACK = 1e-10
 U_LEVELS = 17          # u-levels between the iterates at which estimate_c samples -df/du
 
 
-@dataclass(frozen=True)
 class SemilinearProblem:
-    coeffs: FpCoefficients          # elliptic part incl. optional a0
-    f: CoefficientField             # source f(t, x, u)
-    bc: BoundaryCondition
-    T: float
-    grid: Grid1D
-    form: str = "nondivergence"
+    def __init__(self, coeffs: FpCoefficients, f: CoefficientField, bc: BoundaryCondition,
+                 T: float, grid: Grid1D, form: str = "nondivergence"):
+        self.coeffs = coeffs        # elliptic part incl. optional a0
+        self.f = f                  # source f(t, x, u)
+        self.bc, self.T, self.grid, self.form = bc, T, grid, form
 
 
-@dataclass(frozen=True)
 class OrderedPair:
-    lower: DensityField
-    upper: DensityField
-
-    def __post_init__(self):
-        if np.any(self.lower.values > self.upper.values):
+    def __init__(self, lower: DensityField, upper: DensityField):
+        if np.any(lower.values > upper.values):
             raise ValueError("need lower <= upper pointwise")
+        self.lower, self.upper = lower, upper
 
 
-@dataclass
 class PeriodicLinearSolver:
     """Solver for d_t v + (A(t) + c) v = g(t, x), v(0) = v(T).
 
@@ -66,15 +59,15 @@ class PeriodicLinearSolver:
     homogeneous one-period map (one march per product, never formed) and
     w the one-period march of zero data under the source."""
 
-    grid: Grid1D
-    coeffs: FpCoefficients
-    bc: BoundaryCondition
-    T: float
-    dt: float
-    c: Union[float, np.ndarray] = 0.0
-    form: str = "nondivergence"
+    def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition, T: float,
+                 dt: float, c: Union[float, np.ndarray] = 0.0, form: str = "nondivergence"):
+        self.grid, self.coeffs, self.bc, self.T, self.dt = grid, coeffs, bc, T, dt
+        self.c, self.form = c, form
+        self.__post_init__()
 
     def __post_init__(self):
+        """Builds the march's Propagator, which factors every step once: the
+        solver's one build, a method of its own so that it is timed apart."""
         self._prop = Propagator(self.grid, self.coeffs, self.bc, self.T, self.dt, self.form,
                                 c=self.c, startup=False)
         self.n_steps = self._prop.n_phases
@@ -153,15 +146,15 @@ def _source_from_trajectory(problem: SemilinearProblem, traj: np.ndarray,
     return problem.f(t=t_half, x=xs, u=u_half) + c * u_half
 
 
-@dataclass
 class MonotoneResult:
-    trajectory: np.ndarray           # (n_steps + 1, n), the periodic solution
-    gap: float                       # sup |upper limit - lower limit|
-    iterations: int
-    deltas_upper: list
-    deltas_lower: list
-    periodicity_residual: float
-    c: float                         # the largest shift of the last iteration
+    def __init__(self, trajectory: np.ndarray, gap: float, iterations: int,
+                 deltas_upper: list, deltas_lower: list, periodicity_residual: float,
+                 c: float):
+        self.trajectory = trajectory    # (n_steps + 1, n), the periodic solution
+        self.gap = gap                  # sup |upper limit - lower limit|
+        self.iterations, self.periodicity_residual = iterations, periodicity_residual
+        self.deltas_upper, self.deltas_lower = deltas_upper, deltas_lower
+        self.c = c                      # the largest shift of the last iteration
 
 
 def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,

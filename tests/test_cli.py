@@ -424,6 +424,14 @@ def test_semilinear_standing_iterates_are_a_singular_system(tmp_path, capsys, ma
     ("semilinear", {"source_f": "1 + u*u"}, "/source_f"),   # f > 0: no M0
     ("fp-solve", {"drift": "1e400*x"}, "/drift"),       # a literal that overflows
     ("eigen", {"sigma": "sqrt(2) + 0*1.8e308"}, "/sigma"),
+    ("fp-solve", {"init": {"expr": "u"}}, "/init/expr"),  # every fp subcommand checks init
+    ("eigen", {"init": {"expr": "u"}}, "/init/expr"),
+    ("stationary", {"init": {"expr": "u"}}, "/init/expr"),
+    ("semilinear", {"init": {"expr": "u"}}, "/init/expr"),
+    ("eigen", {"init": 0.05}, "/init"),
+    ("stationary", {"init": "u*(1-u)"}, "/init"),
+    ("semilinear", {"init": {"expr": "0"}}, "/init"),     # zero mass
+    ("eigen", {"init": {"csv": "missing.csv"}}, "/init/csv"),
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -443,6 +451,8 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
         assert err["message"] == f"{path}: unknown key"
     if change.get("init") == {"csv": "short.csv"}:
         assert err["message"] == "/init/csv: expected 16 rows"
+    if change.get("init") == {"expr": "u"}:
+        assert err["message"] == "/init/expr: reads u; this coefficient is given only x"
     if change.get("drift") == "1e400*x":
         assert err["message"] == ("/drift: bad expression: "
                                   "at offset 0: number '1e400' is out of range")

@@ -210,6 +210,23 @@ def test_pretty_parse_round_trip(node):
     assert parse_expr(pretty(node)) == node
 
 
+def test_node_equality_is_structural_and_typed():
+    # a node equals a node of its own type with equal fields, and hashes alike;
+    # it never equals a node of another type built from the same fields, nor a
+    # tuple of its fields, so the round trip above checks every node's type
+    assert parse_expr("-(x + 1)") == Neg(Bin("+", Var("x"), Num(1.0)))
+    assert hash(parse_expr("x ^ 2")) == hash(Bin("^", Var("x"), Num(2.0)))
+    assert Var("x") != Num("x")
+    assert Num(Var("x")) != Neg(Var("x"))
+    assert Num(1.0) != (1.0,) and (1.0,) != Num(1.0)
+    assert Call("sin", Var("x")) != ("sin", Var("x"))
+    assert Bin("+", Var("x"), Num(1.0)) != Bin("+", Num(1.0), Var("x"))
+    assert repr(Bin("+", Var("x"), Num(1.0))) == \
+        "Bin(op='+', left=Var(name='x'), right=Num(value=1.0))"
+    with pytest.raises(AttributeError):
+        Num(1.0).value = 2.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(_exprs(4),
        st.floats(min_value=-3, max_value=3, allow_nan=False),

@@ -30,8 +30,22 @@ LOADED = ("json.dumps({m: m in sys.modules for m in "
 
 
 def test_cli_import_skips_scipy_packages():
-    assert _fresh(f"import json, sys\nimport perifp.cli\nprint({LOADED})") == {
-        "scipy.linalg": False, "scipy.optimize": False, "scipy.sparse": False}
+    # start-up loads the two compiled modules and nothing of scipy's Python
+    # package (whose __init__ alone loads subprocess and locale), and builds
+    # no dataclass; scipy's own import later reuses the same module objects
+    code = """import json, sys
+import perifp.cli
+names = ("scipy", "scipy.linalg", "scipy.optimize", "scipy.sparse", "dataclasses",
+         "scipy.linalg._flapack", "scipy.optimize._lsap")
+loaded = {name: name in sys.modules for name in names}
+kernels = [sys.modules[name] for name in names[-2:]]
+import scipy.linalg, scipy.optimize
+loaded["reused"] = [sys.modules[name] for name in names[-2:]] == kernels
+print(json.dumps(loaded))"""
+    assert _fresh(code) == {
+        "scipy": False, "scipy.linalg": False, "scipy.optimize": False, "scipy.sparse": False,
+        "dataclasses": False, "scipy.linalg._flapack": True, "scipy.optimize._lsap": True,
+        "reused": True}
 
 
 def test_equal_weight_d2_dbl_skips_scipy_optimize():
@@ -75,6 +89,26 @@ def test_missing_kernel_is_an_import_error_naming_it():
         _kernels._kernels("scipy.linalg", "_nowhere", "dgetrf")
     with pytest.raises(ImportError, match="scipy.linalg._flapack has no dnothing"):
         _kernels._kernels("scipy.linalg", "_flapack", "dgetrf dnothing")
+
+
+@pytest.mark.parametrize("package, module", [
+    ("fakepkg.linalg", "_flapack"),      # a Python source of that name, not compiled
+    ("fakepkg.nowhere", "_flapack"),     # no such subpackage
+    ("perifp_no_such_package", "_flapack"),
+])
+def test_kernel_lookup_has_no_fallback(tmp_path, monkeypatch, package, module):
+    # only a compiled module is loaded, found in the package's directory
+    # without running any __init__; anything else is an ImportError naming it
+    (tmp_path / "fakepkg" / "linalg").mkdir(parents=True)
+    (tmp_path / "fakepkg" / "__init__.py").write_text("raise RuntimeError('ran __init__')\n")
+    (tmp_path / "fakepkg" / "linalg" / "__init__.py").write_text("")
+    (tmp_path / "fakepkg" / "linalg" / "_flapack.py").write_text("dgttrf = None\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    full = f"{package}.{module}"
+    with pytest.raises(ImportError, match=f"compiled module {full} not found") as exc:
+        _kernels._kernels(package, module, "dgttrf")
+    assert exc.value.name == full
+    assert not any(name.startswith(("fakepkg", "perifp_no_such")) for name in sys.modules)
 
 
 def test_subcommands_skip_numpy_ma():
