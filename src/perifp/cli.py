@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, bl_metric, fpe_grid, markov, period_map, sde_reflect, semilinear
-from .coeff_dsl import Bin, CoefficientField, Num, parse_expr
+from .coeff_dsl import CoefficientField, parse_expr
 from .errors import ConfigError, DimensionMismatch, PerifpError
 
 _REQUIRED = object()
@@ -211,7 +211,7 @@ def _parse_fp_config(args):
         a_expr = parse_expr(cfg["a_eff"])
     else:
         s = parse_expr(cfg["sigma"])
-        a_expr = Bin("/", Bin("*", s, s), Num(2.0))
+        a_expr = ("bin", "/", ("bin", "*", s, s), ("num", 2.0))
     coeffs = fpe_grid.FpCoefficients(
         a_eff=CoefficientField(a_expr, T),
         b=CoefficientField(parse_expr(cfg["drift"]), T),
@@ -499,7 +499,8 @@ def _auto_pair(problem, dt):
     """Default ordered pair: eps * principal eigenfunction below, 2*M0 above."""
     ts = np.linspace(0, problem.T, 8, endpoint=False)[:, None]
     # stop at the first candidate: f need not be defined for larger u
-    M0 = next((cand for cand in np.geomspace(1e-3, 1e6, 64)
+    scan = np.concatenate([np.geomspace(1e-3, 1e6, 64), np.geomspace(1e6, 1e15, 64)[1:]])
+    M0 = next((cand for cand in scan
                if np.max(problem.f(t=ts, x=problem.grid.centers, u=cand)) <= 0), None)
     if M0 is None:
         raise ConfigError("/source_f", "could not find M0 with f(t,x,M0) <= 0")

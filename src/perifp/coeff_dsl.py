@@ -20,6 +20,10 @@ function arguments raise EvalError rather than returning NaN.  A
 CoefficientField returns a float array of its arguments' broadcast shape.
 It knows the variables its tree reads: an expression that reads none is
 evaluated once, and one that does not read t skips the period reduction.
+
+A tree is a tuple tagged with its kind: ("num", value), ("var", name),
+("neg", operand), ("bin", op, left, right) with op one of + - * / ^, or
+("call", fn, arg); its equality, hashing and immutability are the tuple's.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Union
 
 import numpy as np
 
@@ -62,61 +65,8 @@ OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                             "zero base with negative exponent"))}
 
 # operands nest one level per parenthesis, call, unary minus, power and
-# chained + - * / operator: bounds the parser's recursion and the AST depth
+# chained + - * / operator: bounds the parser's recursion and the tree depth
 MAX_DEPTH = 100
-
-
-# ---------------------------------------------------------------------------
-# AST nodes (immutable)
-
-class _Node:
-    """A node equals a node of its own type with equal fields, and nothing else."""
-    __slots__ = ()
-
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return other._fields() == self._fields()
-
-    def __hash__(self):
-        return hash((type(self), self._fields()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Num(_Node):
-    __slots__ = ("value",)
-
-
-class Var(_Node):
-    __slots__ = ("name",)
-
-
-class Neg(_Node):
-    __slots__ = ("operand",)
-
-
-class Bin(_Node):
-    __slots__ = ("op", "left", "right")     # op is one of + - * / ^
-
-
-class Call(_Node):
-    __slots__ = ("fn", "arg")
-
-
-Expr = Union[Num, Var, Neg, Bin, Call]
 
 
 # ---------------------------------------------------------------------------
@@ -164,53 +114,53 @@ class _Parser:
             _, text, pos = self.peek()
             raise ExprSyntaxError(pos, f"expected {op!r}, found {text or 'end of input'!r}")
 
-    def parse(self) -> Expr:
+    def parse(self) -> tuple:
         node = self.chain()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(pos, f"trailing input {text!r}")
         return node
 
-    def chain(self, level=0) -> Expr:
+    def chain(self, level=0) -> tuple:
         if level == len(_LEVELS):
             return self.unary()
         depth = self.depth
         node = self.chain(level + 1)
         while op := self.accept(_LEVELS[level]):
             self.depth += 1     # the chain so far is the left operand
-            node = Bin(op, node, self.chain(level + 1))
+            node = ("bin", op, node, self.chain(level + 1))
         self.depth = depth
         return node
 
-    def unary(self) -> Expr:
+    def unary(self) -> tuple:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ExprSyntaxError(self.peek()[2], f"nested deeper than {MAX_DEPTH} levels")
-        node = Neg(self.unary()) if self.accept("-") else self.power()
+        node = ("neg", self.unary()) if self.accept("-") else self.power()
         self.depth -= 1
         return node
 
-    def power(self) -> Expr:
+    def power(self) -> tuple:
         base = self.atom()
-        return Bin("^", base, self.unary()) if self.accept("^") else base
+        return ("bin", "^", base, self.unary()) if self.accept("^") else base
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple:
         kind, text, pos = self.peek()
         self.i += 1
         if kind == "num":
             if not math.isfinite(value := float(text)):
                 raise ExprSyntaxError(pos, f"number {text!r} is out of range")
-            return Num(value)
+            return ("num", value)
         if kind == "ident":
             if text in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.chain()
                 self.expect_op(")")
-                return Call(text, arg)
+                return ("call", text, arg)
             if text in CONSTANTS:
-                return Num(CONSTANTS[text])
+                return ("num", CONSTANTS[text])
             if text in VARIABLES:
-                return Var(text)
+                return ("var", text)
             raise UnknownIdentifier(text)
         if kind == "op" and text == "(":
             node = self.chain()
@@ -219,43 +169,43 @@ class _Parser:
         raise ExprSyntaxError(pos, f"expected a value, found {text or 'end of input'!r}")
 
 
-def parse_expr(source: str) -> Expr:
-    """Parse an expression string into an immutable AST."""
+def parse_expr(source: str) -> tuple:
+    """Parse an expression string into a tree."""
     return _Parser(source).parse()
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def eval_expr(node: Expr, env: dict):
-    """Evaluate an AST given a variable environment.
+def eval_expr(node: tuple, env: dict):
+    """Evaluate a tree given a variable environment.
 
     Values may be scalars or numpy arrays; arithmetic broadcasts.
     """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name not in env or env[node.name] is None:
-            raise EvalError("missing_var", f"variable {node.name!r} not supplied")
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -eval_expr(node.operand, env)
-    if isinstance(node, Call):
-        return FUNCTIONS[node.fn](eval_expr(node.arg, env))
-    if isinstance(node, Bin):
-        return OPERATORS[node.op](eval_expr(node.left, env), eval_expr(node.right, env))
-    raise TypeError(f"not an Expr node: {node!r}")
+    match node:
+        case ("bin", op, left, right):
+            return OPERATORS[op](eval_expr(left, env), eval_expr(right, env))
+        case ("var", name):
+            if env.get(name) is None:
+                raise EvalError("missing_var", f"variable {name!r} not supplied")
+            return env[name]
+        case ("num", value):
+            return value
+        case ("call", fn, arg):
+            return FUNCTIONS[fn](eval_expr(arg, env))
+        case ("neg", operand):
+            return -eval_expr(operand, env)
+    raise TypeError(f"not an expression tree: {node!r}")
 
 
-def _reads(node: Expr) -> frozenset:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return _reads(node.operand)
-    if isinstance(node, Call):
-        return _reads(node.arg)
-    if isinstance(node, Bin):
-        return _reads(node.left) | _reads(node.right)
+def _reads(node: tuple) -> frozenset:
+    match node:
+        case ("bin", _, left, right):
+            return _reads(left) | _reads(right)
+        case ("var", name):
+            return frozenset((name,))
+        case ("call", _, operand) | ("neg", operand):
+            return _reads(operand)
     return frozenset()
 
 
@@ -269,7 +219,7 @@ class CoefficientField:
     value of one that reads none, computed once (else None).
     """
 
-    def __init__(self, expr: Expr, period_T: float | None = None):
+    def __init__(self, expr: tuple, period_T: float | None = None):
         if period_T is not None and not period_T > 0:
             raise ValueError("period_T must be positive")
         self.expr, self.period_T, self.reads, self.folded = expr, period_T, _reads(expr), None

@@ -31,7 +31,7 @@ from .fpe_grid import (BLOCK_ENTRIES, BoundaryCondition, DensityField, FpCoeffic
 from .period_map import arnoldi
 
 KRYLOV_TOL, KRYLOV_RCOND = 1e-13, 1e-8
-MONOTONE_SLACK = 1e-10
+MONOTONE_SLACK = 1e-10  # times max(1, max |iterate|): rounding grows with the iterates
 U_LEVELS = 17          # u-levels between the iterates at which estimate_c samples -df/du
 
 
@@ -184,13 +184,14 @@ def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
                                           problem.T, dt, c=shift, form=problem.form)
         new = solver.solve(_source_from_trajectory(problem, traj, shift, dt), traj[0])[1]
         new_up, new_lo = new[..., 0], new[..., 1]
+        slack = MONOTONE_SLACK * max(1.0, float(np.max(np.abs(traj))))
         if it > 1:
             # after the first correction the sequences must be monotone
-            if np.any(new_up > traj[..., 0] + MONOTONE_SLACK):
+            if np.any(new_up > traj[..., 0] + slack):
                 raise _violation(problem, pair, dt, "upper iterates increased")
-            if np.any(new_lo < traj[..., 1] - MONOTONE_SLACK):
+            if np.any(new_lo < traj[..., 1] - slack):
                 raise _violation(problem, pair, dt, "lower iterates decreased")
-        if np.any(new_lo > new_up + MONOTONE_SLACK):
+        if np.any(new_lo > new_up + slack):
             raise _violation(problem, pair, dt, "iterates crossed")
         d_up, d_lo = np.max(np.abs(new - traj), axis=(0, 1)).tolist()
         deltas_up.append(d_up)

@@ -351,6 +351,25 @@ def test_semilinear_violation_names_the_lower_candidate(tmp_path, capsys):
     assert float(slack) == pytest.approx(-8.9e-3, abs=1e-4)
 
 
+@pytest.mark.parametrize("K", [1e5, 9e5], ids=["slack", "scan"])
+def test_semilinear_scaled_logistic_is_the_unscaled_one_scaled(tmp_path, K):
+    # the logistic with u scaled by K: at 1e5 a monotonicity slack that did
+    # not grow with the iterates ended in a spurious MonotonicityViolation,
+    # and at 9e5 the first upper candidate, 1.35e6, lay past the M0 scan
+    doc = {"domain": {"lower": 0.0, "upper": 1.0}, "period_T": 1.0, "n_cells": 8,
+           "dt": 1.0 / 128, "drift": "0", "a_eff": "1", "bc": "neumann"}
+    for name, scale in (("unscaled", 1.0), ("scaled", K)):
+        cfg = _write(tmp_path / f"{name}.json", dict(
+            doc, source_f=f"u*((1 + 0.5*sin(2*pi*t)) - u/{scale:g})", tol=scale * 1e-9))
+        assert run(["semilinear", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    profiles = sorted(p.name for p in (tmp_path / "unscaled").glob("profile_t*.csv"))
+    assert len(profiles) == 9
+    for name in profiles:
+        unscaled, scaled = (np.loadtxt(tmp_path / d / name, delimiter=",", skiprows=1)[:, 1]
+                            for d in ("unscaled", "scaled"))
+        assert np.max(np.abs(scaled / K - unscaled)) <= 1e-9
+
+
 @pytest.mark.parametrize("max_iter", [2, None])
 def test_semilinear_standing_iterates_are_a_singular_system(tmp_path, capsys, max_iter):
     # with f = 0 on Neumann walls every constant is a periodic solution: the
@@ -869,6 +888,32 @@ def test_auto_pair_stops_at_first_upper_candidate():
         fpe_grid.neumann(), T, fpe_grid.Grid1D(8, 0.0, 1.0))
     pair = _auto_pair(problem, T / 8)
     np.testing.assert_array_equal(pair.upper.values, 2 * np.geomspace(1e-3, 1e6, 64)[23])
+
+
+def test_auto_pair_scans_past_1e6():
+    # u(1 + 0.5 sin(2 pi t) - u/9e5) <= 0 from u = 1.35e6 on: the scan goes
+    # on past 1e6 at the ratio of its first 64 points, which stay as they were
+    T = 1.0
+    one, zero = (CoefficientField.from_string(s, T) for s in ("1", "0"))
+    problem = semilinear.SemilinearProblem(
+        fpe_grid.FpCoefficients(a_eff=one, b=zero),
+        CoefficientField.from_string("u*((1 + 0.5*sin(2*pi*t)) - u/900000)", T),
+        fpe_grid.neumann(), T, fpe_grid.Grid1D(8, 0.0, 1.0))
+    pair = _auto_pair(problem, T / 8)
+    np.testing.assert_array_equal(pair.upper.values, 2 * np.geomspace(1e6, 1e15, 64)[1])
+
+
+def test_sigma_and_its_a_eff_text_march_to_one_density(tmp_path):
+    # the CLI builds the tree of sigma*sigma/2 itself; the same expression
+    # written out as a_eff text must give the same bytes
+    sigma = "1 + 0.5*x*sin(2*pi*t/0.1)"
+    doc = dict(HEAT_CONFIG, bc="reflecting", drift="sin(2*pi*t/0.1)*(1-2*x)")
+    del doc["sigma"]
+    for name, key, value in (("s", "sigma", sigma), ("a", "a_eff", f"({sigma})*({sigma})/2")):
+        cfg = _write(tmp_path / f"{name}.json", dict(doc, **{key: value}))
+        assert run(["fp-solve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "s" / "density.csv").read_bytes() == \
+        (tmp_path / "a" / "density.csv").read_bytes()
 
 
 def test_both_sigma_and_a_eff_rejected(tmp_path):

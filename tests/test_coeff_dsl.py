@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perifp.coeff_dsl import (CONSTANTS, Bin, Call, CoefficientField, Expr, Neg, Num, Var,
-                              eval_expr, parse_expr)
+from perifp.coeff_dsl import CONSTANTS, CoefficientField, eval_expr, parse_expr
 from perifp.errors import EvalError, ExprSyntaxError, UnknownIdentifier
 
 
@@ -66,7 +65,7 @@ def test_literal_that_overflows_is_a_syntax_error(source, position, literal):
     with pytest.raises(ExprSyntaxError, match=f"number '{literal}' is out of range") as exc:
         parse_expr(source)
     assert exc.value.position == position
-    assert parse_expr("1e-400") == Num(0.0)         # underflow stays a finite number
+    assert parse_expr("1e-400") == ("num", 0.0)     # underflow stays a finite number
 
 
 @settings(max_examples=500, deadline=None)
@@ -108,7 +107,8 @@ def test_nesting_below_the_depth_bound_parses_and_evaluates():
 def test_constants_and_functions():
     assert eval_expr(parse_expr("pi"), {}) == pytest.approx(math.pi)
     assert eval_expr(parse_expr("e"), {}) == pytest.approx(math.e)
-    assert parse_expr("2*pi") == Bin("*", Num(2.0), Num(math.pi))   # a constant is its number
+    # a constant is its number
+    assert parse_expr("2*pi") == ("bin", "*", ("num", 2.0), ("num", math.pi))
     assert eval_expr(parse_expr("exp(1)"), {}) == pytest.approx(math.e)
     assert eval_expr(parse_expr("tanh(0)"), {}) == 0.0
     assert eval_expr(parse_expr("abs(-3)"), {}) == 3.0
@@ -150,45 +150,42 @@ def test_integer_power_of_negative_base():
 
 
 # ---------------------------------------------------------------------------
-# pretty printing (round-trips through parse_expr to an identical AST)
+# pretty printing (round-trips through parse_expr to an identical tree)
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
-def pretty(node: Expr) -> str:
+def pretty(node: tuple) -> str:
     return _pretty(node, 0)
 
 
-def _pretty(node: Expr, parent_prec: int) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _pretty(node.operand, _PREC["neg"])
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > _PREC["neg"] else text
-    if isinstance(node, Call):
-        return f"{node.fn}({_pretty(node.arg, 0)})"
-    if isinstance(node, Bin):
-        prec = _PREC[node.op]
-        # + and * are left-associative: the right child needs parens at equal
-        # precedence; ^ is right-associative so the left child does.
-        if node.op == "^":
-            left = _pretty(node.left, prec + 1)
-            right = _pretty(node.right, prec)
-        else:
-            left = _pretty(node.left, prec)
-            right = _pretty(node.right, prec + 1)
-        text = f"{left} {node.op} {right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"not an Expr node: {node!r}")
+def _pretty(node: tuple, parent_prec: int) -> str:
+    match node:
+        case ("num", value):
+            return repr(value)
+        case ("var", name):
+            return name
+        case ("neg", operand):
+            text = f"-{_pretty(operand, _PREC['neg'])}"
+            return f"({text})" if parent_prec > _PREC["neg"] else text
+        case ("call", fn, arg):
+            return f"{fn}({_pretty(arg, 0)})"
+        case ("bin", op, left, right):
+            prec = _PREC[op]
+            # + and * are left-associative: the right child needs parens at
+            # equal precedence; ^ is right-associative so the left child does.
+            if op == "^":
+                text = f"{_pretty(left, prec + 1)} {op} {_pretty(right, prec)}"
+            else:
+                text = f"{_pretty(left, prec)} {op} {_pretty(right, prec + 1)}"
+            return f"({text})" if parent_prec > prec else text
+    raise TypeError(f"not an expression tree: {node!r}")
 
 
 _leaf = st.one_of(
-    st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(Num),
-    st.sampled_from(["t", "x", "u"]).map(Var),
-    st.sampled_from(["pi", "e"]).map(lambda k: Num(CONSTANTS[k])),
+    st.tuples(st.just("num"), st.floats(min_value=0.0, max_value=100.0, allow_nan=False)),
+    st.tuples(st.just("var"), st.sampled_from(["t", "x", "u"])),
+    st.sampled_from(["pi", "e"]).map(lambda k: ("num", CONSTANTS[k])),
 )
 
 
@@ -198,9 +195,9 @@ def _exprs(depth):
     sub = _exprs(depth - 1)
     return st.one_of(
         _leaf,
-        sub.map(Neg),
-        st.builds(Bin, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
-        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "tanh", "abs"]), sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("bin"), st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
+        st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "exp", "tanh", "abs"]), sub),
     )
 
 
@@ -211,20 +208,22 @@ def test_pretty_parse_round_trip(node):
 
 
 def test_node_equality_is_structural_and_typed():
-    # a node equals a node of its own type with equal fields, and hashes alike;
-    # it never equals a node of another type built from the same fields, nor a
-    # tuple of its fields, so the round trip above checks every node's type
-    assert parse_expr("-(x + 1)") == Neg(Bin("+", Var("x"), Num(1.0)))
-    assert hash(parse_expr("x ^ 2")) == hash(Bin("^", Var("x"), Num(2.0)))
-    assert Var("x") != Num("x")
-    assert Num(Var("x")) != Neg(Var("x"))
-    assert Num(1.0) != (1.0,) and (1.0,) != Num(1.0)
-    assert Call("sin", Var("x")) != ("sin", Var("x"))
-    assert Bin("+", Var("x"), Num(1.0)) != Bin("+", Num(1.0), Var("x"))
-    assert repr(Bin("+", Var("x"), Num(1.0))) == \
-        "Bin(op='+', left=Var(name='x'), right=Num(value=1.0))"
-    with pytest.raises(AttributeError):
-        Num(1.0).value = 2.0
+    # a tree equals a tree of its own kind with equal fields, and hashes alike;
+    # it never equals a tree of another kind built from the same fields, nor
+    # the bare tuple of its fields, so the round trip above checks every kind
+    assert parse_expr("-(x + 1)") == ("neg", ("bin", "+", ("var", "x"), ("num", 1.0)))
+    assert hash(parse_expr("x ^ 2")) == hash(("bin", "^", ("var", "x"), ("num", 2.0)))
+    assert ("var", "x") != ("num", "x")
+    assert ("num", ("var", "x")) != ("neg", ("var", "x"))
+    assert ("num", 1.0) != (1.0,) and (1.0,) != ("num", 1.0)
+    assert ("call", "sin", ("var", "x")) != ("sin", ("var", "x"))
+    assert ("bin", "+", ("var", "x"), ("num", 1.0)) != ("bin", "+", ("num", 1.0), ("var", "x"))
+    assert repr(parse_expr("x + 1")) == "('bin', '+', ('var', 'x'), ('num', 1.0))"
+    with pytest.raises(TypeError):
+        parse_expr("1")[1] = 2.0
+    for bad in [("const", 1.0), ("num",), ("bin", "+", ("num", 1.0)), "x", 1.0]:
+        with pytest.raises(TypeError, match="not an expression tree"):
+            eval_expr(bad, {})
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,7 +239,7 @@ def test_round_trip_preserves_values(node, t, x, u):
         return
     got = eval_expr(parse_expr(pretty(node)), env)
     if np.isfinite(expected):
-        assert got == expected  # identical AST, identical arithmetic
+        assert got == expected  # identical tree, identical arithmetic
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def test_field_rejects_undeclared_vars():
     ("exp(-(e + 2)/3)", set()), ("sin(2*pi*t)*(1 - 2*x)", {"t", "x"}),
 ])
 def test_field_reads_the_variables_of_its_tree(source, reads):
-    # Num, Var, Neg, Call and Bin nodes
+    # num, var, neg, call and bin trees
     assert CoefficientField.from_string(source).reads == reads
 
 
