@@ -12,9 +12,3 @@ Submodules:
 """
 
 __version__ = "0.1.0"
-
-from . import (bl_metric, coeff_dsl, errors, fpe_grid, markov, period_map,
-               sde_reflect, semilinear)
-
-__all__ = ["bl_metric", "coeff_dsl", "errors", "fpe_grid", "markov",
-           "period_map", "sde_reflect", "semilinear", "__version__"]

@@ -56,10 +56,6 @@ class EmpiricalMeasure:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
     @classmethod
     def dirac(cls, point) -> "EmpiricalMeasure":
         return cls(np.atleast_2d(np.asarray(point, dtype=float)), np.array([1.0]))
@@ -203,24 +199,31 @@ def _dbl_assignment(x: np.ndarray, y: np.ndarray, w: float,
     hence c.h = d.  Shifting h by its midrange moves it into [-1, 1]
     without changing c.h, since both measures have the same mass.
     """
-    n = len(x)
     C = _truncated_distances(x, y)
     _, sigma = linear_sum_assignment(C)
-    Ck = C[np.arange(n), sigma]
-    A = C[:, sigma].T - Ck[:, None]          # A[k, i] = C(x_i, y_sigma(k)) - C_k
-    u = np.zeros(n)
-    # without negative cycles the potentials settle within n rounds, but
-    # rounding can leave cycles of about -1e-17 that never settle; h
-    # below is 1-Lipschitz whatever u is, so the loop is only capped
-    for _ in range(n):
-        relaxed = np.min(u[:, None] + A, axis=0)   # A[k, k] = 0, so never above u
-        if np.array_equal(relaxed, u):
-            break
-        u = relaxed
+    Ck = C[np.arange(len(x)), sigma]
+    u, _ = _potentials(C[:, sigma].T - Ck[:, None])   # A[k, i] = C(x_i, y_sigma(k)) - C_k
     h = np.min(u - Ck + _truncated_distances(support, y[sigma]), axis=1)
     h = np.clip(h - (h.max() + h.min()) / 2, -1.0, 1.0)
     return BLResult(distance=w * float(Ck.sum()), witness=h, support=support,
                     status="optimal")
+
+
+def _potentials(A: np.ndarray):
+    """(u, rounds): Bellman-Ford from u = 0 on u_i <= u_k + A[k, i], A[k, k] = 0.
+
+    A round relaxes only from the rows whose u fell in the round before, as
+    the others bound u already.  Rounding can leave cycles of about -1e-17
+    that never settle, but the witness is 1-Lipschitz whatever u is: n rounds cap it.
+    """
+    u, changed = np.zeros(len(A)), np.arange(len(A))
+    for rounds in range(1, len(A) + 1):
+        relaxed = np.minimum(u, np.min(u[changed][:, None] + A[changed], axis=0))
+        changed = np.flatnonzero(relaxed < u)
+        if not changed.size:
+            break
+        u = relaxed
+    return u, rounds
 
 
 def _dbl_lp(support: np.ndarray, c: np.ndarray) -> BLResult:
@@ -261,20 +264,13 @@ def optimal_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, pair: str) -> f
     return res.distance
 
 
-class CesaroDefect:
-    def __init__(self, restricted: float, unrestricted: float, terms: np.ndarray):
-        self.restricted = restricted        # sum_m p_m * d_BL(p_m law_{m+1}, p_m law_m)
-        self.unrestricted = unrestricted    # (1/(n+1)) sum_m d_BL(law_{m+1}, law_m), dominates
-        self.terms = terms      # per-index unscaled distances d_BL(law_{m+1}, law_m)
-
-
-def cesaro_defect(laws) -> CesaroDefect:
+def cesaro_defect(laws):
     """Averaged one-period-apart d_BL over a sequence of law snapshots.
 
-    laws[m] is the law at time m*T.  With uniform weights
-    p_m = 1/(n+1), the restricted value is the indicator-weighted
-    quantity (sub-probability reading of the randomized-start events);
-    the unrestricted average always dominates it.
+    laws[m] is the law at time m*T.  Returns (unrestricted, restricted,
+    terms): terms[m] = d_BL(law_{m+1}, law_m), their sum over n + 1, and,
+    with uniform weights p_m = 1/(n+1), sum_m p_m d_BL(p_m law_{m+1}, p_m law_m),
+    the indicator-weighted (sub-probability) value that the first dominates.
     """
     laws = list(laws)
     n = len(laws) - 1
@@ -283,6 +279,4 @@ def cesaro_defect(laws) -> CesaroDefect:
     p = 1.0 / (n + 1)
     terms = np.array([optimal_distance(laws[m + 1], laws[m], f"law[{m + 1}] and law[{m}]")
                       for m in range(n)])
-    restricted = float(np.sum(p * p * terms))  # p_m * d_BL of the p_m-scaled pair
-    unrestricted = float(np.sum(terms) / (n + 1))
-    return CesaroDefect(restricted=restricted, unrestricted=unrestricted, terms=terms)
+    return float(np.sum(terms) / (n + 1)), float(np.sum(p * p * terms)), terms

@@ -141,8 +141,8 @@ def load_config(path):
     return doc, p.parent
 
 
-_BOUNDARIES = {"absorbing": fpe_grid.absorbing, "dirichlet": fpe_grid.absorbing,
-               "reflecting": fpe_grid.reflecting, "neumann": fpe_grid.neumann}
+_BOUNDARIES = {"absorbing": fpe_grid.absorbing, "reflecting": fpe_grid.reflecting,
+               "neumann": fpe_grid.neumann}
 
 
 def _resolve_dt(cfg, spans):
@@ -488,9 +488,9 @@ def _cmd_stationary(args):
     if cfg["form"] != "divergence":
         raise ConfigError("/form", "the stationary closed form needs form 'divergence'")
     density = fpe_grid.stationary_closed_form(coeffs, grid)
-    times = np.linspace(0.0, cfg["period_T"], 9)
-    cond = fpe_grid.check_stationarity_condition(coeffs, grid, times)
-    headline = {"mass": density.mass, "stationarity_residual": cond["max_abs_residual"]}
+    residual = fpe_grid.check_stationarity_condition(
+        coeffs, grid, np.linspace(0.0, cfg["period_T"], 9))
+    headline = {"mass": density.mass, "stationarity_residual": residual}
     return _Made(cfg, defaulted, [("stationary.csv", ("x,p", grid.centers, density.values))],
                  headline, stdout=headline)
 
@@ -515,6 +515,10 @@ def _auto_pair(problem, dt):
 
 def _cmd_semilinear(args):
     cfg, defaulted, grid, coeffs, bc, _ = _parse_fp_config(args)
+    if cfg["c_shift"] == 0 and cfg["a0"] is None and bc.kind != "absorbing" \
+            and bc.b0_left == bc.b0_right == 0:
+        raise ConfigError("/c_shift", "0 makes the periodic problem singular on walls "
+                          "that conserve mass; give c_shift > 0 or a0")
     T = cfg["period_T"]
     problem = semilinear.SemilinearProblem(
         coeffs=coeffs, f=CoefficientField(parse_expr(cfg["source_f"]), T),

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bl_metric import (CesaroDefect, EmpiricalMeasure, cesaro_defect, coarsen,
-                        optimal_distance)
+from .bl_metric import EmpiricalMeasure, cesaro_defect, coarsen, optimal_distance
 from .errors import DimensionMismatch, NonFiniteState
 from .fpe_grid import step_count
 
@@ -159,17 +158,15 @@ def periodicity_diagnostic(batch: TrajectoryBatch, burn_in: int) -> dict:
     laws = batch.snapshots[burn_in:]
     if len(laws) < 2:
         raise ValueError("need more snapshots than burn_in + 1")
-    defect: CesaroDefect = cesaro_defect(laws)
+    defect, restricted, terms = cesaro_defect(laws)
     first = max(0, len(laws) - 5)   # the tail is laws[first:]
     # its consecutive pairs were already solved, and checked, for the defect
-    max_pairwise = float(np.max(defect.terms[first:]))
+    max_pairwise = float(np.max(terms[first:]))
     for i in range(first, len(laws)):
         for j in range(i + 2, len(laws)):
             max_pairwise = max(max_pairwise, optimal_distance(
                 laws[i], laws[j], f"snapshots {burn_in + i} and {burn_in + j}"))
-    return {"defect": defect.unrestricted,
-            "defect_restricted": defect.restricted,
-            "defect_terms": defect.terms,
+    return {"defect": defect, "defect_restricted": restricted, "defect_terms": terms,
             "max_pairwise_tail_dbl": max_pairwise}
 
 

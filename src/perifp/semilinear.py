@@ -61,15 +61,12 @@ class PeriodicLinearSolver:
 
     def __init__(self, grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition, T: float,
                  dt: float, c: Union[float, np.ndarray] = 0.0, form: str = "nondivergence"):
-        self.grid, self.coeffs, self.bc, self.T, self.dt = grid, coeffs, bc, T, dt
-        self.c, self.form = c, form
-        self.__post_init__()
+        self.__post_init__(grid, coeffs, bc, T, dt, c, form)
 
-    def __post_init__(self):
+    def __post_init__(self, grid, coeffs, bc, T, dt, c, form):
         """Builds the march's Propagator, which factors every step once: the
         solver's one build, a method of its own so that it is timed apart."""
-        self._prop = Propagator(self.grid, self.coeffs, self.bc, self.T, self.dt, self.form,
-                                c=self.c, startup=False)
+        self._prop = Propagator(grid, coeffs, bc, T, dt, form, c=c, startup=False)
         self.n_steps = self._prop.n_phases
 
     def solve(self, source: np.ndarray, guess: Optional[np.ndarray] = None):

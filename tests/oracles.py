@@ -144,3 +144,16 @@ def chain_dp(z, c):
     for i in range(K - 2, -1, -1):
         h[i] = min(max(peaks[i], h[i + 1] - g[i]), h[i + 1] + g[i])
     return h
+
+
+def dense_potentials(A):
+    """(u, rounds): Bellman-Ford from u = 0 on u_i <= u_k + A[k, i], every
+    round relaxing from all n rows, capped at n rounds; the loop that
+    bl_metric._potentials restricts to the rows whose u fell."""
+    u = np.zeros(len(A))
+    for rounds in range(1, len(A) + 1):
+        relaxed = np.min(u[:, None] + A, axis=0)   # A[k, k] = 0, so never above u
+        if np.array_equal(relaxed, u):
+            break
+        u = relaxed
+    return u, rounds

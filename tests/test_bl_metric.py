@@ -5,11 +5,11 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from perifp.bl_metric import (EmpiricalMeasure, _dbl_lp, _merge_support,
+from perifp.bl_metric import (EmpiricalMeasure, _dbl_lp, _merge_support, _potentials,
                               _truncated_distances, cesaro_defect, coarsen, dbl)
 from perifp.errors import DimensionMismatch, SolverFailure
 
-from oracles import chain_dp
+from oracles import chain_dp, dense_potentials
 
 
 def grid_oracle(mu, nu, step=0.001):
@@ -303,7 +303,8 @@ def test_chain_at_scale_symmetric_within_mass_bounds():
     support, c = _merge_support(mu, nu)
     assert len(support) == 100_000
     assert abs(forward.distance - backward.distance) <= 1e-12
-    assert abs(mu.mass - nu.mass) - 1e-12 <= forward.distance <= mu.mass + nu.mass + 1e-12
+    m_mu, m_nu = mu.weights.sum(), nu.weights.sum()
+    assert abs(m_mu - m_nu) - 1e-12 <= forward.distance <= m_mu + m_nu + 1e-12
     h = forward.witness
     assert np.all(np.abs(h) <= 1.0)
     assert np.all(np.abs(np.diff(h)) <= np.diff(support[:, 0]) + 1e-12)
@@ -314,7 +315,7 @@ def test_coarsen_bounded_perturbation():
     gen = np.random.Generator(np.random.Philox(key=np.uint64(9)))
     mu = EmpiricalMeasure.from_samples(gen.uniform(0, 1, (50, 1)))
     nu = coarsen(mu, 0.05)
-    assert nu.mass == pytest.approx(mu.mass, abs=1e-12)
+    assert nu.weights.sum() == pytest.approx(mu.weights.sum(), abs=1e-12)
     assert dbl(mu, nu).distance <= 2 * 0.05 + 1e-9
 
 
@@ -385,17 +386,24 @@ def tight_lp(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", linprog)
 
 
-def _assert_assignment_matches_lp(mu, nu):
+def _assert_witness_attains(mu, nu):
+    """dbl(mu, nu) is optimal on the merged support, with a witness that is
+    feasible and attains the distance; returns the distance."""
     support, c = _merge_support(mu, nu)
     res = dbl(mu, nu)
     assert res.status == "optimal"
     np.testing.assert_array_equal(res.support, support)
-    assert abs(res.distance - _dbl_lp(support, c).distance) <= 1e-9
     h = res.witness
     assert np.all(np.abs(h) <= 1.0)
     dist = np.sqrt(((support[:, None, :] - support[None, :, :]) ** 2).sum(axis=2))
     assert np.all(np.abs(h[:, None] - h[None, :]) <= dist + 1e-12)
     assert abs(float(c @ h) - res.distance) <= 1e-12
+    return res.distance
+
+
+def _assert_assignment_matches_lp(mu, nu):
+    distance = _assert_witness_attains(mu, nu)
+    assert abs(distance - _dbl_lp(*_merge_support(mu, nu)).distance) <= 1e-9
 
 
 def test_assignment_matches_lp_random_clouds(tight_lp):
@@ -411,19 +419,49 @@ def test_assignment_matches_lp_random_clouds(tight_lp):
                                       EmpiricalMeasure(y, np.full(n, w)))
 
 
-def test_assignment_matches_lp_coincident_points(tight_lp):
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(11)))
-    x = gen.uniform(0.0, 1.0, (12, 2))
-    y = gen.uniform(0.0, 1.0, (12, 2))
+def _clipped_clouds(gen, n):
+    """Two n-point clouds in [0, 1]^2 clipped like the benchmark's d = 2 inputs."""
+    return (np.clip(gen.normal(0.4, 0.15, (n, 2)), 0.0, 1.0),
+            np.clip(gen.normal(0.6, 0.2, (n, 2)), 0.0, 1.0))
+
+
+def _coincident_clouds(gen):
+    x, y = gen.uniform(0.0, 1.0, (12, 2)), gen.uniform(0.0, 1.0, (12, 2))
     y[:5] = x[:5]                       # shared between mu and nu
     x[6:9] = x[5]                       # repeated within mu
     y[9:] = y[8]                        # repeated within nu
+    return x, y
+
+
+def test_assignment_matches_lp_coincident_points(tight_lp):
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(11)))
+    x, y = _coincident_clouds(gen)
     _assert_assignment_matches_lp(EmpiricalMeasure.from_samples(x),
                                   EmpiricalMeasure.from_samples(y))
     # a point start: law 0 is M copies of one point
     _assert_assignment_matches_lp(EmpiricalMeasure.from_samples(np.full((30, 2), 0.5)),
                                   EmpiricalMeasure.from_samples(y[:1].repeat(30, axis=0)
                                                                 + gen.normal(0, 0.3, (30, 2))))
+
+
+@pytest.mark.parametrize("n", [2, 90, 150, 400, "coincident"])
+def test_frontier_potentials_match_dense_relaxation(n):
+    # the relaxation from the rows whose potential fell gives the all-row
+    # loop's potentials and round count bit for bit, and the witness built
+    # on them is feasible and attains the distance
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(1919)))
+    x, y = _coincident_clouds(gen) if n == "coincident" else _clipped_clouds(gen, n)
+    C = _truncated_distances(x, y)
+    _, sigma = scipy.optimize.linear_sum_assignment(C)
+    Ck = C[np.arange(len(x)), sigma]
+    A = C[:, sigma].T - Ck[:, None]
+    u, rounds = _potentials(A)
+    u_dense, rounds_dense = dense_potentials(A)
+    np.testing.assert_array_equal(u, u_dense)
+    assert rounds == rounds_dense
+    if len(x) > 2:
+        assert rounds > 2 and np.min(u) < 0     # the relaxation did move u
+    _assert_witness_attains(EmpiricalMeasure.from_samples(x), EmpiricalMeasure.from_samples(y))
 
 
 def test_lp_witness_through_dbl_matches_tight_lp(monkeypatch, request):
@@ -496,26 +534,26 @@ def test_only_equal_count_equal_weight_pairs_skip_the_lp(monkeypatch):
 
 def test_cesaro_exactly_periodic_sequence():
     a = EmpiricalMeasure.dirac([0.0])
-    res = cesaro_defect([a, a, a, a])
-    assert res.unrestricted == pytest.approx(0.0, abs=1e-12)
-    assert res.restricted == pytest.approx(0.0, abs=1e-12)
+    unrestricted, restricted, _ = cesaro_defect([a, a, a, a])
+    assert unrestricted == pytest.approx(0.0, abs=1e-12)
+    assert restricted == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cesaro_alternating_far_diracs():
     # laws hop between points 3 apart: every term is 2 (the cap)
     a = EmpiricalMeasure.dirac([0.0])
     b = EmpiricalMeasure.dirac([3.0])
-    res = cesaro_defect([a, b, a, b])   # n = 3 transitions
-    np.testing.assert_allclose(res.terms, [2.0, 2.0, 2.0], atol=1e-9)
-    assert res.unrestricted == pytest.approx(6.0 / 4.0, abs=1e-9)
-    assert res.restricted == pytest.approx(3 * 2.0 / 16.0, abs=1e-9)
+    unrestricted, restricted, terms = cesaro_defect([a, b, a, b])   # n = 3 transitions
+    np.testing.assert_allclose(terms, [2.0, 2.0, 2.0], atol=1e-9)
+    assert unrestricted == pytest.approx(6.0 / 4.0, abs=1e-9)
+    assert restricted == pytest.approx(3 * 2.0 / 16.0, abs=1e-9)
 
 
 def test_cesaro_restricted_dominated_by_unrestricted():
     gen = np.random.Generator(np.random.Philox(key=np.uint64(21)))
     laws = [_random_measure(gen, 1, max_pts=4) for _ in range(6)]
-    res = cesaro_defect(laws)
-    assert res.restricted <= res.unrestricted + 1e-12
+    unrestricted, restricted, _ = cesaro_defect(laws)
+    assert restricted <= unrestricted + 1e-12
 
 
 def test_cesaro_raises_on_non_optimal_term(monkeypatch):

@@ -451,6 +451,7 @@ def test_semilinear_standing_iterates_are_a_singular_system(tmp_path, capsys, ma
     ("stationary", {"init": "u*(1-u)"}, "/init"),
     ("semilinear", {"init": {"expr": "0"}}, "/init"),     # zero mass
     ("eigen", {"init": {"csv": "missing.csv"}}, "/init/csv"),
+    ("eigen", {"bc": "dirichlet"}, "/bc"),              # say "absorbing"
 ])
 def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     doc = dict(HEAT_CONFIG, source_f="u*(1-u)") if command == "semilinear" \
@@ -475,6 +476,26 @@ def test_bad_config_reports_path(tmp_path, capsys, command, change, path):
     if change.get("drift") == "1e400*x":
         assert err["message"] == ("/drift: bad expression: "
                                   "at offset 0: number '1e400' is out of range")
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"bc": "neumann"}, "ConfigError"),
+    ({"bc": "reflecting"}, "ConfigError"),
+    ({"bc": "reflecting", "form": "divergence"}, "ConfigError"),
+    ({"bc": "robin", "robin": [0.0, 0.0]}, "ConfigError"),
+    ({"bc": "robin", "robin": [1.0, 0.0]}, "MonotonicityViolation"),   # not singular
+    ({"bc": "neumann", "a0": "1"}, "MonotonicityViolation"),
+])
+def test_semilinear_c_shift_zero_on_walls_that_conserve_mass(tmp_path, capsys, change, error):
+    # without a0 the constants are not damped at c 0 on reflecting or Neumann
+    # walls: the shifted periodic problem is singular, a bad input at /c_shift
+    doc = {**_SMALL["semilinear"], "c_shift": 0, **change}
+    code = run(["--json-errors", "semilinear", "--config", _write(tmp_path / "sl.json", doc),
+                "--out", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert (code, err["error"]) == ((2 if error == "ConfigError" else 1), error)
+    if error == "ConfigError":
+        assert err["path"] == "/c_shift"
 
 
 @pytest.mark.parametrize("change, path", [

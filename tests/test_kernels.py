@@ -48,6 +48,15 @@ print(json.dumps(loaded))"""
         "reused": True}
 
 
+def test_bl_metric_import_skips_the_pde_modules():
+    # the package imports no submodule itself, so a d_BL user loads only
+    # what bl_metric imports
+    code = """import json, sys
+import perifp.bl_metric
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("perifp"))))"""
+    assert _fresh(code) == ["perifp", "perifp._kernels", "perifp.bl_metric", "perifp.errors"]
+
+
 def test_equal_weight_d2_dbl_skips_scipy_optimize():
     code = f"""import json, sys
 import numpy as np

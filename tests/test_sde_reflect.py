@@ -149,7 +149,7 @@ def test_snapshots_are_probability_measures():
     batch = sample_laws(sys_, [0.5], M=100, n_periods=2, dt=T / 64, seed=5)
     assert len(batch.snapshots) == 3
     for snap in batch.snapshots:
-        assert snap.mass == pytest.approx(1.0, abs=1e-12)
+        assert snap.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_start_point_outside_the_box_is_rejected():
