@@ -105,11 +105,12 @@ def _merge_support(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     return _merge(np.vstack([mu.points, nu.points]), np.concatenate([mu.weights, -nu.weights]))
 
 
-def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
+def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure, witness: bool = True) -> BLResult:
     """Bounded-Lipschitz distance on the merged support.
 
     A chain DP in d = 1; in d >= 2 an assignment when both measures have
-    the same number of points and one common weight, else an LP.
+    the same number of points and one common weight, else an LP.  witness
+    False leaves the assignment's witness out (None), and its potentials.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"measures live in dimensions {mu.dim} and {nu.dim}")
@@ -124,7 +125,7 @@ def dbl(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> BLResult:
     if support.shape[1] > 1:
         w = mu.weights
         if len(w) == len(nu.weights) and np.all(w == w[0]) and np.all(nu.weights == w[0]):
-            return _dbl_assignment(mu.points, nu.points, float(w[0]), support)
+            return _dbl_assignment(mu.points, nu.points, float(w[0]), support, witness)
         return _dbl_lp(support, c)
     h = _chain_witness(support[:, 0], c)   # _merge sorted the support
     return BLResult(distance=float(c @ h), witness=h, support=support, status="optimal")
@@ -182,8 +183,8 @@ def _truncated_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.minimum(np.sqrt(total, out=total), 2.0, out=total)
 
 
-def _dbl_assignment(x: np.ndarray, y: np.ndarray, w: float,
-                    support: np.ndarray) -> BLResult:
+def _dbl_assignment(x: np.ndarray, y: np.ndarray, w: float, support: np.ndarray,
+                    witness: bool) -> BLResult:
     """d_BL of sum_k w delta_{x_k} and sum_k w delta_{y_k} as an assignment.
 
     With C(a, b) = min(||a - b||, 2), an optimal matching sigma gives
@@ -202,9 +203,11 @@ def _dbl_assignment(x: np.ndarray, y: np.ndarray, w: float,
     C = _truncated_distances(x, y)
     _, sigma = linear_sum_assignment(C)
     Ck = C[np.arange(len(x)), sigma]
-    u, _ = _potentials(C[:, sigma].T - Ck[:, None])   # A[k, i] = C(x_i, y_sigma(k)) - C_k
-    h = np.min(u - Ck + _truncated_distances(support, y[sigma]), axis=1)
-    h = np.clip(h - (h.max() + h.min()) / 2, -1.0, 1.0)
+    h = None
+    if witness:
+        u, _ = _potentials(C[:, sigma].T - Ck[:, None])   # A[k, i] = C(x_i, y_sigma(k)) - C_k
+        h = np.min(u - Ck + _truncated_distances(support, y[sigma]), axis=1)
+        h = np.clip(h - (h.max() + h.min()) / 2, -1.0, 1.0)
     return BLResult(distance=w * float(Ck.sum()), witness=h, support=support,
                     status="optimal")
 
@@ -256,8 +259,8 @@ def _dbl_lp(support: np.ndarray, c: np.ndarray) -> BLResult:
 
 
 def optimal_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, pair: str) -> float:
-    """d_BL(mu, nu); raises SolverFailure naming ``pair`` if the solve is not optimal."""
-    res = dbl(mu, nu)
+    """d_BL(mu, nu), witness not needed; SolverFailure naming ``pair`` if not optimal."""
+    res = dbl(mu, nu, witness=False)
     if res.status != "optimal":
         raise SolverFailure(f"d_BL of {pair} ended with status {res.status!r}, "
                             "not at the optimum")

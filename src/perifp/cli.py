@@ -423,12 +423,11 @@ def _cmd_simulate_sde(args):
                                     n_periods=cfg["periods"], dt=cfg["dt"],
                                     seed=cfg["seed"],
                                     snap_resolution=cfg["snap_resolution"])
-    headline = {"reflections_total": int(batch.reflection_counts.sum())}
+    headline = {"reflections_total": int(batch.reflection_counts)}
     if len(batch.snapshots) > cfg["burn_in"] + 1:
         diag = sde_reflect.periodicity_diagnostic(batch, cfg["burn_in"])
-        headline["cesaro_defect"] = diag["defect"]
-        headline["cesaro_defect_restricted"] = diag["defect_restricted"]
-        headline["max_pairwise_tail_dbl"] = diag["max_pairwise_tail_dbl"]
+        headline.update(zip(("cesaro_defect", "cesaro_defect_restricted",
+                             "max_pairwise_tail_dbl"), diag))
     files = [(f"snapshot_{k:04d}.csv", ("x1..xd,weight", snap.points, snap.weights))
              for k, snap in enumerate(batch.snapshots)]
     return _Made(cfg, defaulted, files, headline)

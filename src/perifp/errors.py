@@ -65,12 +65,10 @@ class NonPositiveRadius(PerifpError):
 class SignIndefinite(PerifpError):
     """The principal eigenvector of a period map has entries of both signs."""
 
-    def __init__(self, min_over_max, stiffness_ratio=None):
-        message = (f"principal eigenvector changes sign (min/max = {min_over_max:.3e}), "
-                   "so it is a spurious grid mode")
-        if stiffness_ratio is not None:
-            message += f"; stiffness ratio dt*max|L_ii|/2 = {stiffness_ratio:.4g}"
-        super().__init__(message)
+    def __init__(self, min_over_max, stiffness_ratio):
+        super().__init__(f"principal eigenvector changes sign (min/max = {min_over_max:.3e}), "
+                         "so it is a spurious grid mode; stiffness ratio dt*max|L_ii|/2 = "
+                         f"{stiffness_ratio:.4g}")
 
 
 class SingularSystem(PerifpError):

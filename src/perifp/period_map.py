@@ -32,17 +32,8 @@ MAX_APPLIES = 20000     # periods power_iteration applies before NotConverged
 
 
 class PeriodMap:
-    log_scale = 0.0     # apply is U(T, 0) itself
-
-    def __init__(self, K: np.ndarray, T: float):
-        self.K, self.T = K, T
-
-    @property
-    def n(self) -> int:
-        return self.K.shape[0]
-
-    def apply(self, V: np.ndarray) -> np.ndarray:
-        return self.K @ V
+    def __init__(self, K: np.ndarray):
+        self.K = K
 
 
 class SpectralResult:
@@ -103,7 +94,7 @@ def build_period_map(grid: Grid1D, coeffs: FpCoefficients, bc: BoundaryCondition
     the a0 means, so a constant c added to a0 scales K by e^{-c T}.
     """
     op = PeriodOperator(grid, coeffs, bc, T, dt, form)
-    return PeriodMap(K=_rescaled(op.apply(np.eye(grid.n_cells)), op.log_scale), T=T)
+    return PeriodMap(K=_rescaled(op.apply(np.eye(grid.n_cells)), op.log_scale))
 
 
 def arnoldi(apply, v: np.ndarray, steps: int):
@@ -134,31 +125,30 @@ def arnoldi(apply, v: np.ndarray, steps: int):
             return
 
 
-def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
-    """Dominant eigenpair by Arnoldi from the uniform density.
+def power_iteration(op: PeriodOperator, tol: float = 1e-10) -> SpectralResult:
+    """Dominant eigenpair of U(T, 0) by Arnoldi from the uniform density.
 
-    pm is a dense PeriodMap or a matrix-free PeriodOperator: each Arnoldi
-    step applies one period.  After step k, (theta, y = V_k s) is the
-    dominant Ritz pair of the k x k Hessenberg matrix, and the Arnoldi
-    relation gives max|apply(y) - theta y| = |h_{k+1,k} s_k| max|v_{k+1}|
-    with no further apply.  It stops when that is <= tol |theta|, and after
-    ARNOLDI_MAX steps restarts from y.  A converged theta that is not real
-    or not positive raises NonPositiveRadius; an unconverged one does not
-    stop the solve.  It reports r = theta exp(log_scale), log_r = log theta +
-    log_scale, mu = -log_r/T and iterations, the periods applied.  The
-    eigenvector is sign-fixed so its max-magnitude entry is positive.  The
-    result is checked against Krein-Rutman: the principal eigenfunction of
-    a period map is sign-definite, so an eigenvector with entries of both
-    signs is a spurious (stiff) grid mode.  The error names the stiffness
-    ratio of a PeriodOperator.
+    Each Arnoldi step applies op, one period.  After step k,
+    (theta, y = V_k s) is the dominant Ritz pair of the k x k Hessenberg
+    matrix, and the Arnoldi relation gives max|apply(y) - theta y| =
+    |h_{k+1,k} s_k| max|v_{k+1}| with no further apply.  It stops when that
+    is <= tol |theta|, and after ARNOLDI_MAX steps restarts from y.  A
+    converged theta that is not real or not positive raises
+    NonPositiveRadius; an unconverged one does not stop the solve.  It
+    reports r = theta exp(log_scale), log_r = log theta + log_scale,
+    mu = -log_r/T and iterations, the periods applied.  The eigenvector is
+    sign-fixed so its max-magnitude entry is positive.  The result is
+    checked against Krein-Rutman: the principal eigenfunction of a period
+    map is sign-definite, so an eigenvector with entries of both signs is a
+    spurious (stiff) grid mode.  The error names op's stiffness ratio.
     """
     it, converged = 0, False
-    v = np.full(pm.n, 1.0 / pm.n)
+    v = np.full(op.n, 1.0 / op.n)
     while not converged:
         if it == MAX_APPLIES:
             raise NotConverged(it, residual)
         steps = min(ARNOLDI_MAX, MAX_APPLIES - it)
-        for basis, H in arnoldi(pm.apply, v / np.linalg.norm(v), steps):
+        for basis, H in arnoldi(op.apply, v / np.linalg.norm(v), steps):
             it, k = it + 1, H.shape[1]
             thetas, S = np.linalg.eig(H[:k, :k])
             j = int(np.argmax(np.abs(thetas)))
@@ -172,7 +162,7 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
         v = (np.stack(basis[:k], axis=1) @ s).real
     if theta.imag != 0.0:
         with np.errstate(over="ignore"):
-            z = theta * np.exp(pm.log_scale)
+            z = theta * np.exp(op.log_scale)
         raise NonPositiveRadius(f"the dominant eigenvalues {z.real:.6g} +- {abs(z.imag):.6g}i "
                                 "of the period map are not real")
     r, v = float(theta.real), v / np.linalg.norm(v)
@@ -180,9 +170,9 @@ def power_iteration(pm, tol: float = 1e-10) -> SpectralResult:
         v = -v
     if r <= 0:
         raise NonPositiveRadius(f"computed spectral radius {r!r} is not positive")
-    log_r = math.log(r) + pm.log_scale
-    spec = SpectralResult(r=float(_rescaled(r, pm.log_scale)), log_r=log_r, mu=-log_r / pm.T,
+    log_r = math.log(r) + op.log_scale
+    spec = SpectralResult(r=float(_rescaled(r, op.log_scale)), log_r=log_r, mu=-log_r / op.T,
                           eigvec=v, iterations=it, residual=residual)
     if spec.min_over_max < -SIGN_SLACK:
-        raise SignIndefinite(spec.min_over_max, getattr(pm, "stiffness_ratio", None))
+        raise SignIndefinite(spec.min_over_max, op.stiffness_ratio)
     return spec

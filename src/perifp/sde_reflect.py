@@ -2,7 +2,7 @@
 
 Euler-Maruyama with Euclidean projection onto the box (componentwise
 clamp), the standard discrete Skorokhod scheme; the reflection process
-is tracked only as per-path projection tallies.  Step s of a run draws
+is tracked only as the total count of projections.  Step s of a run draws
 its Brownian increments as sqrt(dt) * standard_normal((M, m)) from the
 counter-based Philox stream with key [seed, s] and counter 0, so
 identical (seed, config) runs are bitwise reproducible.
@@ -62,9 +62,9 @@ class SdeSystem:
 
 
 class TrajectoryBatch:
-    def __init__(self, snapshots: list, reflection_counts: np.ndarray):
+    def __init__(self, snapshots: list, reflection_counts: np.int64):
         self.snapshots = snapshots      # EmpiricalMeasure at times 0, T, ..., nT
-        self.reflection_counts = reflection_counts      # per-path projection tallies
+        self.reflection_counts = reflection_counts      # projections over all paths and steps
 
 
 def em_reflect_step(x: np.ndarray, t: float, dt: float, dW: np.ndarray,
@@ -116,7 +116,7 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
         raise ValueError("start points must lie in the box")
 
     sqrt_dt = np.sqrt(dt)
-    reflections, tally = np.zeros(M, dtype=np.int64), np.zeros(M, dtype=np.uint8)
+    reflections = np.int64(0)
     # one generator, re-keyed every step to the bits of Generator(Philox(key=[seed, s]))
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     normal = np.random.Generator(bits).standard_normal
@@ -133,27 +133,24 @@ def sample_laws(sys: SdeSystem, init, M: int, n_periods: int, dt: float,
     snapshots = [emit(X)]
     for period in range(n_periods):
         for k in range(steps_per_period):
-            key[1] = step = period * steps_per_period + k
+            key[1] = period * steps_per_period + k
             bits.state = state
             normal(out=dW)
             dW *= sqrt_dt
             X, hit = em_reflect_step(X, k * dt, dt, dW, sys)
-            tally += hit.view(np.uint8)
-            if step % 255 == 254:     # flushed before a uint8 count can wrap
-                reflections += tally
-                tally.fill(0)
+            reflections += np.count_nonzero(hit)
         snapshots.append(emit(X))
-    reflections += tally
     return TrajectoryBatch(snapshots=snapshots, reflection_counts=reflections)
 
 
-def periodicity_diagnostic(batch: TrajectoryBatch, burn_in: int) -> dict:
+def periodicity_diagnostic(batch: TrajectoryBatch, burn_in: int):
     """Theorem-style periodicity diagnostics over post-burn-in snapshots.
 
-    Reports the Cesaro defect (the unrestricted one-period-apart average,
-    which dominates the indicator-weighted variant; both are included)
-    and the max pairwise d_BL among the last 5 snapshots.  The snapshots
-    are compared as sample_laws emitted them, coarsened there or not.
+    Returns (defect, defect_restricted, max_pairwise_tail_dbl): the Cesaro
+    defect (the unrestricted one-period-apart average), the
+    indicator-weighted variant it dominates, and the max pairwise d_BL
+    among the last 5 snapshots.  The snapshots are compared as sample_laws
+    emitted them, coarsened there or not.
     """
     laws = batch.snapshots[burn_in:]
     if len(laws) < 2:
@@ -166,8 +163,7 @@ def periodicity_diagnostic(batch: TrajectoryBatch, burn_in: int) -> dict:
         for j in range(i + 2, len(laws)):
             max_pairwise = max(max_pairwise, optimal_distance(
                 laws[i], laws[j], f"snapshots {burn_in + i} and {burn_in + j}"))
-    return {"defect": defect, "defect_restricted": restricted, "defect_terms": terms,
-            "max_pairwise_tail_dbl": max_pairwise}
+    return defect, restricted, max_pairwise
 
 
 def density_to_measure(density) -> EmpiricalMeasure:

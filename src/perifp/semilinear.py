@@ -71,15 +71,15 @@ class PeriodicLinearSolver:
 
     def solve(self, source: np.ndarray, guess: Optional[np.ndarray] = None):
         """Solves from the state guess (zero if None) for source, the (n_steps, n)
-        half-step values of g or (n_steps, n, m) for m problems.  Returns (u0,
-        trajectory); the periodicity residual ||trajectory[-1] - u0|| is gmres's,
-        KRYLOV_TOL of the larger of the guess's residual and end state."""
+        half-step values of g or (n_steps, n, m) for m problems.  Returns the
+        trajectory u from the periodic state u[0]; ||u[-1] - u[0]|| is gmres's
+        residual, KRYLOV_TOL of the larger of the guess's residual and end state."""
         march, g = self._prop.march, np.zeros(source.shape[1:]) if guess is None else guess
         end = march(g, self.n_steps, source)[0]     # w - (I - K_c) g = end - g
         u0 = g + gmres(lambda v: v - march(v, self.n_steps)[0], end - g,
                        scale=float(np.linalg.norm(end)))
         _, states = march(u0, self.n_steps, source, record=range(self.n_steps + 1))
-        return u0, np.stack(list(states.values()))
+        return np.stack(list(states.values()))
 
 
 def gmres(apply, b: np.ndarray, scale: float = 0.0) -> np.ndarray:
@@ -179,7 +179,7 @@ def monotone_iterate(problem: SemilinearProblem, pair: OrderedPair, dt: float,
             shift = c if c is not None else estimate_c(problem, u_half[..., 1], u_half[..., 0], dt)
             solver = PeriodicLinearSolver(problem.grid, problem.coeffs, problem.bc,
                                           problem.T, dt, c=shift, form=problem.form)
-        new = solver.solve(_source_from_trajectory(problem, traj, shift, dt), traj[0])[1]
+        new = solver.solve(_source_from_trajectory(problem, traj, shift, dt), traj[0])
         new_up, new_lo = new[..., 0], new[..., 1]
         slack = MONOTONE_SLACK * max(1.0, float(np.max(np.abs(traj))))
         if it > 1:

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from perifp.coeff_dsl import eval_expr
 from perifp.fpe_grid import DensityField, step_cn, step_ie
 from perifp.markov import TransitionMatrix
-from perifp.period_map import PeriodMap, SpectralResult
+from perifp.period_map import PeriodOperator, SpectralResult
 
 DECAY_FLOOR = 1e-280
 
@@ -35,18 +35,31 @@ def paper_five_state_matrix(a1: float, a2: float) -> TransitionMatrix:
     return TransitionMatrix(P)
 
 
-def decay_check(pm: PeriodMap, spec: SpectralResult, n_periods: int) -> float:
+class DenseOperator:
+    """A hand-made matrix K in the place of a PeriodOperator: U(T, 0) = K,
+    with no a0 factor and no stiffness of its own."""
+    log_scale, stiffness_ratio = 0.0, 0.0
+
+    def __init__(self, K: np.ndarray, T: float = 1.0):
+        self.K, self.T, self.n = K, T, K.shape[0]
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        return self.K @ V
+
+
+def decay_check(op: PeriodOperator, spec: SpectralResult, n_periods: int) -> float:
     """Max over n <= n_periods of ||K^n p0 - r^n p0||_inf / ||r^n p0||_inf.
 
     Verifies the decay law p(nT) = e^{-mu n T} p0 for the principal
-    eigenfunction; truncates once r^n underflows toward the double floor.
+    eigenfunction, K = exp(log_scale) op.apply; truncates once r^n
+    underflows toward the double floor.
     """
     p0 = spec.eigvec
     v = p0.copy()
     rn = 1.0
     worst = 0.0
     for _ in range(n_periods):
-        v = pm.apply(v)
+        v = op.apply(v) * np.exp(op.log_scale)
         rn *= spec.r
         if rn < DECAY_FLOOR:
             break

@@ -156,12 +156,12 @@ def test_criterion_05_heat_equation_decay():
     grid = fpe_grid.Grid1D(200, 0.0, 1.0)
     co = fpe_grid.FpCoefficients(a_eff=CoefficientField.from_string("1", T),
                                  b=CoefficientField.from_string("0", T))
-    pm = period_map.build_period_map(grid, co, fpe_grid.absorbing(), T, T / 512)
-    spec = period_map.power_iteration(pm)
+    op = period_map.PeriodOperator(grid, co, fpe_grid.absorbing(), T, T / 512)
+    spec = period_map.power_iteration(op)
     exact_r = math.exp(-math.pi**2 * T)
     r_err = abs(spec.r - exact_r) / exact_r
     mu_err = abs(spec.mu - math.pi**2) / math.pi**2
-    decay = decay_check(pm, spec, 5)
+    decay = decay_check(op, spec, 5)
     elapsed = time.monotonic() - t0
     ok = r_err < 0.01 and mu_err < 0.01 and decay <= 1e-5 and elapsed < 30.0
     _report("criterion 5: heat-equation decay r, mu within 1%, decay law 1e-5",
@@ -186,8 +186,8 @@ def test_criterion_06_absorbing_contraction_regime():
             a_eff=CoefficientField.from_string(f"1 + ({d!r})*x*(1-x)", T),
             b=CoefficientField.from_string(
                 f"(({c0!r}) + ({c1!r})*(1+sin(2*pi*t/0.5)))*x", T))
-        pm = period_map.build_period_map(grid, co, fpe_grid.absorbing(), T, T / 256)
-        spec = period_map.power_iteration(pm)
+        spec = period_map.power_iteration(
+            period_map.PeriodOperator(grid, co, fpe_grid.absorbing(), T, T / 256))
         rs.append(spec.r)
         ok &= 0.0 < spec.r < 1.0
     elapsed = time.monotonic() - t0
@@ -304,8 +304,7 @@ def test_criterion_10_reflected_sde_periodicity():
                                sde_reflect.BoxDomain([0.0], [1.0]))
     batch = sde_reflect.sample_laws(bm, [0.5], M=10000, n_periods=20, dt=T / 256,
                                     seed=2024, snap_resolution=res)
-    diag = sde_reflect.periodicity_diagnostic(batch, burn_in=10)
-    defect = diag["defect"]
+    defect, _, _ = sde_reflect.periodicity_diagnostic(batch, burn_in=10)
 
     grid = fpe_grid.Grid1D(200, 0.0, 1.0)
     co_bm = fpe_grid.FpCoefficients(

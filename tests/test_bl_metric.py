@@ -5,8 +5,10 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+import perifp.bl_metric as bl_metric
 from perifp.bl_metric import (EmpiricalMeasure, _dbl_lp, _merge_support, _potentials,
-                              _truncated_distances, cesaro_defect, coarsen, dbl)
+                              _truncated_distances, cesaro_defect, coarsen, dbl,
+                              optimal_distance)
 from perifp.errors import DimensionMismatch, SolverFailure
 
 from oracles import chain_dp, dense_potentials
@@ -462,6 +464,24 @@ def test_frontier_potentials_match_dense_relaxation(n):
     if len(x) > 2:
         assert rounds > 2 and np.min(u) < 0     # the relaxation did move u
     _assert_witness_attains(EmpiricalMeasure.from_samples(x), EmpiricalMeasure.from_samples(y))
+
+
+def test_optimal_distance_solves_no_potentials(monkeypatch):
+    # the periodicity diagnostics read distances only: on equal-weight d = 2
+    # clouds optimal_distance sums the matched costs without the witness's
+    # potentials, bit for bit the distance dbl reports with its witness
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(37)))
+    pairs = [tuple(map(EmpiricalMeasure.from_samples, xy))
+             for xy in [_clipped_clouds(gen, n) for n in (2, 90, 400)] + [_coincident_clouds(gen)]]
+    expected = [dbl(mu, nu).distance for mu, nu in pairs]
+
+    def refuse(A):
+        raise AssertionError("potentials computed")
+
+    monkeypatch.setattr(bl_metric, "_potentials", refuse)
+    for (mu, nu), distance in zip(pairs, expected):
+        assert optimal_distance(mu, nu, "pair") == distance
+        assert dbl(mu, nu, witness=False).witness is None
 
 
 def test_lp_witness_through_dbl_matches_tight_lp(monkeypatch, request):

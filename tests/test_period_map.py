@@ -12,9 +12,9 @@ from perifp.errors import NonFiniteState, NonPositiveRadius, NotConverged, SignI
 from perifp.fpe_grid import (BLOCK_ENTRIES, DensityField, FpCoefficients, Grid1D,
                              Propagator, absorbing, neumann, reflecting, robin,
                              stationary_closed_form)
-from perifp.period_map import PeriodMap, PeriodOperator, build_period_map, power_iteration
+from perifp.period_map import PeriodOperator, build_period_map, power_iteration
 
-from oracles import decay_check, step_loop
+from oracles import DenseOperator, decay_check, step_loop
 
 T = 0.1
 ONE = CoefficientField.from_string("1", T)
@@ -23,21 +23,20 @@ HEAT = FpCoefficients(a_eff=ONE, b=ZERO)
 
 
 def test_identity_map_spectrum():
-    pm = PeriodMap(np.eye(10), T)
-    spec = power_iteration(pm)
+    spec = power_iteration(DenseOperator(np.eye(10), T))
     assert spec.r == pytest.approx(1.0, abs=1e-12)
     assert spec.mu == pytest.approx(0.0, abs=1e-10)
 
 
 def test_diagonal_matrix_dominant_eigenpair():
     K = np.diag([0.9, 0.5, 0.1])
-    spec = power_iteration(PeriodMap(K, 1.0))
+    spec = power_iteration(DenseOperator(K))
     assert spec.r == pytest.approx(0.9, abs=1e-9)
     assert spec.mu == pytest.approx(-math.log(0.9), abs=1e-8)
     assert np.argmax(np.abs(spec.eigvec)) == 0
     # eigenvalue 2 on (1, 2) and 1 on (2, 3): the uniform start (1, 1) is
     # (2, 3) - (1, 2), so the iterates reach -(1, 2) and the sign is fixed
-    spec = power_iteration(PeriodMap(np.array([[-2.0, 2.0], [-6.0, 5.0]]), 1.0))
+    spec = power_iteration(DenseOperator(np.array([[-2.0, 2.0], [-6.0, 5.0]])))
     assert spec.r == pytest.approx(2.0, rel=1e-9)
     np.testing.assert_allclose(spec.eigvec, np.array([1.0, 2.0]) / math.sqrt(5.0), rtol=1e-9)
 
@@ -45,23 +44,22 @@ def test_diagonal_matrix_dominant_eigenpair():
 def test_power_iteration_rejects_nilpotent():
     K = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonPositiveRadius):
-        power_iteration(PeriodMap(K, 1.0))
+        power_iteration(DenseOperator(K))
     with pytest.raises(NonPositiveRadius, match="spectral radius -1.99.* is not positive"):
-        power_iteration(PeriodMap(-2.0 * np.eye(2), 1.0))
+        power_iteration(DenseOperator(-2.0 * np.eye(2)))
     # a rotation has no real dominant eigenvalue: two steps reach the pair +-i
     with pytest.raises(NonPositiveRadius, match=r"eigenvalues .* \+- 1i .* not real"):
-        power_iteration(PeriodMap(np.array([[0.0, -1.0], [1.0, 0.0]]), 1.0))
+        power_iteration(DenseOperator(np.array([[0.0, -1.0], [1.0, 0.0]])))
     # a product whose norm overflows is a typed error, not a LinAlgError
     with pytest.warns(RuntimeWarning, match="overflow"), \
             pytest.raises(NonFiniteState, match="Krylov vector 1 has no finite norm"):
-        power_iteration(PeriodMap(1e300 * np.eye(3), 1.0))
+        power_iteration(DenseOperator(1e300 * np.eye(3)))
 
 
 def test_heat_equation_dirichlet_rate():
     # principal mode sin(pi x) decays at rate pi^2 over one period
     grid = Grid1D(200, 0.0, 1.0)
-    pm = build_period_map(grid, HEAT, absorbing(), T, T / 512)
-    spec = power_iteration(pm)
+    spec = power_iteration(PeriodOperator(grid, HEAT, absorbing(), T, T / 512))
     exact_r = math.exp(-math.pi**2 * T)
     assert abs(spec.r - exact_r) / exact_r < 0.01
     assert abs(spec.mu - math.pi**2) / math.pi**2 < 0.01
@@ -78,15 +76,14 @@ def test_reflecting_conservation_r_equals_one():
     co = FpCoefficients(a_eff=ONE, b=drift)
     pm = build_period_map(grid, co, reflecting(), T, T / 256)
     assert np.max(np.abs(pm.K.sum(axis=0) - 1.0)) < 1e-10  # column sums 1
-    spec = power_iteration(pm)
+    spec = power_iteration(PeriodOperator(grid, co, reflecting(), T, T / 256))
     assert spec.r == pytest.approx(1.0, abs=1e-10)
 
 
 def test_reflecting_eigvec_is_stationary_density():
     grid = Grid1D(150, -2.0, 2.0)
     co = FpCoefficients(a_eff=ONE, b=CoefficientField.from_string("0 - x", T))
-    pm = build_period_map(grid, co, reflecting(), T, T / 128)
-    spec = power_iteration(pm)
+    spec = power_iteration(PeriodOperator(grid, co, reflecting(), T, T / 128))
     q = stationary_closed_form(co, grid).values
     v = spec.eigvec / (spec.eigvec.sum() * grid.dx)
     assert np.max(np.abs(v - q)) / np.max(q) < 1e-3
@@ -94,9 +91,8 @@ def test_reflecting_eigvec_is_stationary_density():
 
 def test_dense_eigensolver_cross_check():
     grid = Grid1D(80, 0.0, 1.0)
-    pm = build_period_map(grid, HEAT, absorbing(), T, T / 128)
-    spec = power_iteration(pm)
-    vals, vecs = np.linalg.eig(pm.K)
+    spec = power_iteration(PeriodOperator(grid, HEAT, absorbing(), T, T / 128))
+    vals, vecs = np.linalg.eig(build_period_map(grid, HEAT, absorbing(), T, T / 128).K)
     i = int(np.argmax(np.abs(vals)))
     r_dense, v_dense = float(np.abs(vals[i])), np.real(vecs[:, i])
     v_dense *= np.sign(v_dense[np.argmax(np.abs(v_dense))]) / np.linalg.norm(v_dense)
@@ -106,10 +102,10 @@ def test_dense_eigensolver_cross_check():
 
 def test_decay_law_over_many_periods():
     grid = Grid1D(120, 0.0, 1.0)
-    pm = build_period_map(grid, HEAT, absorbing(), T, T / 256)
-    spec = power_iteration(pm)
-    assert decay_check(pm, spec, 5) <= 1e-5
-    assert decay_check(pm, spec, 50) <= 1e-5  # underflow guard kicks in
+    op = PeriodOperator(grid, HEAT, absorbing(), T, T / 256)
+    spec = power_iteration(op)
+    assert decay_check(op, spec, 5) <= 1e-5
+    assert decay_check(op, spec, 50) <= 1e-5  # underflow guard kicks in
 
 
 def test_period_map_is_the_march_over_its_span():
@@ -196,9 +192,8 @@ def test_absorbing_positive_zero_order_contracts():
             a_eff=CoefficientField.from_string(f"1 + ({c0!r})*x*(1-x)", T),
             b=CoefficientField.from_string(f"({c1!r})*(1-2*x)", T),
             a0=CoefficientField.from_string(f"({c0!r})*(1+sin(2*pi*t/0.1))", T))
-        pm = build_period_map(grid, co, absorbing(), T, T / 128,
-                              form="nondivergence")
-        spec = power_iteration(pm)
+        spec = power_iteration(PeriodOperator(grid, co, absorbing(), T, T / 128,
+                                              form="nondivergence"))
         assert 0.0 < spec.r < 1.0
 
 
@@ -282,7 +277,7 @@ def test_restarted_arnoldi_matches_one_run(monkeypatch):
     monkeypatch.setattr(period_map, "ARNOLDI_MAX", 1)
     monkeypatch.setattr(period_map, "MAX_APPLIES", 50)
     with pytest.raises(NotConverged) as exc:
-        power_iteration(PeriodMap(np.array([[0.0, -1.0], [1.0, 0.0]]), 1.0))
+        power_iteration(DenseOperator(np.array([[0.0, -1.0], [1.0, 0.0]])))
     assert exc.value.iterations == 50
 
 
@@ -347,10 +342,10 @@ def test_sign_guard_rejects_sign_changing_eigenvector():
     V = np.array([[1.0, 0.2, 0.1], [-0.5, 1.0, 0.3], [0.3, 0.1, 1.0]])
     K = V @ np.diag([0.9, 0.5, 0.2]) @ np.linalg.inv(V)
     with pytest.raises(SignIndefinite, match=r"changes sign \(min/max = -5\.000e-01\)"):
-        power_iteration(PeriodMap(K, 1.0))
+        power_iteration(DenseOperator(K))
     positive = np.abs(V[:, 0])
     K_pos = (positive[:, None] * positive[None, :]) * 0.9 / (positive @ positive)
-    spec = power_iteration(PeriodMap(K_pos, 1.0))
+    spec = power_iteration(DenseOperator(K_pos))
     assert spec.r == pytest.approx(0.9, rel=1e-9)
     assert spec.min_over_max > 0.0
 

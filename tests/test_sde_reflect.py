@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import perifp.bl_metric as bl_metric
-from perifp.bl_metric import EmpiricalMeasure, coarsen, dbl
+from perifp.bl_metric import EmpiricalMeasure, cesaro_defect, coarsen, dbl
 from perifp.coeff_dsl import CoefficientField
 from perifp.errors import DimensionMismatch, SolverFailure
 from perifp.sde_reflect import (BoxDomain, SdeSystem, TrajectoryBatch,
@@ -125,7 +125,8 @@ def test_sample_laws_match_the_per_step_generator_loop(system, init, M, seed, dt
     assert len(batch.snapshots) == len(laws) == 3
     for snap, X in zip(batch.snapshots, laws):
         assert snap.points.tobytes() == X.tobytes()
-    assert batch.reflection_counts.tobytes() == reflections.tobytes()
+    assert type(batch.reflection_counts) is np.int64
+    assert batch.reflection_counts == reflections.sum()
 
 
 def test_sample_laws_seed_changes_output():
@@ -187,9 +188,9 @@ def test_componentwise_coefficients_2d():
 def test_periodicity_diagnostic_frozen_dynamics():
     sys_ = _scalar_system("0", "0")
     batch = sample_laws(sys_, [0.5], M=32, n_periods=4, dt=T / 16, seed=0)
-    diag = periodicity_diagnostic(batch, burn_in=0)
-    assert diag["defect"] == pytest.approx(0.0, abs=1e-12)
-    assert diag["max_pairwise_tail_dbl"] == pytest.approx(0.0, abs=1e-12)
+    defect, _, tail = periodicity_diagnostic(batch, burn_in=0)
+    assert defect == pytest.approx(0.0, abs=1e-12)
+    assert tail == pytest.approx(0.0, abs=1e-12)
     assert all(np.array_equal(s.points, np.full((32, 1), 0.5)) for s in batch.snapshots)
 
 
@@ -202,24 +203,28 @@ def test_periodicity_diagnostic_reuses_consecutive_pairs(monkeypatch):
                    for i in range(4) for j in range(i + 1, 4))
     calls = []
 
-    def counted(mu, nu):
+    def counted(mu, nu, witness=True):
         calls.append(1)
-        return dbl(mu, nu)
+        return dbl(mu, nu, witness)
 
     monkeypatch.setattr(bl_metric, "dbl", counted)
-    diag = periodicity_diagnostic(batch, burn_in=0)
+    defect, restricted, tail = periodicity_diagnostic(batch, burn_in=0)
     assert len(calls) == 6   # 3 consecutive pairs once each, 3 non-consecutive
-    np.testing.assert_allclose(diag["defect_terms"], terms, rtol=0, atol=1e-12)
-    assert diag["max_pairwise_tail_dbl"] == pytest.approx(tail_max, abs=1e-12)
+    cesaro, cesaro_restricted, cesaro_terms = cesaro_defect(laws)
+    np.testing.assert_allclose(cesaro_terms, terms, rtol=0, atol=1e-12)
+    assert (defect, restricted) == (cesaro, cesaro_restricted)
+    assert tail == pytest.approx(tail_max, abs=1e-12)
 
 
 def test_periodicity_diagnostic_tail_max_at_last_consecutive_pair():
     # diracs at 0.2, 0.1, 0.0, 0.5: only the last transition moves by 0.5
     snaps = [EmpiricalMeasure.dirac([x]) for x in (0.2, 0.1, 0.0, 0.5)]
-    batch = TrajectoryBatch(snapshots=snaps, reflection_counts=np.zeros(1, dtype=np.int64))
-    diag = periodicity_diagnostic(batch, burn_in=0)
-    np.testing.assert_allclose(diag["defect_terms"], [0.1, 0.1, 0.5], atol=1e-12)
-    assert diag["max_pairwise_tail_dbl"] == pytest.approx(0.5, abs=1e-12)
+    batch = TrajectoryBatch(snapshots=snaps, reflection_counts=np.int64(0))
+    defect, _, tail = periodicity_diagnostic(batch, burn_in=0)
+    terms = cesaro_defect(snaps)[2]
+    np.testing.assert_allclose(terms, [0.1, 0.1, 0.5], atol=1e-12)
+    assert defect == pytest.approx(0.7 / 4, abs=1e-12)
+    assert tail == pytest.approx(0.5, abs=1e-12)
 
 
 def test_periodicity_diagnostic_raises_on_non_optimal_tail_pair(monkeypatch):
